@@ -50,14 +50,6 @@ def inv_herm(a: np.ndarray, context: str) -> np.ndarray:
     return (evecs / evals) @ evecs.conj().T
 
 
-def logdet_pd(a: np.ndarray, context: str) -> float:
-    """log det of a Hermitian positive definite matrix (raises if not PD)."""
-    evals = np.linalg.eigvalsh(herm(a))
-    if evals.min() <= 0.0:
-        raise SingularMatrixError(context, np.inf)
-    return float(np.log(evals).sum())
-
-
 def logdet_phased(a: np.ndarray) -> complex:
     """log det of a general complex matrix, as logabs + i*phase of the determinant."""
     sign, logabs = np.linalg.slogdet(a)

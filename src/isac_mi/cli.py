@@ -325,17 +325,8 @@ def run_sweep(cfg: ExperimentConfig) -> str:
     """Baseline vs PGA-optimized weighted MI over the SNR grid."""
     stats = _scenario(cfg)
     baseline = default_beamformer(cfg.dims, cfg.p_t)
-    pga_opts = PgaOptions(
-        epsilon=cfg.pga.epsilon,
-        max_outer_iters=cfg.pga.max_outer_iters,
-        step=cfg.pga.step,
-        lambda0=cfg.pga.lambda0,
-        beta=cfg.pga.beta,
-        slope=cfg.pga.slope,
-        init=baseline,  # warm start: monotone ascent keeps optimized >= baseline
-        init_seed=cfg.pga.init_seed,
-        solver=cfg.solver,
-    )
+    # warm start: monotone ascent keeps optimized >= baseline
+    pga_opts = replace(cfg.pga, init=baseline)
 
     def one(snr: float):
         noise = NoiseConfig(snr, cfg.sensing_offset_db)
@@ -364,18 +355,7 @@ def run_tradeoff(cfg: ExperimentConfig) -> str:
     candidates: list[Beamformer] = []
     init: Beamformer | None = None
     for rho in cfg.rho_grid:
-        opts = PgaOptions(
-            epsilon=cfg.pga.epsilon,
-            max_outer_iters=cfg.pga.max_outer_iters,
-            step=cfg.pga.step,
-            lambda0=cfg.pga.lambda0,
-            beta=cfg.pga.beta,
-            slope=cfg.pga.slope,
-            init=init,
-            init_seed=cfg.pga.init_seed,
-            solver=cfg.solver,
-        )
-        best, _ = pga(stats, noise, rho, cfg.p_t, opts)
+        best, _ = pga(stats, noise, rho, cfg.p_t, replace(cfg.pga, init=init))
         candidates.append(best)
         init = best
 

@@ -2,15 +2,32 @@
 
 The sensing branch characterizes the limiting spectrum of
 B1 = Ghat S S' Ghat' (Ghat stacking the beamformed scatter channels) through
-a coupled system in (g_c_tilde, g_c, scalar chain); the communication branch
-does the same for B2 = H W W' H' through (g_e_tilde, g_e).  Both systems are
+a coupled system in (g_c, g_c_tilde, scalar chain); the communication branch
+does the same for B2 = H W W' H' through (g_e, g_e_tilde).  Both systems are
 evaluated at a negative real spectral argument w = -sigma^2, where the
-resolvent (wI - B)^-1 of a PSD matrix is well defined, and solved by damped
-Picard iteration from the exact zero-channel solution.
+resolvent (wI - B)^-1 of a PSD matrix is well defined.
+
+Both are solved by one driver, `_iterate`, from the exact zero-channel
+solution (or a warm start).  The driver runs type-II Anderson acceleration
+(Walker & Ni, SIAM J. Numer. Anal. 2011) on the system's state packed into
+one real vector, in which the resolvent-type block is stored times sigma^2 so
+that every block starts from (minus) the identity.  It is safeguarded in the
+manner of Zhang, O'Donoghue & Boyd (SIAM J. Optim. 2020):
+
+* an extrapolated iterate is used only if it lies in the sign cone below and
+  its residual is at most `_SAFEGUARD` times that of the last accepted
+  iterate; otherwise the driver takes the damped Picard step
+  x + damping * (f(x) - x) from the last accepted iterate, so
+  `SolverOptions.damping` sets the fallback step;
+* after `_STALL` iterations without a new best residual the driver switches
+  to plain damped Picard iteration from the best iterate;
+* on convergence the undamped polish step x <- f(x) is kept only when it does
+  not raise the residual.
 
 Sign structure at w < 0 (enforced on return): g_c_tilde and g_e_tilde are
 negative definite resolvent-type blocks, g_c and g_e are positive definite
-E[SS']-type blocks, and the scalar chain satisfies phi >= 1.
+E[SS']-type blocks, and the scalar chain satisfies phi >= 1.  The right-hand
+sides map this cone into itself, so damped steps never leave it.
 """
 
 from __future__ import annotations
@@ -25,11 +42,25 @@ from .model import Beamformer, ScenarioStats, effective_los
 
 SIGN_EIG_FLOOR = -1e-8
 
+_MEMORY = 10  # Anderson history length
+_SAFEGUARD = 3.0  # largest accepted residual growth of an extrapolated iterate
+_STALL = 100  # iterations without a new best residual before plain damped Picard
+
 
 class ConvergenceError(RuntimeError):
-    """The damped Picard iteration did not reach a valid converged state."""
+    """The fixed-point iteration did not reach a valid converged state.
 
-    def __init__(self, branch: str, iterations: int, residual: float, reason: str = "did not converge"):
+    `history` holds the residual of every iteration, in order.
+    """
+
+    def __init__(
+        self,
+        branch: str,
+        iterations: int,
+        residual: float,
+        reason: str = "did not converge",
+        history: tuple[float, ...] = (),
+    ):
         super().__init__(
             f"{branch} fixed point {reason} after {iterations} iterations "
             f"(final residual {residual:.3e})"
@@ -37,6 +68,7 @@ class ConvergenceError(RuntimeError):
         self.branch = branch
         self.iterations = iterations
         self.residual = residual
+        self.history = tuple(history)
 
 
 @dataclass(frozen=True)
@@ -111,17 +143,141 @@ def _block_diag(blocks) -> np.ndarray:
     return out
 
 
-def _write_trace(path: str | None, rows: list[tuple[int, float]]) -> None:
+def _write_trace(path: str | None, history: list[float]) -> None:
     if path is None:
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("iteration,residual\n")
-        for it, res in rows:
+        for it, res in enumerate(history):
             fh.write(f"{it},{res:.6e}\n")
+
+
+def _is_pd(a: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class _Packing:
+    """A system's state as one real vector of Hermitian blocks of the given
+    sizes (a real scalar is a block of size 1), block b multiplied by
+    scales[b].  An (n, n) block takes n*n reals: the real part on and above
+    the diagonal and the imaginary part below it, off-diagonal entries times
+    sqrt(2) so that the vector norm of a block is its Frobenius norm."""
+
+    def __init__(self, sizes, scales):
+        self.scales = scales
+        self.bounds = np.cumsum([0] + [n * n for n in sizes])
+        self.lower = [np.tri(n, k=-1, dtype=bool) for n in sizes]
+        self.weights = [np.where(np.eye(n, dtype=bool), 1.0, np.sqrt(2.0)) for n in sizes]
+
+    def pack(self, blocks) -> np.ndarray:
+        parts = []
+        for b, s, lower, weight in zip(blocks, self.scales, self.lower, self.weights):
+            a = s * np.atleast_2d(b)
+            parts.append((np.where(lower, a.imag, a.real) * weight).ravel())
+        return np.concatenate(parts)
+
+    def unpack(self, x: np.ndarray) -> list[np.ndarray]:
+        blocks = []
+        for a, b, s, lower, weight in zip(
+            self.bounds, self.bounds[1:], self.scales, self.lower, self.weights
+        ):
+            r = x[a:b].reshape(weight.shape) / weight
+            im = np.where(lower, r, 0.0)
+            blocks.append((np.where(lower, r.T, r) + 1j * (im - im.T)) / s)
+        return blocks
+
+    def residual(self, x: np.ndarray, gx: np.ndarray) -> float:
+        """Max over blocks of rel_residual(block, rhs block), in unscaled units."""
+        return max(
+            float(np.linalg.norm(x[a:b] - gx[a:b]) / (s + np.linalg.norm(gx[a:b])))
+            for a, b, s in zip(self.bounds, self.bounds[1:], self.scales)
+        )
+
+
+def _iterate(system, start, opts: SolverOptions):
+    """Safeguarded Anderson iteration of `system.rhs` from the blocks `start`.
+
+    Returns (blocks, derived, residual, iterations, history) at the first
+    iterate whose residual meets opts.tol, after the conditional polish step.
+    """
+    packing = system.packing
+    x = packing.pack(start)
+    # ring buffers of the differences of f(x) - x and of f(x) between accepted iterates
+    d_f = np.empty((_MEMORY, x.size))
+    d_g = np.empty((_MEMORY, x.size))
+    stored = slot = 0
+    alpha = opts.damping
+    history: list[float] = []
+    last = best = None  # (x, f(x) - x, residual) of the last accepted / best iterate
+    since_best = 0
+    extrapolated = picard = False
+
+    def evaluate(x):
+        blocks = packing.unpack(x)
+        rhs, derived = system.rhs(*blocks)
+        gx = packing.pack(rhs)
+        return blocks, derived, gx, packing.residual(x, gx)
+
+    for it in range(opts.max_iter + 1):
+        blocks, derived, gx, residual = evaluate(x)
+        history.append(residual)
+        if residual <= opts.tol:
+            polished = evaluate(gx)
+            if polished[3] <= residual:
+                blocks, derived, _, residual = polished
+            _write_trace(opts.trace_path, history)
+            return blocks, derived, residual, it, history
+        if it == opts.max_iter:
+            break
+        if extrapolated and residual > _SAFEGUARD * last[2]:
+            x, extrapolated = last[0] + alpha * last[1], False
+            continue
+        f = gx - x
+        if last is not None:
+            d_f[slot] = f - last[1]
+            d_g[slot] = d_f[slot] + (x - last[0])
+            slot, stored = (slot + 1) % _MEMORY, min(stored + 1, _MEMORY)
+        last = (x, f, residual)
+        if best is None or residual < best[2]:
+            best, since_best = last, 0
+        else:
+            since_best += 1
+        if not picard and since_best >= _STALL:
+            picard, last = True, best
+        if picard:
+            x = last[0] + alpha * last[1]
+            continue
+        candidate = gx
+        if stored:
+            df = d_f[:stored]
+            gamma = np.linalg.lstsq(df @ df.T, df @ f, rcond=None)[0]
+            candidate = gx - gamma @ d_g[:stored]
+        extrapolated = system.in_cone(*packing.unpack(candidate))
+        x = candidate if extrapolated else x + alpha * f
+
+    _write_trace(opts.trace_path, history)
+    raise ConvergenceError(system.branch, opts.max_iter, residual, history=history)
+
+
+def _check_signs(branch: str, fp, g_tilde: np.ndarray, g: np.ndarray, history) -> None:
+    if min_eigval(-g_tilde) < SIGN_EIG_FLOOR or min_eigval(g) < SIGN_EIG_FLOOR:
+        raise ConvergenceError(
+            branch,
+            fp.iterations,
+            fp.residual,
+            reason="violated the resolvent sign structure",
+            history=history,
+        )
 
 
 class _SensingSystem:
     """Right-hand sides of the sensing equations at fixed (stats, W, w)."""
+
+    branch = "sensing"
 
     def __init__(self, stats: ScenarioStats, w_bf: Beamformer, w: float):
         self.ops = CorrelationOps(stats)
@@ -129,6 +285,8 @@ class _SensingSystem:
         self.w = w
         self.dims = stats.dims
         self.g_eff, _, _ = effective_los(stats, w_bf)
+        ln_r = self.dims.num_scatter * self.dims.n_r
+        self.packing = _Packing((self.dims.m, ln_r, 1), (1.0, -w, 1.0))
 
     def psi_tilde_blocks(self, g_c: np.ndarray) -> list[np.ndarray]:
         eye = np.eye(self.dims.n_r)
@@ -152,9 +310,13 @@ class _SensingSystem:
             out -= g_l.conj().T @ inv_herm(block, "sensing psi_tilde block inverse") @ g_l
         return herm(out)
 
+    def in_cone(self, g_c, g_c_tilde, phi) -> bool:
+        return phi[0, 0].real >= 1.0 and _is_pd(g_c) and _is_pd(-g_c_tilde)
+
     def rhs(self, g_c, g_c_tilde, phi):
-        """One Picard evaluation: returns (rhs_g_c_tilde, rhs_g_c, rhs_phi, derived)."""
+        """One Picard evaluation: returns ((rhs_g_c, rhs_g_c_tilde, rhs_phi), derived)."""
         m = self.dims.m
+        phi = float(phi[0, 0].real)
         psi_t = self.psi_tilde_blocks(g_c)
         psi = self.psi(g_c_tilde)
         pi = psi + phi * np.eye(m)  # psi - phi_tilde^-1 with phi_tilde = -(1/phi) I
@@ -166,7 +328,7 @@ class _SensingSystem:
         # g_d = (phi_tilde - delta^-1)^-1 via phi_tilde^-1 + phi_tilde^-1 (delta - phi_tilde^-1)^-1 phi_tilde^-1
         g_dd = herm(-phi * np.eye(m) + phi**2 * rhs_g_c)
         rhs_phi = 1.0 - float(np.trace(g_dd).real) / self.dims.n_s
-        return rhs_g_c_tilde, rhs_g_c, rhs_phi, (psi_t, psi, pi, delta, g_dd)
+        return (rhs_g_c, rhs_g_c_tilde, rhs_phi), (psi_t, psi, pi, delta, g_dd)
 
 
 def solve_sensing(
@@ -183,70 +345,30 @@ def solve_sensing(
     """
     dims = stats.dims
     system = _SensingSystem(stats, w_bf, point.w)
-    ln_r = dims.num_scatter * dims.n_r
-
     if initial is not None:
-        g_c = initial.g_c.astype(complex)
-        g_c_tilde = initial.g_c_tilde.astype(complex)
-        phi = float(initial.phi_scalar)
+        start = (initial.g_c, initial.g_c_tilde, initial.phi_scalar)
     else:
-        # Zero-channel solution as the starting point.
-        g_c = np.eye(dims.m, dtype=complex)
-        g_c_tilde = np.eye(ln_r, dtype=complex) / point.w
-        phi = 1.0
+        ln_r = dims.num_scatter * dims.n_r
+        start = (np.eye(dims.m), np.eye(ln_r) / point.w, 1.0)
 
-    alpha = opts.damping
-    trace_rows: list[tuple[int, float]] = []
-    residual = np.inf
-    for it in range(opts.max_iter + 1):
-        rhs_gct, rhs_gc, rhs_phi, _ = system.rhs(g_c, g_c_tilde, phi)
-        residual = max(
-            rel_residual(g_c_tilde, rhs_gct),
-            rel_residual(g_c, rhs_gc),
-            rel_residual(phi, rhs_phi),
-        )
-        trace_rows.append((it, residual))
-        if residual <= opts.tol:
-            # Polish: take the undamped step, then restate the residual at it.
-            g_c_tilde, g_c, phi = rhs_gct, rhs_gc, rhs_phi
-            rhs_gct, rhs_gc, rhs_phi, derived = system.rhs(g_c, g_c_tilde, phi)
-            residual = max(
-                rel_residual(g_c_tilde, rhs_gct),
-                rel_residual(g_c, rhs_gc),
-                rel_residual(phi, rhs_phi),
-            )
-            _write_trace(opts.trace_path, trace_rows)
-            psi_t, psi, pi, delta, g_dd = derived
-            fp = SensingFixedPoint(
-                g_c_tilde=g_c_tilde,
-                g_c=g_c,
-                g_d_scalar=1.0 / phi,
-                g_dd=g_dd,
-                psi_tilde_blocks=tuple(psi_t),
-                psi=psi,
-                phi_tilde_scalar=-1.0 / phi,
-                phi_scalar=phi,
-                pi=pi,
-                residual=residual,
-                iterations=it,
-            )
-            _check_sensing_signs(fp)
-            return fp
-        if it == opts.max_iter:
-            break
-        g_c = herm((1.0 - alpha) * g_c + alpha * rhs_gc)
-        g_c_tilde = herm((1.0 - alpha) * g_c_tilde + alpha * rhs_gct)
-        phi = (1.0 - alpha) * phi + alpha * rhs_phi
-
-    _write_trace(opts.trace_path, trace_rows)
-    raise ConvergenceError("sensing", opts.max_iter, residual)
-
-
-def _check_sensing_signs(fp: SensingFixedPoint) -> None:
-    if min_eigval(-fp.g_c_tilde) < SIGN_EIG_FLOOR or min_eigval(fp.g_c) < SIGN_EIG_FLOOR:
-        raise ConvergenceError(
-            "sensing", fp.iterations, fp.residual, reason="violated the resolvent sign structure"
-        )
+    (g_c, g_c_tilde, phi), derived, residual, it, history = _iterate(system, start, opts)
+    phi = float(phi[0, 0].real)
+    psi_t, psi, pi, delta, g_dd = derived
+    fp = SensingFixedPoint(
+        g_c_tilde=g_c_tilde,
+        g_c=g_c,
+        g_d_scalar=1.0 / phi,
+        g_dd=g_dd,
+        psi_tilde_blocks=tuple(psi_t),
+        psi=psi,
+        phi_tilde_scalar=-1.0 / phi,
+        phi_scalar=phi,
+        pi=pi,
+        residual=residual,
+        iterations=it,
+    )
+    _check_signs("sensing", fp, fp.g_c_tilde, fp.g_c, history)
+    return fp
 
 
 def residual_sensing(
@@ -286,18 +408,24 @@ def residual_sensing(
 
 
 class _CommSystem:
+    branch = "comm"
+
     def __init__(self, stats: ScenarioStats, w_bf: Beamformer, w: float):
         self.ops = CorrelationOps(stats)
         self.w_bf = w_bf
         self.w = w
         self.dims = stats.dims
         _, self.h_eff, _ = effective_los(stats, w_bf)
+        self.packing = _Packing((self.dims.m, self.dims.n_u), (1.0, -w))
 
     def omega_tilde(self, g_e: np.ndarray) -> np.ndarray:
         return self.w * np.eye(self.dims.n_u) - self.ops.tau_tilde_w(g_e, self.w_bf)
 
     def omega(self, g_e_tilde: np.ndarray) -> np.ndarray:
         return np.eye(self.dims.m) - self.ops.tau_w(g_e_tilde, self.w_bf)
+
+    def in_cone(self, g_e, g_e_tilde) -> bool:
+        return _is_pd(g_e) and _is_pd(-g_e_tilde)
 
     def rhs(self, g_e, g_e_tilde):
         om_t = self.omega_tilde(g_e)
@@ -318,7 +446,7 @@ class _CommSystem:
                 "comm g_e equation",
             )
         )
-        return rhs_get, rhs_ge, (om_t, om)
+        return (rhs_ge, rhs_get), (om_t, om)
 
 
 def solve_comm(
@@ -331,47 +459,22 @@ def solve_comm(
     """Solve the communication deterministic-equivalent system at w = point.w < 0."""
     dims = stats.dims
     system = _CommSystem(stats, w_bf, point.w)
-
     if initial is not None:
-        g_e = initial.g_e.astype(complex)
-        g_e_tilde = initial.g_e_tilde.astype(complex)
+        start = (initial.g_e, initial.g_e_tilde)
     else:
-        g_e = np.eye(dims.m, dtype=complex)
-        g_e_tilde = np.eye(dims.n_u, dtype=complex) / point.w
+        start = (np.eye(dims.m), np.eye(dims.n_u) / point.w)
 
-    alpha = opts.damping
-    trace_rows: list[tuple[int, float]] = []
-    residual = np.inf
-    for it in range(opts.max_iter + 1):
-        rhs_get, rhs_ge, _ = system.rhs(g_e, g_e_tilde)
-        residual = max(rel_residual(g_e_tilde, rhs_get), rel_residual(g_e, rhs_ge))
-        trace_rows.append((it, residual))
-        if residual <= opts.tol:
-            g_e_tilde, g_e = rhs_get, rhs_ge
-            rhs_get, rhs_ge, derived = system.rhs(g_e, g_e_tilde)
-            residual = max(rel_residual(g_e_tilde, rhs_get), rel_residual(g_e, rhs_ge))
-            _write_trace(opts.trace_path, trace_rows)
-            om_t, om = derived
-            fp = CommFixedPoint(
-                g_e_tilde=g_e_tilde,
-                g_e=g_e,
-                omega_tilde=om_t,
-                omega=om,
-                residual=residual,
-                iterations=it,
-            )
-            if min_eigval(-fp.g_e_tilde) < SIGN_EIG_FLOOR or min_eigval(fp.g_e) < SIGN_EIG_FLOOR:
-                raise ConvergenceError(
-                    "comm", it, residual, reason="violated the resolvent sign structure"
-                )
-            return fp
-        if it == opts.max_iter:
-            break
-        g_e = herm((1.0 - alpha) * g_e + alpha * rhs_ge)
-        g_e_tilde = herm((1.0 - alpha) * g_e_tilde + alpha * rhs_get)
-
-    _write_trace(opts.trace_path, trace_rows)
-    raise ConvergenceError("comm", opts.max_iter, residual)
+    (g_e, g_e_tilde), (om_t, om), residual, it, history = _iterate(system, start, opts)
+    fp = CommFixedPoint(
+        g_e_tilde=g_e_tilde,
+        g_e=g_e,
+        omega_tilde=om_t,
+        omega=om,
+        residual=residual,
+        iterations=it,
+    )
+    _check_signs("comm", fp, fp.g_e_tilde, fp.g_e, history)
+    return fp
 
 
 def residual_comm(

@@ -198,3 +198,71 @@ def test_iteration_trace_is_written(tmp_path, scenario4, beamformer4):
     assert len(lines) > 2
     residuals = [float(line.split(",")[1]) for line in lines[1:]]
     assert residuals[-1] <= 1e-10
+
+
+def test_convergence_error_carries_residual_history(tmp_path, scenario4, beamformer4):
+    path = tmp_path / "trace.csv"
+    opts = SolverOptions(max_iter=5, trace_path=str(path))
+    with pytest.raises(ConvergenceError) as info:
+        solve_comm(scenario4, beamformer4, SpectralPoint(-0.1), opts)
+    history = info.value.history
+    assert isinstance(history, tuple) and len(history) == 6  # iterations 0..max_iter
+    assert history[-1] == info.value.residual
+    assert all(np.isfinite(r) and r > 0.0 for r in history)
+    traced = [float(line.split(",")[1]) for line in path.read_text().strip().split("\n")[1:]]
+    assert traced == pytest.approx(list(history), rel=1e-6)
+    assert str(info.value) == (
+        f"comm fixed point did not converge after 5 iterations (final residual {history[-1]:.3e})"
+    )
+
+
+_HEADLINE = dict(n_t=16, n_r=16, n_u=16, num_scatter=2, m=16, n_s=16)
+_RAYLEIGH_LIKE = dict(_HEADLINE, num_scatter=4, n_s=64)
+_NON_SQUARE = dict(n_t=32, n_r=16, n_u=8, num_scatter=2, m=8, n_s=64)
+_NARROW = dict(n_t=16, n_r=8, n_u=12, num_scatter=2, m=6, n_s=6)
+
+
+@pytest.mark.parametrize(
+    "shape, kappa, snr_db, expected",
+    [
+        # expected (i_s, i_c) in nats: the damped Picard solution, where that converges
+        (_HEADLINE, 1.0, 20.0, (44.6575322041364, 105.3110563127183)),
+        (_HEADLINE, 1.0, 30.0, (76.8855967925141, 141.61004621836318)),
+        (_HEADLINE, 1.0, 40.0, None),
+        (_RAYLEIGH_LIKE, 0.05, 30.0, None),
+        (_RAYLEIGH_LIKE, 0.05, 40.0, None),
+        (_NON_SQUARE, 1.0, 30.0, (58.306593822666294, 77.19509736417898)),
+        (_NARROW, 1.0, 30.0, None),
+        (_HEADLINE, 1.0, -20.0, None),
+    ],
+    ids=[
+        "headline-20dB",
+        "headline-30dB",
+        "headline-40dB",
+        "rayleigh-like-30dB",
+        "rayleigh-like-40dB",
+        "non-square-30dB",
+        "narrow-30dB",
+        "headline-minus20dB",
+    ],
+)
+def test_hard_points_converge_to_a_consistent_fixed_point(shape, kappa, snr_db, expected):
+    from isac_mi import generate_scenario, weighted_mi
+
+    dims = SystemDims(**shape)
+    stats = generate_scenario(dims, kappa, seed=7)
+    bf = default_beamformer(dims, float(dims.n_t))
+    noise = NoiseConfig(snr_db)
+    report, fp_s, fp_c = weighted_mi(stats, bf, noise, 0.8, return_fixed_points=True)
+    assert np.linalg.eigvalsh(-fp_s.g_c_tilde).min() > -1e-8
+    assert np.linalg.eigvalsh(fp_s.g_c).min() > -1e-8
+    assert fp_s.phi_scalar >= 1.0 - 1e-12
+    assert np.linalg.eigvalsh(-fp_c.g_e_tilde).min() > -1e-8
+    assert np.linalg.eigvalsh(fp_c.g_e).min() > -1e-8
+    point_s = SpectralPoint.from_noise_power(noise.sigma_s2)
+    point_c = SpectralPoint.from_noise_power(noise.sigma_c2)
+    assert residual_sensing(fp_s, stats, bf, point_s) <= 1e-10
+    assert residual_comm(fp_c, stats, bf, point_c) <= 1e-10
+    if expected is not None:
+        assert report.i_s == pytest.approx(expected[0], rel=1e-8)
+        assert report.i_c == pytest.approx(expected[1], rel=1e-8)
