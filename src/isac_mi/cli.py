@@ -4,9 +4,8 @@ Four experiments: `verify` compares the closed-form MIs against Monte Carlo
 over an SNR grid, `convergence` traces the ascent for several array sizes,
 `sweep` compares optimized vs baseline beamforming over SNR, and `tradeoff`
 maps the sensing/communication frontier over the weighting factor.
-`scenario-gen` pins a scenario to JSON.  Every run is reproducible
-byte-for-byte from (config, seed); grid points dispatch to a thread pool
-capped by ISAC_MI_THREADS, with output rows in deterministic order.
+`scenario-gen` pins a scenario to JSON.  Every run is serial and
+reproducible byte-for-byte from (config, seed).
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -100,7 +97,7 @@ _CSV_DOC = f"""CSV schemas (column order is stable):
   sweep:       {SWEEP_HEADER}
   tradeoff:    {TRADEOFF_HEADER}
 All MI columns are in bits; rel_gap columns are |closed - mc| / |mc|.
-ISAC_MI_THREADS caps the worker pool for grid points and MC trials."""
+Runs are serial; the ISAC_MI_THREADS environment variable is no longer read."""
 
 
 def _merge(defaults: dict, user: dict, path: str = "") -> dict:
@@ -249,25 +246,6 @@ def load_config(path: str | None) -> ExperimentConfig:
     return parse_config(doc)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("ISAC_MI_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"ISAC_MI_THREADS must be an integer, got {env!r}") from exc
-    return min(4, os.cpu_count() or 1)
-
-
-def _pool_map(fn, items):
-    items = list(items)
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _scenario(cfg: ExperimentConfig) -> ScenarioStats:
     return generate_scenario(cfg.dims, cfg.rician_kappa, cfg.seed, cfg.geometry)
 
@@ -278,10 +256,8 @@ def run_verify(cfg: ExperimentConfig) -> tuple[str, bool]:
     w_bf = default_beamformer(cfg.dims, cfg.p_t)
     noise_grid = [NoiseConfig(s, cfg.sensing_offset_db) for s in cfg.snr_db_grid]
 
-    closed = _pool_map(
-        lambda noise: weighted_mi(stats, w_bf, noise, cfg.rho, cfg.solver), noise_grid
-    )
-    mc_s, mc_c = mi_curves(stats, w_bf, noise_grid, cfg.trials, workers=_worker_count())
+    closed = [weighted_mi(stats, w_bf, noise, cfg.rho, cfg.solver) for noise in noise_grid]
+    mc_s, mc_c = mi_curves(stats, w_bf, noise_grid, cfg.trials)
 
     lines = [VERIFY_HEADER]
     ok = True
@@ -310,7 +286,7 @@ def run_convergence(cfg: ExperimentConfig) -> str:
         _, trace = pga(stats, noise, cfg.rho, float(n), cfg.pga)
         return trace
 
-    traces = _pool_map(one, cfg.antenna_counts)
+    traces = [one(n) for n in cfg.antenna_counts]
     lines = [CONVERGENCE_HEADER]
     for n, trace in zip(cfg.antenna_counts, traces):
         for r in trace.rows:
@@ -335,7 +311,7 @@ def run_sweep(cfg: ExperimentConfig) -> str:
         opt_report = weighted_mi(stats, best, noise, cfg.rho, cfg.solver)
         return base_report.weighted, opt_report.weighted, len(trace.rows) - 1
 
-    results = _pool_map(one, cfg.snr_db_grid)
+    results = [one(snr) for snr in cfg.snr_db_grid]
     lines = [SWEEP_HEADER]
     for snr, (base, opt, iters) in zip(cfg.snr_db_grid, results):
         lines.append(f"{snr:.12g},{base / LN2:.12g},{opt / LN2:.12g},{iters}")
@@ -360,9 +336,7 @@ def run_tradeoff(cfg: ExperimentConfig) -> str:
         init = best
 
     # i_s and i_c do not depend on rho, so each candidate is evaluated once.
-    pairs = _pool_map(
-        lambda w_bf: weighted_mi(stats, w_bf, noise, 0.5, cfg.solver), candidates
-    )
+    pairs = [weighted_mi(stats, w_bf, noise, 0.5, cfg.solver) for w_bf in candidates]
     lines = [TRADEOFF_HEADER]
     for rho in cfg.rho_grid:
         best_idx = max(

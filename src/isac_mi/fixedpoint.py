@@ -91,11 +91,12 @@ class SolverOptions:
     tol: float = 1e-10
     max_iter: int = 5000
     damping: float = 0.5
-    trace_path: str | None = None
 
     def __post_init__(self):
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must be in (0, 1]")
 
@@ -117,6 +118,7 @@ class SensingFixedPoint:
     pi: np.ndarray  # (m, m)
     residual: float
     iterations: int
+    history: tuple[float, ...]  # residual of every iteration, in order
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,7 @@ class CommFixedPoint:
     omega: np.ndarray  # (m, m)
     residual: float
     iterations: int
+    history: tuple[float, ...]  # residual of every iteration, in order
 
 
 def _diag_block(a: np.ndarray, l: int, n: int) -> np.ndarray:
@@ -141,15 +144,6 @@ def _block_diag(blocks) -> np.ndarray:
         out[i : i + b.shape[0], i : i + b.shape[0]] = b
         i += b.shape[0]
     return out
-
-
-def _write_trace(path: str | None, history: list[float]) -> None:
-    if path is None:
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,residual\n")
-        for it, res in enumerate(history):
-            fh.write(f"{it},{res:.6e}\n")
 
 
 def _is_pd(a: np.ndarray) -> bool:
@@ -229,8 +223,7 @@ def _iterate(system, start, opts: SolverOptions):
             polished = evaluate(gx)
             if polished[3] <= residual:
                 blocks, derived, _, residual = polished
-            _write_trace(opts.trace_path, history)
-            return blocks, derived, residual, it, history
+            return blocks, derived, residual, it, tuple(history)
         if it == opts.max_iter:
             break
         if extrapolated and residual > _SAFEGUARD * last[2]:
@@ -259,18 +252,17 @@ def _iterate(system, start, opts: SolverOptions):
         extrapolated = system.in_cone(*packing.unpack(candidate))
         x = candidate if extrapolated else x + alpha * f
 
-    _write_trace(opts.trace_path, history)
     raise ConvergenceError(system.branch, opts.max_iter, residual, history=history)
 
 
-def _check_signs(branch: str, fp, g_tilde: np.ndarray, g: np.ndarray, history) -> None:
+def _check_signs(branch: str, fp, g_tilde: np.ndarray, g: np.ndarray) -> None:
     if min_eigval(-g_tilde) < SIGN_EIG_FLOOR or min_eigval(g) < SIGN_EIG_FLOOR:
         raise ConvergenceError(
             branch,
             fp.iterations,
             fp.residual,
             reason="violated the resolvent sign structure",
-            history=history,
+            history=fp.history,
         )
 
 
@@ -313,22 +305,27 @@ class _SensingSystem:
     def in_cone(self, g_c, g_c_tilde, phi) -> bool:
         return phi[0, 0].real >= 1.0 and _is_pd(g_c) and _is_pd(-g_c_tilde)
 
+    def inverse_equations(self, psi_t_blocks, psi: np.ndarray, phi: float):
+        """(pi, g_c_tilde, g_c, g_dd) from (psi_tilde blocks, psi, phi)."""
+        eye = np.eye(self.dims.m)
+        pi = psi + phi * eye  # psi - phi_tilde^-1 with phi_tilde = -(1/phi) I
+        pi_inv = inv_herm(pi, "sensing pi inverse")
+        full = _block_diag(psi_t_blocks) - self.g_eff @ pi_inv @ self.g_eff.conj().T
+        g_c_tilde = herm(inv_herm(full, "sensing g_c_tilde equation"))
+        delta = self.delta(psi, psi_t_blocks)
+        g_c = herm(inv_herm(delta + phi * eye, "sensing g_c equation"))
+        # g_d = (phi_tilde - delta^-1)^-1 via phi_tilde^-1 + phi_tilde^-1 (delta - phi_tilde^-1)^-1 phi_tilde^-1
+        g_dd = herm(-phi * eye + phi**2 * g_c)
+        return pi, g_c_tilde, g_c, g_dd
+
     def rhs(self, g_c, g_c_tilde, phi):
         """One Picard evaluation: returns ((rhs_g_c, rhs_g_c_tilde, rhs_phi), derived)."""
-        m = self.dims.m
         phi = float(phi[0, 0].real)
         psi_t = self.psi_tilde_blocks(g_c)
         psi = self.psi(g_c_tilde)
-        pi = psi + phi * np.eye(m)  # psi - phi_tilde^-1 with phi_tilde = -(1/phi) I
-        pi_inv = inv_herm(pi, "sensing pi inverse")
-        full = _block_diag(psi_t) - self.g_eff @ pi_inv @ self.g_eff.conj().T
-        rhs_g_c_tilde = herm(inv_herm(full, "sensing g_c_tilde equation"))
-        delta = self.delta(psi, psi_t)
-        rhs_g_c = herm(inv_herm(delta + phi * np.eye(m), "sensing g_c equation"))
-        # g_d = (phi_tilde - delta^-1)^-1 via phi_tilde^-1 + phi_tilde^-1 (delta - phi_tilde^-1)^-1 phi_tilde^-1
-        g_dd = herm(-phi * np.eye(m) + phi**2 * rhs_g_c)
+        pi, rhs_g_c_tilde, rhs_g_c, g_dd = self.inverse_equations(psi_t, psi, phi)
         rhs_phi = 1.0 - float(np.trace(g_dd).real) / self.dims.n_s
-        return (rhs_g_c, rhs_g_c_tilde, rhs_phi), (psi_t, psi, pi, delta, g_dd)
+        return (rhs_g_c, rhs_g_c_tilde, rhs_phi), (psi_t, psi, pi, g_dd)
 
 
 def solve_sensing(
@@ -353,7 +350,7 @@ def solve_sensing(
 
     (g_c, g_c_tilde, phi), derived, residual, it, history = _iterate(system, start, opts)
     phi = float(phi[0, 0].real)
-    psi_t, psi, pi, delta, g_dd = derived
+    psi_t, psi, pi, g_dd = derived
     fp = SensingFixedPoint(
         g_c_tilde=g_c_tilde,
         g_c=g_c,
@@ -366,8 +363,9 @@ def solve_sensing(
         pi=pi,
         residual=residual,
         iterations=it,
+        history=history,
     )
-    _check_signs("sensing", fp, fp.g_c_tilde, fp.g_c, history)
+    _check_signs("sensing", fp, fp.g_c_tilde, fp.g_c)
     return fp
 
 
@@ -377,20 +375,11 @@ def residual_sensing(
     """Max relative residual of every stored sensing equation at the stored state."""
     system = _SensingSystem(stats, w_bf, point.w)
     dims = stats.dims
-    m_eye = np.eye(dims.m)
 
     psi_t_rhs = system.psi_tilde_blocks(fp.g_c)
     psi_rhs = system.psi(fp.g_c_tilde)
-    phi_tilde_inv = 1.0 / fp.phi_tilde_scalar
-    pi_rhs = fp.psi - phi_tilde_inv * m_eye
-    full = _block_diag(fp.psi_tilde_blocks) - system.g_eff @ inv_herm(
-        fp.pi, "sensing pi inverse"
-    ) @ system.g_eff.conj().T
-    gct_rhs = inv_herm(full, "sensing g_c_tilde equation")
-    delta = system.delta(fp.psi, fp.psi_tilde_blocks)
-    gc_rhs = inv_herm(delta - phi_tilde_inv * m_eye, "sensing g_c equation")
-    gdd_rhs = phi_tilde_inv * m_eye + phi_tilde_inv**2 * inv_herm(
-        delta - phi_tilde_inv * m_eye, "sensing g_d equation"
+    pi_rhs, gct_rhs, gc_rhs, gdd_rhs = system.inverse_equations(
+        fp.psi_tilde_blocks, fp.psi, -1.0 / fp.phi_tilde_scalar
     )
 
     residuals = [
@@ -427,26 +416,27 @@ class _CommSystem:
     def in_cone(self, g_e, g_e_tilde) -> bool:
         return _is_pd(g_e) and _is_pd(-g_e_tilde)
 
-    def rhs(self, g_e, g_e_tilde):
-        om_t = self.omega_tilde(g_e)
-        om = self.omega(g_e_tilde)
-        rhs_get = herm(
+    def inverse_equations(self, om_t: np.ndarray, om: np.ndarray):
+        """(g_e, g_e_tilde) from (omega_tilde, omega)."""
+        h = self.h_eff
+        g_e_tilde = herm(
             inv_herm(
-                om_t
-                - self.h_eff @ inv_herm(om, "comm omega inverse") @ self.h_eff.conj().T,
+                om_t - h @ inv_herm(om, "comm omega inverse") @ h.conj().T,
                 "comm g_e_tilde equation",
             )
         )
-        rhs_ge = herm(
+        g_e = herm(
             inv_herm(
-                om
-                - self.h_eff.conj().T
-                @ inv_herm(om_t, "comm omega_tilde inverse")
-                @ self.h_eff,
+                om - h.conj().T @ inv_herm(om_t, "comm omega_tilde inverse") @ h,
                 "comm g_e equation",
             )
         )
-        return (rhs_ge, rhs_get), (om_t, om)
+        return g_e, g_e_tilde
+
+    def rhs(self, g_e, g_e_tilde):
+        om_t = self.omega_tilde(g_e)
+        om = self.omega(g_e_tilde)
+        return self.inverse_equations(om_t, om), (om_t, om)
 
 
 def solve_comm(
@@ -472,8 +462,9 @@ def solve_comm(
         omega=om,
         residual=residual,
         iterations=it,
+        history=history,
     )
-    _check_signs("comm", fp, fp.g_e_tilde, fp.g_e, history)
+    _check_signs("comm", fp, fp.g_e_tilde, fp.g_e)
     return fp
 
 
@@ -484,18 +475,7 @@ def residual_comm(
     system = _CommSystem(stats, w_bf, point.w)
     om_t_rhs = system.omega_tilde(fp.g_e)
     om_rhs = system.omega(fp.g_e_tilde)
-    get_rhs = inv_herm(
-        fp.omega_tilde
-        - system.h_eff @ inv_herm(fp.omega, "comm omega inverse") @ system.h_eff.conj().T,
-        "comm g_e_tilde equation",
-    )
-    ge_rhs = inv_herm(
-        fp.omega
-        - system.h_eff.conj().T
-        @ inv_herm(fp.omega_tilde, "comm omega_tilde inverse")
-        @ system.h_eff,
-        "comm g_e equation",
-    )
+    ge_rhs, get_rhs = system.inverse_equations(fp.omega_tilde, fp.omega)
     return float(
         max(
             rel_residual(fp.omega_tilde, om_t_rhs),

@@ -3,14 +3,14 @@
 Samples channel and symbol realizations, evaluates the exact finite-size
 mutual informations by log-determinants, and estimates expectations,
 resolvent traces and eigenvalue ECDFs.  Every draw is a pure function of
-(scenario seed, trial index), so trials can be fanned out to workers and
-reduced in any order without changing the result.
+(scenario seed, trial index).  Trials run serially: each draws its channels
+and yields the Gram eigenvalues of one branch, from which every estimator
+reduces.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -62,13 +62,18 @@ def sample_symbols(dims: SystemDims, trial: int, seed: int = 0) -> np.ndarray:
     )
 
 
-def _logdet_i_plus_psd(b: np.ndarray, sigma2: float) -> float:
-    """log det(I + B/sigma2) for Hermitian PSD B, via eigenvalues."""
-    evals = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
+def _gram_eigvals(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian PSD Gram matrix A A', ascending."""
+    b = a @ a.conj().T
+    return np.linalg.eigvalsh(0.5 * (b + b.conj().T))
+
+
+def _logdet_from_eigvals(evals: np.ndarray, sigma2: float) -> np.ndarray:
+    """log det(I + B/sigma2) from the eigenvalues of B along the last axis."""
     vals = np.log1p(np.clip(evals, 0.0, None) / sigma2)
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite logdet: invalid inputs")
-    return float(vals.sum())
+    return vals.sum(axis=-1)
 
 
 def finite_mi_sensing(
@@ -78,54 +83,42 @@ def finite_mi_sensing(
     if sigma_s2 <= 0.0:
         raise ValueError("sigma_s2 must be positive")
     g_hat = np.vstack([g @ w_bf.w for g in g_list])
-    gs = g_hat @ s
-    return _logdet_i_plus_psd(gs @ gs.conj().T, sigma_s2)
+    return float(_logdet_from_eigvals(_gram_eigvals(g_hat @ s), sigma_s2))
 
 
 def finite_mi_comm(h_c: np.ndarray, w_bf: Beamformer, sigma_c2: float) -> float:
     """Exact communication MI logdet(I + H W W' H'/sigma2) in nats."""
     if sigma_c2 <= 0.0:
         raise ValueError("sigma_c2 must be positive")
-    hw = h_c @ w_bf.w
-    return _logdet_i_plus_psd(hw @ hw.conj().T, sigma_c2)
+    return float(_logdet_from_eigvals(_gram_eigvals(h_c @ w_bf.w), sigma_c2))
 
 
-def _sensing_matrix(stats: ScenarioStats, w_bf: Beamformer, trial: int) -> np.ndarray:
-    _, g_list = sample_channels(stats, trial)
-    s = sample_symbols(stats.dims, trial, seed=stats.seed)
-    gs = np.vstack([g @ w_bf.w for g in g_list]) @ s
-    return gs @ gs.conj().T
+def _trial_eigvals(stats: ScenarioStats, w_bf: Beamformer, trial: int, branch: str) -> np.ndarray:
+    """Gram eigenvalues of one trial's sensing or comm matrix.
 
-
-def _comm_matrix(stats: ScenarioStats, w_bf: Beamformer, trial: int) -> np.ndarray:
-    h_c, _ = sample_channels(stats, trial)
-    hw = h_c @ w_bf.w
-    return hw @ hw.conj().T
-
-
-def _resolvent_trace(b: np.ndarray, w: float) -> float:
-    evals = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
-    return float(np.mean(1.0 / (w - evals)))
-
-
-_QUANTITIES = ("mi_s", "mi_c", "resolvent_s", "resolvent_c")
-
-
-def _trial_value(
-    stats: ScenarioStats, w_bf: Beamformer, noise: NoiseConfig, quantity: str, trial: int
-) -> float:
-    if quantity == "mi_s":
-        _, g_list = sample_channels(stats, trial)
+    Draws the channels; the symbols only for the sensing branch.
+    """
+    h_c, g_list = sample_channels(stats, trial)
+    if branch == "sensing":
         s = sample_symbols(stats.dims, trial, seed=stats.seed)
-        return finite_mi_sensing(g_list, s, w_bf, noise.sigma_s2)
-    if quantity == "mi_c":
-        h_c, _ = sample_channels(stats, trial)
-        return finite_mi_comm(h_c, w_bf, noise.sigma_c2)
-    if quantity == "resolvent_s":
-        return _resolvent_trace(_sensing_matrix(stats, w_bf, trial), -noise.sigma_s2)
-    if quantity == "resolvent_c":
-        return _resolvent_trace(_comm_matrix(stats, w_bf, trial), -noise.sigma_c2)
-    raise ValueError(f"unknown quantity {quantity!r}, expected one of {_QUANTITIES}")
+        return _gram_eigvals(np.vstack([g @ w_bf.w for g in g_list]) @ s)
+    return _gram_eigvals(h_c @ w_bf.w)
+
+
+def _branch_eigvals(
+    stats: ScenarioStats, w_bf: Beamformer, trials: int, branch: str
+) -> np.ndarray:
+    """The (trials, n) array of every trial's Gram eigenvalues for one branch."""
+    return np.array([_trial_eigvals(stats, w_bf, t, branch) for t in range(trials)])
+
+
+# quantity -> (branch, MI or resolvent)
+_QUANTITIES = {
+    "mi_s": ("sensing", True),
+    "mi_c": ("comm", True),
+    "resolvent_s": ("sensing", False),
+    "resolvent_c": ("comm", False),
+}
 
 
 def _reduce(values: np.ndarray) -> McEstimate:
@@ -141,24 +134,26 @@ def estimate(
     noise: NoiseConfig,
     quantity: str,
     trials: int,
-    workers: int = 1,
     dump_path: str | None = None,
 ) -> McEstimate:
     """Sample mean and standard error of one finite-size quantity.
 
     quantity is one of mi_s, mi_c (MIs in nats at the branch noise power) or
     resolvent_s, resolvent_c (normalized resolvent traces at w = -sigma2).
-    Results are independent of the worker count.  With dump_path set, the
-    per-trial values are written as `trial,value` CSV rows.
+    Trials run serially in index order.  With dump_path set, the per-trial
+    values are written as `trial,value` CSV rows.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    fn = lambda t: _trial_value(stats, w_bf, noise, quantity, t)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = np.fromiter(pool.map(fn, range(trials)), dtype=float, count=trials)
+    if quantity not in _QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}, expected one of {tuple(_QUANTITIES)}")
+    branch, is_mi = _QUANTITIES[quantity]
+    sigma2 = noise.sigma_s2 if branch == "sensing" else noise.sigma_c2
+    evals = _branch_eigvals(stats, w_bf, trials, branch)
+    if is_mi:
+        values = _logdet_from_eigvals(evals, sigma2)
     else:
-        values = np.fromiter(map(fn, range(trials)), dtype=float, count=trials)
+        values = np.mean(1.0 / (-sigma2 - evals), axis=-1)
     if dump_path is not None:
         with open(dump_path, "w", encoding="utf-8") as fh:
             fh.write("trial,value\n")
@@ -172,37 +167,20 @@ def mi_curves(
     w_bf: Beamformer,
     noise_grid: list[NoiseConfig],
     trials: int,
-    workers: int = 1,
 ) -> tuple[list[McEstimate], list[McEstimate]]:
     """MC sensing and communication MI over an SNR grid, reusing realizations.
 
-    Draws each trial once, keeps the eigenvalues of both Gram matrices, and
+    Keeps the eigenvalues of both Gram matrices of every trial and
     evaluates every noise power from them; identical trial streams to
-    `estimate`, so the means agree exactly with per-SNR calls.
+    `estimate`, so the means agree exactly with per-SNR calls.  Each branch
+    draws its trial's channels itself, so every trial draws them twice.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
-
-    def eigs(trial: int) -> tuple[np.ndarray, np.ndarray]:
-        b_s = _sensing_matrix(stats, w_bf, trial)
-        b_c = _comm_matrix(stats, w_bf, trial)
-        return (
-            np.clip(np.linalg.eigvalsh(0.5 * (b_s + b_s.conj().T)), 0.0, None),
-            np.clip(np.linalg.eigvalsh(0.5 * (b_c + b_c.conj().T)), 0.0, None),
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pooled = list(pool.map(eigs, range(trials)))
-    else:
-        pooled = [eigs(t) for t in range(trials)]
-
-    sensing, comm = [], []
-    for noise in noise_grid:
-        vals_s = np.array([np.log1p(es / noise.sigma_s2).sum() for es, _ in pooled])
-        vals_c = np.array([np.log1p(ec / noise.sigma_c2).sum() for _, ec in pooled])
-        sensing.append(_reduce(vals_s))
-        comm.append(_reduce(vals_c))
+    evals_s = _branch_eigvals(stats, w_bf, trials, "sensing")
+    evals_c = _branch_eigvals(stats, w_bf, trials, "comm")
+    sensing = [_reduce(_logdet_from_eigvals(evals_s, n.sigma_s2)) for n in noise_grid]
+    comm = [_reduce(_logdet_from_eigvals(evals_c, n.sigma_c2)) for n in noise_grid]
     return sensing, comm
 
 
@@ -224,14 +202,7 @@ def eigen_ecdf(
     """ECDF of the eigenvalues of the sensing or comm Gram matrix, pooled over trials."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if branch == "sensing":
-        matrix = lambda t: _sensing_matrix(stats, w_bf, t)
-    elif branch == "comm":
-        matrix = lambda t: _comm_matrix(stats, w_bf, t)
-    else:
+    if branch not in ("sensing", "comm"):
         raise ValueError("branch must be 'sensing' or 'comm'")
-    chunks = []
-    for t in range(trials):
-        b = matrix(t)
-        chunks.append(np.linalg.eigvalsh(0.5 * (b + b.conj().T)))
-    return EigenEcdf(np.concatenate(chunks))
+    evals = _branch_eigvals(stats, w_bf, trials, branch)
+    return EigenEcdf(evals.ravel())

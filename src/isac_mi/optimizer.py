@@ -57,6 +57,8 @@ class PgaOptions:
     def __post_init__(self):
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
+        if not (0.0 < self.beta < 1.0):
+            raise ValueError("beta must be in (0, 1)")
         if self.step not in ("backtracking", "fixed"):
             raise ValueError("step must be 'backtracking' or 'fixed'")
         if self.step == "fixed" and self.lambda0 is None:

@@ -58,6 +58,9 @@ def test_config_defaults_follow_dimension_chain():
         ({"bogus": {}}, "unknown config key"),
         ({"scenario": {"m": 9, "n_t": 4}}, "dimensions"),
         ({"output": {"formats": ["xml"]}}, "format"),
+        ({"run": {"pga": {"beta": 1.0}}}, "beta"),
+        ({"run": {"pga": {"beta": 1.5}}}, "beta"),
+        ({"run": {"solver": {"max_iter": -1}}}, "max_iter"),
     ],
 )
 def test_config_validation_errors(doc, match):
@@ -121,6 +124,18 @@ def test_config_error_exits_one(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, doc)
     assert main(["verify", "--config", cfg_path]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "run, match", [({"pga": {"beta": 1.0}}, "beta"), ({"solver": {"max_iter": -1}}, "max_iter")]
+)
+def test_step_and_iteration_limits_are_config_errors(tmp_path, capsys, run, match):
+    # beta = 1 never shrinks the Armijo step and max_iter < 0 runs no iteration
+    doc = dict(TINY, run=dict(TINY["run"], **run))
+    cfg_path = _write_config(tmp_path, doc)
+    assert main(["tradeoff", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and match in err
 
 
 def test_solver_failure_exits_two(tmp_path, capsys):

@@ -189,28 +189,20 @@ def test_two_initializations_agree(scenario4, beamformer4):
     assert np.allclose(cold_c.g_e, warm_c.g_e, atol=1e-8)
 
 
-def test_iteration_trace_is_written(tmp_path, scenario4, beamformer4):
-    path = tmp_path / "trace.csv"
-    opts = SolverOptions(trace_path=str(path))
-    solve_sensing(scenario4, beamformer4, SpectralPoint(-0.5), opts)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "iteration,residual"
-    assert len(lines) > 2
-    residuals = [float(line.split(",")[1]) for line in lines[1:]]
-    assert residuals[-1] <= 1e-10
+def test_iteration_trace_is_written(scenario4, beamformer4):
+    fp = solve_sensing(scenario4, beamformer4, SpectralPoint(-0.5))
+    assert isinstance(fp.history, tuple) and len(fp.history) > 1
+    assert fp.history[-1] <= 1e-10
 
 
-def test_convergence_error_carries_residual_history(tmp_path, scenario4, beamformer4):
-    path = tmp_path / "trace.csv"
-    opts = SolverOptions(max_iter=5, trace_path=str(path))
+def test_convergence_error_carries_residual_history(scenario4, beamformer4):
+    opts = SolverOptions(max_iter=5)
     with pytest.raises(ConvergenceError) as info:
         solve_comm(scenario4, beamformer4, SpectralPoint(-0.1), opts)
     history = info.value.history
     assert isinstance(history, tuple) and len(history) == 6  # iterations 0..max_iter
     assert history[-1] == info.value.residual
     assert all(np.isfinite(r) and r > 0.0 for r in history)
-    traced = [float(line.split(",")[1]) for line in path.read_text().strip().split("\n")[1:]]
-    assert traced == pytest.approx(list(history), rel=1e-6)
     assert str(info.value) == (
         f"comm fixed point did not converge after 5 iterations (final residual {history[-1]:.3e})"
     )

@@ -160,11 +160,18 @@ def test_estimate_dumps_per_trial_values(tmp_path, scenario4, beamformer4):
     assert abs(np.mean(values) - est.mean) < 1e-10
 
 
-def test_estimate_independent_of_worker_count(scenario4, beamformer4):
-    noise = NoiseConfig(0.0)
-    serial = estimate(scenario4, beamformer4, noise, "mi_s", trials=64, workers=1)
-    pooled = estimate(scenario4, beamformer4, noise, "mi_s", trials=64, workers=3)
-    assert serial == pooled
+def test_estimate_matches_public_finite_mi(scenario4, beamformer4):
+    noise = NoiseConfig(10.0)
+    trials = 24
+    ref_s, ref_c = [], []
+    for t in range(trials):
+        h_c, g_list = sample_channels(scenario4, t)
+        s = sample_symbols(scenario4.dims, t, seed=scenario4.seed)
+        ref_s.append(finite_mi_sensing(g_list, s, beamformer4, noise.sigma_s2))
+        ref_c.append(finite_mi_comm(h_c, beamformer4, noise.sigma_c2))
+    for quantity, ref in (("mi_s", ref_s), ("mi_c", ref_c)):
+        est = estimate(scenario4, beamformer4, noise, quantity, trials=trials)
+        assert abs(est.mean - np.mean(ref)) <= 1e-12 * abs(np.mean(ref))
 
 
 def test_estimate_rejects_bad_args(scenario4, beamformer4):
