@@ -31,7 +31,7 @@ from .model import (
     scenario_to_json,
 )
 from .montecarlo import mi_curves
-from .optimizer import PgaAbort, PgaOptions, pga
+from .optimizer import PgaAbort, PgaOptions, PgaTrace, pga
 
 LN2 = math.log(2.0)
 
@@ -87,7 +87,7 @@ VERIFY_HEADER = (
     "snr_db,i_s_closed_bits,i_s_mc_bits,i_s_mc_stderr_bits,i_s_rel_gap,"
     "i_c_closed_bits,i_c_mc_bits,i_c_mc_stderr_bits,i_c_rel_gap"
 )
-CONVERGENCE_HEADER = "n_antennas,iter,weighted_bits,step,grad_norm"
+CONVERGENCE_HEADER = f"n_antennas,{PgaTrace.CSV_HEADER}"
 SWEEP_HEADER = "snr_db,baseline_weighted_bits,optimized_weighted_bits,pga_iterations"
 TRADEOFF_HEADER = "rho,i_s_bits,i_c_bits,weighted_bits"
 
@@ -174,15 +174,27 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     grid = noise["snr_db_grid"]
     _require(isinstance(grid, (list, tuple)) and len(grid) > 0, "noise.snr_db_grid must be nonempty")
-    rho = float(run["rho"])
-    rho_grid = tuple(float(r) for r in run["rho_grid"])
+    try:
+        grid = tuple(float(s) for s in grid)
+        snr_db, offset_db = float(noise["snr_db"]), float(noise["sensing_offset_db"])
+        rho = float(run["rho"])
+        rho_grid = tuple(float(r) for r in run["rho_grid"])
+        trials = int(run["trials"])
+        gap_threshold = float(run["gap_threshold"])
+        counts = tuple(int(n) for n in run["antenna_counts"])
+        p_t = float(run["p_t"]) if run["p_t"] is not None else float(dims.n_t)
+        kappa = float(sc["rician_kappa"])
+        seed = int(sc["seed"])
+        formats = tuple(str(f) for f in out["formats"])
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid config value: {exc}") from exc
+    _require(seed >= 0, "scenario.seed must be >= 0")
+    _require(all(map(math.isfinite, (*grid, snr_db, offset_db))), "noise values must be finite")
+    _require(gap_threshold > 0.0, "run.gap_threshold must be positive")
     for r in (rho, *rho_grid):
         _require(0.0 <= r <= 1.0, f"rho values must be in [0, 1], got {r}")
-    trials = int(run["trials"])
     _require(trials >= 2, "run.trials must be >= 2 for Monte Carlo experiments")
-    counts = tuple(int(n) for n in run["antenna_counts"])
-    _require(len(counts) > 0, "run.antenna_counts must be nonempty")
-    p_t = float(run["p_t"]) if run["p_t"] is not None else float(dims.n_t)
+    _require(len(counts) > 0 and min(counts) >= 1, "run.antenna_counts must be nonempty, >= 1")
     _require(p_t > 0.0, "run.p_t must be positive")
 
     try:
@@ -205,25 +217,23 @@ def parse_config(doc: dict) -> ExperimentConfig:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid solver/pga options: {exc}") from exc
 
-    formats = tuple(str(f) for f in out["formats"])
     for f in formats:
         _require(f in ("csv", "dat"), f"unknown output format '{f}'")
 
-    kappa = float(sc["rician_kappa"])
     _require(kappa > 0.0, "scenario.rician_kappa must be positive (inf for pure LoS)")
 
     return ExperimentConfig(
         dims=dims,
         rician_kappa=kappa,
-        seed=int(sc["seed"]),
+        seed=seed,
         geometry=geometry,
-        snr_db_grid=tuple(float(s) for s in grid),
-        snr_db=float(noise["snr_db"]),
-        sensing_offset_db=float(noise["sensing_offset_db"]),
+        snr_db_grid=grid,
+        snr_db=snr_db,
+        sensing_offset_db=offset_db,
         rho=rho,
         rho_grid=rho_grid,
         trials=trials,
-        gap_threshold=float(run["gap_threshold"]),
+        gap_threshold=gap_threshold,
         antenna_counts=counts,
         p_t=p_t,
         solver=solver,
@@ -278,22 +288,12 @@ def run_convergence(cfg: ExperimentConfig) -> str:
     """PGA trace per antenna count at the single configured SNR."""
     noise = NoiseConfig(cfg.snr_db, cfg.sensing_offset_db)
 
-    def one(n: int):
-        dims = SystemDims(
-            n_t=n, n_r=n, n_u=n, num_scatter=cfg.dims.num_scatter, m=n, n_s=n
-        )
+    lines = [CONVERGENCE_HEADER]
+    for n in cfg.antenna_counts:
+        dims = SystemDims(n_t=n, n_r=n, n_u=n, num_scatter=cfg.dims.num_scatter, m=n, n_s=n)
         stats = generate_scenario(dims, cfg.rician_kappa, cfg.seed, cfg.geometry)
         _, trace = pga(stats, noise, cfg.rho, float(n), cfg.pga)
-        return trace
-
-    traces = [one(n) for n in cfg.antenna_counts]
-    lines = [CONVERGENCE_HEADER]
-    for n, trace in zip(cfg.antenna_counts, traces):
-        for r in trace.rows:
-            lines.append(
-                f"{n},{r.iteration},{r.weighted_mi / LN2:.12g},"
-                f"{r.step_size:.12g},{r.grad_norm:.12g}"
-            )
+        lines += [f"{n},{row}" for row in trace.to_csv().splitlines()[1:]]
     return "\n".join(lines) + "\n"
 
 
@@ -408,6 +408,8 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
     cfg = replace(cfg, **updates)
     if cfg.trials < 2:
         raise ConfigError("trials must be >= 2")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     return cfg
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._linalg import hermitize
-from .model import Beamformer, ScenarioStats
+from .model import Beamformer, ScenarioStats, WeichselbergerStats
 
 
 class CorrelationOps:
@@ -36,41 +36,21 @@ class CorrelationOps:
 
     def eta(self, l: int, c: np.ndarray) -> np.ndarray:
         """E[Gtilde_l' C Gtilde_l] for Hermitian C (n_r x n_r) -> (n_t x n_t)."""
-        s = self.stats.sensing[l]
-        c = hermitize(np.asarray(c), context=f"eta({l}) input")
-        self._check_shape(c, self.dims.n_r, f"eta({l})")
-        d = self._rotated_diag(s.left_unitary, c)  # diag(R' C R), length n_r
-        pi_diag = (s.variance_profile**2).T @ d  # length n_t
-        return self._assemble(s.right_unitary, pi_diag)
+        return self._to_tx(self.stats.sensing[l], c, f"eta({l})")
 
     def eta_tilde(self, l: int, c: np.ndarray) -> np.ndarray:
         """E[Gtilde_l C Gtilde_l'] for Hermitian C (n_t x n_t) -> (n_r x n_r)."""
-        s = self.stats.sensing[l]
-        c = hermitize(np.asarray(c), context=f"eta_tilde({l}) input")
-        self._check_shape(c, self.dims.n_t, f"eta_tilde({l})")
-        d = self._rotated_diag(s.right_unitary, c)  # diag(T' C T), length n_t
-        pi_diag = (s.variance_profile**2) @ d  # length n_r
-        return self._assemble(s.left_unitary, pi_diag)
+        return self._to_rx(self.stats.sensing[l], c, f"eta_tilde({l})")
 
     # -- uplink channel ----------------------------------------------------
 
     def tau(self, e: np.ndarray) -> np.ndarray:
         """E[Htilde' E Htilde] for Hermitian E (n_u x n_u) -> (n_t x n_t)."""
-        s = self.stats.comm
-        e = hermitize(np.asarray(e), context="tau input")
-        self._check_shape(e, self.dims.n_u, "tau")
-        d = self._rotated_diag(s.left_unitary, e)
-        sigma_diag = (s.variance_profile**2).T @ d
-        return self._assemble(s.right_unitary, sigma_diag)
+        return self._to_tx(self.stats.comm, e, "tau")
 
     def tau_tilde(self, e: np.ndarray) -> np.ndarray:
         """E[Htilde E Htilde'] for Hermitian E (n_t x n_t) -> (n_u x n_u)."""
-        s = self.stats.comm
-        e = hermitize(np.asarray(e), context="tau_tilde input")
-        self._check_shape(e, self.dims.n_t, "tau_tilde")
-        d = self._rotated_diag(s.right_unitary, e)
-        sigma_diag = (s.variance_profile**2) @ d
-        return self._assemble(s.left_unitary, sigma_diag)
+        return self._to_rx(self.stats.comm, e, "tau_tilde")
 
     # -- symbol block --------------------------------------------------------
 
@@ -111,6 +91,20 @@ class CorrelationOps:
         return self.tau_tilde(w @ e @ w.conj().T)
 
     # -- internals ----------------------------------------------------------
+
+    def _to_tx(self, s: WeichselbergerStats, c: np.ndarray, name: str) -> np.ndarray:
+        """E[X' C X] for the random part X of channel s, (n_rx x n_rx) -> (n_t x n_t)."""
+        c = hermitize(np.asarray(c), context=f"{name} input")
+        self._check_shape(c, s.left_unitary.shape[0], name)
+        d = self._rotated_diag(s.left_unitary, c)  # length n_rx
+        return self._assemble(s.right_unitary, (s.variance_profile**2).T @ d)
+
+    def _to_rx(self, s: WeichselbergerStats, c: np.ndarray, name: str) -> np.ndarray:
+        """E[X C X'] for the random part X of channel s, (n_t x n_t) -> (n_rx x n_rx)."""
+        c = hermitize(np.asarray(c), context=f"{name} input")
+        self._check_shape(c, self.dims.n_t, name)
+        d = self._rotated_diag(s.right_unitary, c)  # length n_t
+        return self._assemble(s.left_unitary, (s.variance_profile**2) @ d)
 
     @staticmethod
     def _rotated_diag(unitary: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -7,12 +7,21 @@ does the same for B2 = H W W' H' through (g_e, g_e_tilde).  Both systems are
 evaluated at a negative real spectral argument w = -sigma^2, where the
 resolvent (wI - B)^-1 of a PSD matrix is well defined.
 
+Both systems share one two-sided form (Hachem, Loubaton & Najim, Ann. Appl.
+Probab. 2007), written once in `_resolvent_pair`: around a LoS mean h, the
+receive-side resolvent (blockdiag A - h B^-1 h')^-1 and the transmit-side
+resolvent (B - h' A^-1 h)^-1.  Sensing has A = psi_tilde blocks, B = pi and
+h = g_eff; communication has A = omega_tilde, B = omega and h = h_eff.  Their
+LoS term LoS = sum_l h_l' A_l^-1 h_l (`_los_term`) also serves the sensing
+Shannon transform and the PGA gradient.
+
 Both are solved by one driver, `_iterate`, from the exact zero-channel
 solution (or a warm start).  The driver runs type-II Anderson acceleration
 (Walker & Ni, SIAM J. Numer. Anal. 2011) on the system's state packed into
-one real vector, in which the resolvent-type block is stored times sigma^2 so
-that every block starts from (minus) the identity.  It is safeguarded in the
-manner of Zhang, O'Donoghue & Boyd (SIAM J. Optim. 2020):
+one real vector (the real view of each complex block), in which the
+resolvent-type block is stored times sigma^2 so that every block starts from
+(minus) the identity.  It is safeguarded in the manner of Zhang, O'Donoghue &
+Boyd (SIAM J. Optim. 2020):
 
 * an extrapolated iterate is used only if it lies in the sign cone below and
   its residual is at most `_SAFEGUARD` times that of the last accepted
@@ -155,34 +164,25 @@ def _is_pd(a: np.ndarray) -> bool:
 
 
 class _Packing:
-    """A system's state as one real vector of Hermitian blocks of the given
-    sizes (a real scalar is a block of size 1), block b multiplied by
-    scales[b].  An (n, n) block takes n*n reals: the real part on and above
-    the diagonal and the imaginary part below it, off-diagonal entries times
-    sqrt(2) so that the vector norm of a block is its Frobenius norm."""
+    """A system's state as one real vector: the real view of the complex
+    entries of square blocks of the given sizes (a real scalar is a block of
+    size 1), block b multiplied by scales[b].  The vector norm of a block is
+    therefore its Frobenius norm."""
 
     def __init__(self, sizes, scales):
+        self.sizes = sizes
         self.scales = scales
-        self.bounds = np.cumsum([0] + [n * n for n in sizes])
-        self.lower = [np.tri(n, k=-1, dtype=bool) for n in sizes]
-        self.weights = [np.where(np.eye(n, dtype=bool), 1.0, np.sqrt(2.0)) for n in sizes]
+        self.bounds = np.cumsum([0] + [2 * n * n for n in sizes])
 
     def pack(self, blocks) -> np.ndarray:
-        parts = []
-        for b, s, lower, weight in zip(blocks, self.scales, self.lower, self.weights):
-            a = s * np.atleast_2d(b)
-            parts.append((np.where(lower, a.imag, a.real) * weight).ravel())
-        return np.concatenate(parts)
+        parts = [(s * np.asarray(b, dtype=complex)).ravel() for b, s in zip(blocks, self.scales)]
+        return np.concatenate(parts).view(float)
 
     def unpack(self, x: np.ndarray) -> list[np.ndarray]:
-        blocks = []
-        for a, b, s, lower, weight in zip(
-            self.bounds, self.bounds[1:], self.scales, self.lower, self.weights
-        ):
-            r = x[a:b].reshape(weight.shape) / weight
-            im = np.where(lower, r, 0.0)
-            blocks.append((np.where(lower, r.T, r) + 1j * (im - im.T)) / s)
-        return blocks
+        return [
+            x[a:b].view(complex).reshape(n, n) / s
+            for a, b, n, s in zip(self.bounds, self.bounds[1:], self.sizes, self.scales)
+        ]
 
     def residual(self, x: np.ndarray, gx: np.ndarray) -> float:
         """Max over blocks of rel_residual(block, rhs block), in unscaled units."""
@@ -255,6 +255,26 @@ def _iterate(system, start, opts: SolverOptions):
     raise ConvergenceError(system.branch, opts.max_iter, residual, history=history)
 
 
+def _los_term(h: np.ndarray, a_blocks, context: str) -> np.ndarray:
+    """sum_l h_l' A_l^-1 h_l over the row blocks h_l of h, each as tall as A_l."""
+    rows = np.cumsum([0] + [a.shape[0] for a in a_blocks])
+    return sum(
+        h[i:j].conj().T @ inv_herm(a, context) @ h[i:j]
+        for i, j, a in zip(rows, rows[1:], a_blocks)
+    )
+
+
+def _resolvent_pair(a_blocks, b: np.ndarray, h: np.ndarray, contexts):
+    """Receive- and transmit-side resolvents around the LoS mean h:
+    ((blockdiag A - h B^-1 h')^-1, (B - h' A^-1 h)^-1).  `contexts` names the
+    inverses of B, of the receive side, of the A blocks and of the transmit side."""
+    b_inverse, receive, a_inverse, transmit = contexts
+    h_b_h = h @ inv_herm(b, b_inverse) @ h.conj().T
+    rx = herm(inv_herm(_block_diag(a_blocks) - h_b_h, receive))
+    tx = herm(inv_herm(b - _los_term(h, a_blocks, a_inverse), transmit))
+    return rx, tx
+
+
 def _check_signs(branch: str, fp, g_tilde: np.ndarray, g: np.ndarray) -> None:
     if min_eigval(-g_tilde) < SIGN_EIG_FLOOR or min_eigval(g) < SIGN_EIG_FLOOR:
         raise ConvergenceError(
@@ -270,13 +290,15 @@ class _SensingSystem:
     """Right-hand sides of the sensing equations at fixed (stats, W, w)."""
 
     branch = "sensing"
+    contexts = ("sensing pi inverse", "sensing g_c_tilde equation",
+                "sensing psi_tilde block inverse", "sensing g_c equation")
 
     def __init__(self, stats: ScenarioStats, w_bf: Beamformer, w: float):
         self.ops = CorrelationOps(stats)
         self.w_bf = w_bf
         self.w = w
         self.dims = stats.dims
-        self.g_eff, _, _ = effective_los(stats, w_bf)
+        self.g_eff, _, self.g_raw = effective_los(stats, w_bf)
         ln_r = self.dims.num_scatter * self.dims.n_r
         self.packing = _Packing((self.dims.m, ln_r, 1), (1.0, -w, 1.0))
 
@@ -287,20 +309,16 @@ class _SensingSystem:
             for l in range(self.dims.num_scatter)
         ]
 
-    def psi(self, g_c_tilde: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dims.m, self.dims.m), dtype=complex)
-        for l in range(self.dims.num_scatter):
-            out -= self.ops.eta_w(l, _diag_block(g_c_tilde, l, self.dims.n_r), self.w_bf)
-        return herm(out)
-
-    def delta(self, psi: np.ndarray, psi_t_blocks) -> np.ndarray:
-        """psi - g_eff' psi_tilde^-1 g_eff, accumulated blockwise."""
-        out = psi.astype(complex).copy()
+    def psi_raw(self, g_c_tilde: np.ndarray) -> np.ndarray:
+        """Transmit-side self-energy before beamforming, -sum_l eta_l(block l), (n_t, n_t)."""
         n_r = self.dims.n_r
-        for l, block in enumerate(psi_t_blocks):
-            g_l = self.g_eff[l * n_r : (l + 1) * n_r, :]
-            out -= g_l.conj().T @ inv_herm(block, "sensing psi_tilde block inverse") @ g_l
-        return herm(out)
+        return -sum(
+            self.ops.eta(l, _diag_block(g_c_tilde, l, n_r)) for l in range(self.dims.num_scatter)
+        )
+
+    def psi(self, g_c_tilde: np.ndarray) -> np.ndarray:
+        w = self.w_bf.w
+        return herm(w.conj().T @ self.psi_raw(g_c_tilde) @ w)
 
     def in_cone(self, g_c, g_c_tilde, phi) -> bool:
         return phi[0, 0].real >= 1.0 and _is_pd(g_c) and _is_pd(-g_c_tilde)
@@ -309,12 +327,10 @@ class _SensingSystem:
         """(pi, g_c_tilde, g_c, g_dd) from (psi_tilde blocks, psi, phi)."""
         eye = np.eye(self.dims.m)
         pi = psi + phi * eye  # psi - phi_tilde^-1 with phi_tilde = -(1/phi) I
-        pi_inv = inv_herm(pi, "sensing pi inverse")
-        full = _block_diag(psi_t_blocks) - self.g_eff @ pi_inv @ self.g_eff.conj().T
-        g_c_tilde = herm(inv_herm(full, "sensing g_c_tilde equation"))
-        delta = self.delta(psi, psi_t_blocks)
-        g_c = herm(inv_herm(delta + phi * eye, "sensing g_c equation"))
-        # g_d = (phi_tilde - delta^-1)^-1 via phi_tilde^-1 + phi_tilde^-1 (delta - phi_tilde^-1)^-1 phi_tilde^-1
+        g_c_tilde, g_c = _resolvent_pair(psi_t_blocks, pi, self.g_eff, self.contexts)
+        # Woodbury: g_dd = (phi_tilde - (psi - LoS)^-1)^-1
+        #                = phi_tilde^-1 + phi_tilde^-1 g_c phi_tilde^-1 = -phi I + phi^2 g_c,
+        # as g_c = (pi - LoS)^-1 = (psi - LoS - phi_tilde^-1)^-1 and phi_tilde^-1 = -phi I
         g_dd = herm(-phi * eye + phi**2 * g_c)
         return pi, g_c_tilde, g_c, g_dd
 
@@ -397,7 +413,11 @@ def residual_sensing(
 
 
 class _CommSystem:
+    """Right-hand sides of the communication equations at fixed (stats, W, w)."""
+
     branch = "comm"
+    contexts = ("comm omega inverse", "comm g_e_tilde equation",
+                "comm omega_tilde inverse", "comm g_e equation")
 
     def __init__(self, stats: ScenarioStats, w_bf: Beamformer, w: float):
         self.ops = CorrelationOps(stats)
@@ -418,19 +438,7 @@ class _CommSystem:
 
     def inverse_equations(self, om_t: np.ndarray, om: np.ndarray):
         """(g_e, g_e_tilde) from (omega_tilde, omega)."""
-        h = self.h_eff
-        g_e_tilde = herm(
-            inv_herm(
-                om_t - h @ inv_herm(om, "comm omega inverse") @ h.conj().T,
-                "comm g_e_tilde equation",
-            )
-        )
-        g_e = herm(
-            inv_herm(
-                om - h.conj().T @ inv_herm(om_t, "comm omega_tilde inverse") @ h,
-                "comm g_e equation",
-            )
-        )
+        g_e_tilde, g_e = _resolvent_pair((om_t,), om, self.h_eff, self.contexts)
         return g_e, g_e_tilde
 
     def rhs(self, g_e, g_e_tilde):

@@ -16,12 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import inv_herm, logdet_phased
+# inv_herm is unused here but stays bound: bench/tracer.py wraps isac_mi.mi.inv_herm by name
+from ._linalg import inv_herm, logdet_phased  # noqa: F401
 from .fixedpoint import (
     CommFixedPoint,
     SensingFixedPoint,
     SolverOptions,
     SpectralPoint,
+    _diag_block,
+    _los_term,
     solve_comm,
     solve_sensing,
 )
@@ -96,16 +99,13 @@ def shannon_sensing(
         raise ValueError(f"g_eff shape {g_eff.shape} != {(ln_r, m)}")
 
     total = 0.0 + 0.0j
-    delta = fp.psi.astype(complex).copy()
     for l, block in enumerate(fp.psi_tilde_blocks):
         total += logdet_phased(block / w)
-        g_l = g_eff[l * n_r : (l + 1) * n_r, :]
-        delta -= g_l.conj().T @ inv_herm(block, "sensing psi_tilde block inverse") @ g_l
         # trace against the block-diagonal wI - psi_tilde
-        gct_block = fp.g_c_tilde[l * n_r : (l + 1) * n_r, l * n_r : (l + 1) * n_r]
-        total += np.trace(gct_block @ (w * np.eye(n_r) - block))
+        total += np.trace(_diag_block(fp.g_c_tilde, l, n_r) @ (w * np.eye(n_r) - block))
+    los = _los_term(g_eff, fp.psi_tilde_blocks, "sensing psi_tilde block inverse")
     phi_tilde_inv = 1.0 / fp.phi_tilde_scalar
-    total += logdet_phased(delta - phi_tilde_inv * np.eye(m))
+    total += logdet_phased(fp.psi - los - phi_tilde_inv * np.eye(m))
     total += logdet_phased(fp.phi_tilde_scalar * np.eye(m))
     total += fp.g_d_scalar * np.trace(fp.g_dd)  # Tr(g_d_tilde * zeta(g_d))
     total += dims.n_s * math.log(fp.phi_scalar)

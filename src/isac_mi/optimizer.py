@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import SingularMatrixError, inv_herm
-from .correlation import CorrelationOps
+# inv_herm is unused here but stays bound: bench/tracer.py wraps isac_mi.optimizer.inv_herm by name
+from ._linalg import SingularMatrixError, inv_herm  # noqa: F401
 from .fixedpoint import CommFixedPoint, ConvergenceError, SensingFixedPoint, SolverOptions
+from .fixedpoint import _los_term, _SensingSystem
 from .mi import NonRealShannonError, weighted_mi
 from .model import Beamformer, NoiseConfig, ScenarioStats
 
@@ -63,6 +64,10 @@ class PgaOptions:
             raise ValueError("step must be 'backtracking' or 'fixed'")
         if self.step == "fixed" and self.lambda0 is None:
             raise ValueError("fixed-step mode requires lambda0")
+        if self.lambda0 is not None and not self.lambda0 > 0.0:
+            raise ValueError("lambda0 must be positive")
+        if self.init_seed < 0:
+            raise ValueError("init_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -104,14 +109,15 @@ def gradient(
     stationary points of the Shannon-transform functional), the explicit
     W-dependence gives
 
-        grad = rho       * (psi_raw - Gbar' psi_tilde^-1 Gbar) W g_c
-             - (1 - rho) * (tau(g_e_tilde) + Hbar' omega_tilde^-1 Hbar) W g_e
+        grad = rho       * (psi_raw - LoS(Gbar, psi_tilde)) W g_c
+             - (1 - rho) * (tau(g_e_tilde) + LoS(Hbar, omega_tilde)) W g_e
 
-    over the raw LoS means, where psi_raw = -sum_l eta_l(g_c_tilde block l)
-    is the transmit-side sensing self-energy before beamforming.  The
-    self-energy terms enter because the one-sided correlation operators of
-    the beamformed channel carry W; dropping them breaks the
-    finite-difference check.  Computed in one shot as matrix products.
+    with the terms the fixed-point equations use: LoS(h, A) = sum_l h_l' A_l^-1 h_l
+    over the raw LoS means (`fixedpoint._los_term`), and psi_raw =
+    -sum_l eta_l(g_c_tilde block l), the transmit-side sensing self-energy
+    before beamforming (`_SensingSystem.psi_raw`).  The self-energy terms
+    enter because the one-sided correlation operators of the beamformed
+    channel carry W; dropping them breaks the finite-difference check.
     """
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"rho must be in [0, 1], got {rho}")
@@ -121,23 +127,11 @@ def gradient(
     w = w_bf.w
     if w.shape != (dims.n_t, dims.m):
         raise ValueError(f"beamformer shape {w.shape} != {(dims.n_t, dims.m)}")
-    ops = CorrelationOps(stats)
-
-    k_s = np.zeros((dims.n_t, dims.n_t), dtype=complex)
-    psi_raw = np.zeros((dims.n_t, dims.n_t), dtype=complex)
-    for l, block in enumerate(fp_s.psi_tilde_blocks):
-        g_l = stats.sensing[l].mean
-        k_s += g_l.conj().T @ inv_herm(block, "sensing psi_tilde block inverse") @ g_l
-        gct_l = fp_s.g_c_tilde[
-            l * dims.n_r : (l + 1) * dims.n_r, l * dims.n_r : (l + 1) * dims.n_r
-        ]
-        psi_raw -= ops.eta(l, gct_l)
-    grad_s = ((psi_raw - k_s) @ w) @ fp_s.g_c
-
-    h_raw = stats.comm.mean
-    k_c = h_raw.conj().T @ inv_herm(fp_c.omega_tilde, "comm omega_tilde inverse") @ h_raw
-    grad_c = ((ops.tau(fp_c.g_e_tilde) + k_c) @ w) @ fp_c.g_e
-
+    sensing = _SensingSystem(stats, w_bf, -noise.sigma_s2)
+    los_s = _los_term(sensing.g_raw, fp_s.psi_tilde_blocks, "sensing psi_tilde block inverse")
+    grad_s = ((sensing.psi_raw(fp_s.g_c_tilde) - los_s) @ w) @ fp_s.g_c
+    los_c = _los_term(stats.comm.mean, (fp_c.omega_tilde,), "comm omega_tilde inverse")
+    grad_c = ((sensing.ops.tau(fp_c.g_e_tilde) + los_c) @ w) @ fp_c.g_e
     return rho * grad_s - (1.0 - rho) * grad_c
 
 

@@ -61,6 +61,17 @@ def test_config_defaults_follow_dimension_chain():
         ({"run": {"pga": {"beta": 1.0}}}, "beta"),
         ({"run": {"pga": {"beta": 1.5}}}, "beta"),
         ({"run": {"solver": {"max_iter": -1}}}, "max_iter"),
+        ({"run": {"pga": {"lambda0": 0.0}}}, "lambda0"),
+        ({"run": {"pga": {"step": "fixed", "lambda0": -0.5}}}, "lambda0"),
+        ({"run": {"pga": {"init_seed": -1}}}, "init_seed"),
+        ({"run": {"antenna_counts": [0]}}, "antenna_counts"),
+        ({"noise": {"snr_db_grid": ["x"]}}, "invalid config value"),
+        ({"run": {"gap_threshold": "a"}}, "invalid config value"),
+        ({"output": {"formats": 5}}, "invalid config value"),
+        ({"scenario": {"seed": -1}}, "seed"),
+        ({"noise": {"sensing_offset_db": float("nan")}}, "finite"),
+        ({"noise": {"snr_db_grid": [0.0, float("inf")]}}, "finite"),
+        ({"run": {"gap_threshold": -1.0}}, "gap_threshold"),
     ],
 )
 def test_config_validation_errors(doc, match):
@@ -136,6 +147,12 @@ def test_step_and_iteration_limits_are_config_errors(tmp_path, capsys, run, matc
     assert main(["tradeoff", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and match in err
+
+
+def test_negative_seed_override_exits_one(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, TINY)
+    assert main(["scenario-gen", "--config", cfg_path, "--seed", "-1", "--out", str(tmp_path)]) == 1
+    assert "config error: seed must be >= 0" in capsys.readouterr().err
 
 
 def test_solver_failure_exits_two(tmp_path, capsys):

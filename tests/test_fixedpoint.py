@@ -258,3 +258,50 @@ def test_hard_points_converge_to_a_consistent_fixed_point(shape, kappa, snr_db, 
     if expected is not None:
         assert report.i_s == pytest.approx(expected[0], rel=1e-8)
         assert report.i_c == pytest.approx(expected[1], rel=1e-8)
+
+
+def test_packing_round_trip_and_frobenius_distance():
+    from isac_mi.fixedpoint import _Packing
+
+    rng = np.random.default_rng(3)
+    sizes, scales = (3, 5, 1), (1.0, 0.3, 1.0)
+    packing = _Packing(sizes, scales)
+
+    def state():
+        blocks = []
+        for n in sizes[:-1]:
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            blocks.append(a + a.conj().T)
+        return blocks + [float(rng.uniform(1.0, 2.0))]  # a real scalar block
+
+    a, b = state(), state()
+    for blocks in (a, b):
+        for got, want in zip(packing.unpack(packing.pack(blocks)), blocks):
+            np.testing.assert_allclose(got, np.atleast_2d(want), rtol=1e-14, atol=0.0)
+    distance = np.linalg.norm(packing.pack(a) - packing.pack(b))
+    expected = np.sqrt(
+        sum((s * np.linalg.norm(np.atleast_2d(x - y))) ** 2 for s, x, y in zip(scales, a, b))
+    )
+    assert distance == pytest.approx(expected, rel=1e-12)
+
+
+def test_stall_fallback_reaches_the_same_fixed_point(scenario4, beamformer4, monkeypatch):
+    from isac_mi import fixedpoint, weighted_mi
+
+    noise = NoiseConfig(30.0)
+    plain, plain_s, plain_c = weighted_mi(
+        scenario4, beamformer4, noise, 0.8, return_fixed_points=True
+    )
+    monkeypatch.setattr(fixedpoint, "_STALL", 2)
+    forced, forced_s, forced_c = weighted_mi(
+        scenario4, beamformer4, noise, 0.8, return_fixed_points=True
+    )
+    # damped Picard from the best iterate is far slower than Anderson here
+    assert forced_s.iterations > plain_s.iterations
+    assert forced_c.iterations > plain_c.iterations
+    point_s = SpectralPoint.from_noise_power(noise.sigma_s2)
+    point_c = SpectralPoint.from_noise_power(noise.sigma_c2)
+    assert residual_sensing(forced_s, scenario4, beamformer4, point_s) <= 1e-10
+    assert residual_comm(forced_c, scenario4, beamformer4, point_c) <= 1e-10
+    assert forced.i_s == pytest.approx(plain.i_s, rel=1e-9)
+    assert forced.i_c == pytest.approx(plain.i_c, rel=1e-9)
