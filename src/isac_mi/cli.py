@@ -141,6 +141,13 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _integer(value, name: str) -> int:
+    """An integer config value: an integral float such as 16.0 is accepted, 2.9 is not."""
+    integral = isinstance(value, int) or float(value).is_integer()
+    _require(integral, f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a raw config document and resolve defaults."""
     _require(isinstance(doc, dict), "config root must be an object")
@@ -151,12 +158,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     n_s = sc["n_s"] if sc["n_s"] is not None else m
     try:
         dims = SystemDims(
-            n_t=int(sc["n_t"]),
-            n_r=int(sc["n_r"]),
-            n_u=int(sc["n_u"]),
-            num_scatter=int(sc["num_scatter"]),
-            m=int(m),
-            n_s=int(n_s),
+            **{k: _integer(sc[k], f"scenario.{k}") for k in ("n_t", "n_r", "n_u", "num_scatter")},
+            m=_integer(m, "scenario.m"),
+            n_s=_integer(n_s, "scenario.n_s"),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid scenario dimensions: {exc}") from exc
@@ -179,12 +183,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
         snr_db, offset_db = float(noise["snr_db"]), float(noise["sensing_offset_db"])
         rho = float(run["rho"])
         rho_grid = tuple(float(r) for r in run["rho_grid"])
-        trials = int(run["trials"])
+        trials = _integer(run["trials"], "run.trials")
         gap_threshold = float(run["gap_threshold"])
-        counts = tuple(int(n) for n in run["antenna_counts"])
+        counts = tuple(_integer(n, "run.antenna_counts") for n in run["antenna_counts"])
         p_t = float(run["p_t"]) if run["p_t"] is not None else float(dims.n_t)
         kappa = float(sc["rician_kappa"])
-        seed = int(sc["seed"])
+        seed = _integer(sc["seed"], "scenario.seed")
         formats = tuple(str(f) for f in out["formats"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
@@ -200,18 +204,18 @@ def parse_config(doc: dict) -> ExperimentConfig:
     try:
         solver = SolverOptions(
             tol=float(run["solver"]["tol"]),
-            max_iter=int(run["solver"]["max_iter"]),
+            max_iter=_integer(run["solver"]["max_iter"], "run.solver.max_iter"),
             damping=float(run["solver"]["damping"]),
         )
         pga_cfg = run["pga"]
         pga_opts = PgaOptions(
             epsilon=float(pga_cfg["epsilon"]),
-            max_outer_iters=int(pga_cfg["max_outer_iters"]),
+            max_outer_iters=_integer(pga_cfg["max_outer_iters"], "run.pga.max_outer_iters"),
             step=str(pga_cfg["step"]),
             lambda0=None if pga_cfg["lambda0"] is None else float(pga_cfg["lambda0"]),
             beta=float(pga_cfg["beta"]),
             slope=float(pga_cfg["slope"]),
-            init_seed=int(pga_cfg["init_seed"]),
+            init_seed=_integer(pga_cfg["init_seed"], "run.pga.init_seed"),
             solver=solver,
         )
     except (ValueError, TypeError) as exc:
@@ -353,7 +357,6 @@ def run_tradeoff(cfg: ExperimentConfig) -> str:
 
 def _write_outputs(cfg: ExperimentConfig, name: str, csv_text: str) -> Path:
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"
     csv_path.write_text(csv_text, encoding="utf-8")
     if "dat" in cfg.formats:
@@ -417,15 +420,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"config error: cannot create the output directory: {exc}", file=sys.stderr)
         return 1
 
     try:
         if args.command == "scenario-gen":
-            out_dir = Path(cfg.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            path = out_dir / "scenario.json"
+            path = Path(cfg.out_dir) / "scenario.json"
             path.write_text(scenario_to_json(_scenario(cfg)) + "\n", encoding="utf-8")
             print(f"wrote {path}")
             return 0

@@ -1,21 +1,28 @@
 """Coupled deterministic-equivalent fixed points for the two Gram matrices.
 
-The sensing branch characterizes the limiting spectrum of
-B1 = Ghat S S' Ghat' (Ghat stacking the beamformed scatter channels) through
-a coupled system in (g_c, g_c_tilde, scalar chain); the communication branch
-does the same for B2 = H W W' H' through (g_e, g_e_tilde).  Both systems are
-evaluated at a negative real spectral argument w = -sigma^2, where the
-resolvent (wI - B)^-1 of a PSD matrix is well defined.
+The sensing Gram matrix B1 = Ghat S S' Ghat' (Ghat stacking the beamformed
+scatter channels, S the m x n_s symbol block) becomes the communication Gram
+matrix B2 = H W W' H' once the symbol block drops out (S S' -> I as
+n_s -> inf).  Both are therefore one system, `_System`, in the state
+(g, g_tilde): `_sensing_system` passes the L scatter channels and n_s,
+`_comm_system` the one uplink channel and n_s = inf.  The system is evaluated
+at a negative real spectral argument w = -sigma^2, where the resolvent
+(wI - B)^-1 of a PSD matrix is well defined.  Its equations have the
+two-sided Rician form of Hachem, Loubaton & Najim (Ann. Appl. Probab. 2007):
 
-Both systems share one two-sided form (Hachem, Loubaton & Najim, Ann. Appl.
-Probab. 2007), written once in `_resolvent_pair`: around a LoS mean h, the
-receive-side resolvent (blockdiag A - h B^-1 h')^-1 and the transmit-side
-resolvent (B - h' A^-1 h)^-1.  Sensing has A = psi_tilde blocks, B = pi and
-h = g_eff; communication has A = omega_tilde, B = omega and h = h_eff.  Their
-LoS term LoS = sum_l h_l' A_l^-1 h_l (`_los_term`) also serves the sensing
-Shannon transform and the PGA gradient.
+    psi_tilde_l = wI - E[X_l W g W' X_l']           (one block per channel)
+    psi         = -W' (sum_l E[X_l' g_tilde_l X_l]) W
+    pi          = psi + phi I
+    g_tilde, g  = (blockdiag psi_tilde - h pi^-1 h')^-1, (pi - h' psi_tilde^-1 h)^-1
 
-Both are solved by one driver, `_iterate`, from the exact zero-channel
+around the beamformed LoS mean h (`_resolvent_pair`; its LoS term
+sum_l h_l' A_l^-1 h_l is `_los_term`, which also serves the sensing Shannon
+transform and the PGA gradient).  The scalar chain phi = 1 - Tr(g_dd)/n_s with
+g_dd = -phi I + phi^2 g has the closed form phi = 2 / (b + sqrt(b^2 + 4 Tr g / n_s)),
+b = 1 - m/n_s, its positive root, which is exactly 1 for communication.  In
+the communication fields omega_tilde is the psi_tilde block and omega is pi.
+
+The system is solved by one driver, `_iterate`, from the exact zero-channel
 solution (or a warm start).  The driver runs type-II Anderson acceleration
 (Walker & Ni, SIAM J. Numer. Anal. 2011) on the system's state packed into
 one real vector (the real view of each complex block), in which the
@@ -33,15 +40,19 @@ Boyd (SIAM J. Optim. 2020):
 * on convergence the undamped polish step x <- f(x) is kept only when it does
   not raise the residual.
 
-Sign structure at w < 0 (enforced on return): g_c_tilde and g_e_tilde are
-negative definite resolvent-type blocks, g_c and g_e are positive definite
-E[SS']-type blocks, and the scalar chain satisfies phi >= 1.  The right-hand
-sides map this cone into itself, so damped steps never leave it.
+Sign structure at w < 0 (enforced on return): g_tilde is a negative definite
+resolvent-type block and g a positive definite E[SS']-type block.  That cone
+needs nothing of phi beyond phi > 0, which the closed form gives whenever
+Tr g > 0: psi is positive semidefinite, so pi = psi + phi I is positive
+definite.  The right-hand sides map this cone into itself, so damped steps
+never leave it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -275,73 +286,109 @@ def _resolvent_pair(a_blocks, b: np.ndarray, h: np.ndarray, contexts):
     return rx, tx
 
 
-def _check_signs(branch: str, fp, g_tilde: np.ndarray, g: np.ndarray) -> None:
-    if min_eigval(-g_tilde) < SIGN_EIG_FLOOR or min_eigval(g) < SIGN_EIG_FLOOR:
-        raise ConvergenceError(
-            branch,
-            fp.iterations,
-            fp.residual,
-            reason="violated the resolvent sign structure",
-            history=fp.history,
+def _g_dd(phi: float, g: np.ndarray) -> np.ndarray:
+    """g_dd = (phi_tilde - (psi - LoS)^-1)^-1 with phi_tilde = -(1/phi) I.
+
+    Woodbury, with g = (pi - LoS)^-1 = (psi - LoS - phi_tilde^-1)^-1, gives
+    phi_tilde^-1 + phi_tilde^-1 g phi_tilde^-1 = -phi I + phi^2 g.
+    """
+    return herm(-phi * np.eye(g.shape[0]) + phi**2 * g)
+
+
+class _System:
+    """Right-hand sides of one deterministic-equivalent system at fixed (W, w).
+
+    `maps` holds, per channel X_l, its beamformed receive-side map
+    g -> E[X_l W g W' X_l'] and its transmit-side map c -> E[X_l' c X_l];
+    `h_raw` stacks the LoS means of the channels and h_eff = h_raw W.
+    `contexts` names the inverses of pi, of the g_tilde equation, of a
+    psi_tilde block and of the g equation.
+    """
+
+    def __init__(self, branch, contexts, maps, h_raw, h_eff, n_s, w_bf, w):
+        self.branch, self.contexts, self.maps = branch, contexts, maps
+        self.h_raw, self.h_eff, self.n_s = h_raw, h_eff, n_s
+        self.w_bf, self.w = w_bf, w
+        self.m = h_eff.shape[1]
+        self.n_rx = h_raw.shape[0] // len(maps)
+        self.packing = _Packing((self.m, h_raw.shape[0]), (1.0, -w))
+
+    def psi_tilde_blocks(self, g: np.ndarray) -> list[np.ndarray]:
+        eye = np.eye(self.n_rx)
+        return [self.w * eye - rx(g) for rx, _ in self.maps]
+
+    def psi_raw(self, g_tilde: np.ndarray) -> np.ndarray:
+        """Transmit-side self-energy before beamforming, -sum_l E[X_l' g_tilde_l X_l]."""
+        return -sum(
+            tx(_diag_block(g_tilde, l, self.n_rx)) for l, (_, tx) in enumerate(self.maps)
         )
 
+    def psi(self, g_tilde: np.ndarray) -> np.ndarray:
+        w = self.w_bf.w
+        return w.conj().T @ self.psi_raw(g_tilde) @ w
 
-class _SensingSystem:
-    """Right-hand sides of the sensing equations at fixed (stats, W, w)."""
+    def phi(self, g: np.ndarray) -> float:
+        """Positive root of phi = 1 - Tr(g_dd)/n_s with g_dd = -phi I + phi^2 g."""
+        b = 1.0 - self.m / self.n_s
+        return 2.0 / (b + math.sqrt(b * b + 4.0 * float(np.trace(g).real) / self.n_s))
 
-    branch = "sensing"
+    def in_cone(self, g, g_tilde) -> bool:
+        return _is_pd(g) and _is_pd(-g_tilde)
+
+    def resolvents(self, psi_t_blocks, pi: np.ndarray):
+        """(g_tilde, g) from (psi_tilde blocks, pi)."""
+        return _resolvent_pair(psi_t_blocks, pi, self.h_eff, self.contexts)
+
+    def rhs(self, g, g_tilde):
+        """One Picard evaluation: ((rhs_g, rhs_g_tilde), (psi_tilde blocks, psi, pi, phi, rhs_g)),
+        phi taken from the closed form at g."""
+        phi = self.phi(g)
+        psi_t = self.psi_tilde_blocks(g)
+        psi = self.psi(g_tilde)
+        pi = psi + phi * np.eye(self.m)
+        rhs_g_tilde, rhs_g = self.resolvents(psi_t, pi)
+        return (rhs_g, rhs_g_tilde), (psi_t, psi, pi, phi, rhs_g)
+
+    def gradient_term(self, g, g_tilde, psi_t_blocks) -> np.ndarray:
+        """(psi_raw(g_tilde) - LoS(h_raw, psi_tilde)) W g at a converged state."""
+        los = _los_term(self.h_raw, psi_t_blocks, self.contexts[2])
+        return ((self.psi_raw(g_tilde) - los) @ self.w_bf.w) @ g
+
+
+def _sensing_system(stats: ScenarioStats, w_bf: Beamformer, w: float) -> _System:
+    """The L scatter channels behind the n_s-sample symbol block."""
+    ops = CorrelationOps(stats)
+    g_eff, _, g_raw = effective_los(stats, w_bf)
+    maps = [
+        (partial(ops.eta_tilde_w, l, w_bf=w_bf), partial(ops.eta, l))
+        for l in range(stats.dims.num_scatter)
+    ]
     contexts = ("sensing pi inverse", "sensing g_c_tilde equation",
                 "sensing psi_tilde block inverse", "sensing g_c equation")
+    return _System("sensing", contexts, maps, g_raw, g_eff, stats.dims.n_s, w_bf, w)
 
-    def __init__(self, stats: ScenarioStats, w_bf: Beamformer, w: float):
-        self.ops = CorrelationOps(stats)
-        self.w_bf = w_bf
-        self.w = w
-        self.dims = stats.dims
-        self.g_eff, _, self.g_raw = effective_los(stats, w_bf)
-        ln_r = self.dims.num_scatter * self.dims.n_r
-        self.packing = _Packing((self.dims.m, ln_r, 1), (1.0, -w, 1.0))
 
-    def psi_tilde_blocks(self, g_c: np.ndarray) -> list[np.ndarray]:
-        eye = np.eye(self.dims.n_r)
-        return [
-            self.w * eye - self.ops.eta_tilde_w(l, g_c, self.w_bf)
-            for l in range(self.dims.num_scatter)
-        ]
+def _comm_system(stats: ScenarioStats, w_bf: Beamformer, w: float) -> _System:
+    """The uplink channel with no symbol block: n_s = inf, so phi = 1."""
+    ops = CorrelationOps(stats)
+    _, h_eff, _ = effective_los(stats, w_bf)
+    maps = [(partial(ops.tau_tilde_w, w_bf=w_bf), ops.tau)]
+    contexts = ("comm omega inverse", "comm g_e_tilde equation",
+                "comm omega_tilde inverse", "comm g_e equation")
+    return _System("comm", contexts, maps, stats.comm.mean, h_eff, math.inf, w_bf, w)
 
-    def psi_raw(self, g_c_tilde: np.ndarray) -> np.ndarray:
-        """Transmit-side self-energy before beamforming, -sum_l eta_l(block l), (n_t, n_t)."""
-        n_r = self.dims.n_r
-        return -sum(
-            self.ops.eta(l, _diag_block(g_c_tilde, l, n_r)) for l in range(self.dims.num_scatter)
-        )
 
-    def psi(self, g_c_tilde: np.ndarray) -> np.ndarray:
-        w = self.w_bf.w
-        return herm(w.conj().T @ self.psi_raw(g_c_tilde) @ w)
-
-    def in_cone(self, g_c, g_c_tilde, phi) -> bool:
-        return phi[0, 0].real >= 1.0 and _is_pd(g_c) and _is_pd(-g_c_tilde)
-
-    def inverse_equations(self, psi_t_blocks, psi: np.ndarray, phi: float):
-        """(pi, g_c_tilde, g_c, g_dd) from (psi_tilde blocks, psi, phi)."""
-        eye = np.eye(self.dims.m)
-        pi = psi + phi * eye  # psi - phi_tilde^-1 with phi_tilde = -(1/phi) I
-        g_c_tilde, g_c = _resolvent_pair(psi_t_blocks, pi, self.g_eff, self.contexts)
-        # Woodbury: g_dd = (phi_tilde - (psi - LoS)^-1)^-1
-        #                = phi_tilde^-1 + phi_tilde^-1 g_c phi_tilde^-1 = -phi I + phi^2 g_c,
-        # as g_c = (pi - LoS)^-1 = (psi - LoS - phi_tilde^-1)^-1 and phi_tilde^-1 = -phi I
-        g_dd = herm(-phi * eye + phi**2 * g_c)
-        return pi, g_c_tilde, g_c, g_dd
-
-    def rhs(self, g_c, g_c_tilde, phi):
-        """One Picard evaluation: returns ((rhs_g_c, rhs_g_c_tilde, rhs_phi), derived)."""
-        phi = float(phi[0, 0].real)
-        psi_t = self.psi_tilde_blocks(g_c)
-        psi = self.psi(g_c_tilde)
-        pi, rhs_g_c_tilde, rhs_g_c, g_dd = self.inverse_equations(psi_t, psi, phi)
-        rhs_phi = 1.0 - float(np.trace(g_dd).real) / self.dims.n_s
-        return (rhs_g_c, rhs_g_c_tilde, rhs_phi), (psi_t, psi, pi, g_dd)
+def _solve(system: _System, start, opts: SolverOptions):
+    """Iterate `system` from `start` (None: the zero-channel solution) and check the
+    sign structure.  Returns (g, g_tilde, (psi_tilde blocks, psi, pi, phi, rhs_g),
+    residual, iterations, history)."""
+    if start is None:
+        start = (np.eye(system.m), np.eye(system.h_raw.shape[0]) / system.w)
+    (g, g_tilde), derived, residual, it, history = _iterate(system, start, opts)
+    if min_eigval(-g_tilde) < SIGN_EIG_FLOOR or min_eigval(g) < SIGN_EIG_FLOOR:
+        reason = "violated the resolvent sign structure"
+        raise ConvergenceError(system.branch, it, residual, reason, history)
+    return g, g_tilde, derived, residual, it, history
 
 
 def solve_sensing(
@@ -356,22 +403,16 @@ def solve_sensing(
     Starts from the exact zero-channel solution, or warm-starts from the
     state of a previous solve when `initial` is given.
     """
-    dims = stats.dims
-    system = _SensingSystem(stats, w_bf, point.w)
-    if initial is not None:
-        start = (initial.g_c, initial.g_c_tilde, initial.phi_scalar)
-    else:
-        ln_r = dims.num_scatter * dims.n_r
-        start = (np.eye(dims.m), np.eye(ln_r) / point.w, 1.0)
-
-    (g_c, g_c_tilde, phi), derived, residual, it, history = _iterate(system, start, opts)
-    phi = float(phi[0, 0].real)
-    psi_t, psi, pi, g_dd = derived
-    fp = SensingFixedPoint(
+    system = _sensing_system(stats, w_bf, point.w)
+    start = None if initial is None else (initial.g_c, initial.g_c_tilde)
+    g_c, g_c_tilde, (psi_t, psi, pi, phi, rhs_g_c), residual, it, history = _solve(
+        system, start, opts
+    )
+    return SensingFixedPoint(
         g_c_tilde=g_c_tilde,
         g_c=g_c,
         g_d_scalar=1.0 / phi,
-        g_dd=g_dd,
+        g_dd=_g_dd(phi, rhs_g_c),  # the g_c that residual_sensing recomputes from pi
         psi_tilde_blocks=tuple(psi_t),
         psi=psi,
         phi_tilde_scalar=-1.0 / phi,
@@ -381,70 +422,30 @@ def solve_sensing(
         iterations=it,
         history=history,
     )
-    _check_signs("sensing", fp, fp.g_c_tilde, fp.g_c)
-    return fp
 
 
 def residual_sensing(
     fp: SensingFixedPoint, stats: ScenarioStats, w_bf: Beamformer, point: SpectralPoint
 ) -> float:
     """Max relative residual of every stored sensing equation at the stored state."""
-    system = _SensingSystem(stats, w_bf, point.w)
-    dims = stats.dims
-
+    system = _sensing_system(stats, w_bf, point.w)
+    phi = -1.0 / fp.phi_tilde_scalar
+    pi_rhs = fp.psi + phi * np.eye(stats.dims.m)  # psi - phi_tilde^-1
+    gct_rhs, gc_rhs = system.resolvents(fp.psi_tilde_blocks, pi_rhs)
     psi_t_rhs = system.psi_tilde_blocks(fp.g_c)
-    psi_rhs = system.psi(fp.g_c_tilde)
-    pi_rhs, gct_rhs, gc_rhs, gdd_rhs = system.inverse_equations(
-        fp.psi_tilde_blocks, fp.psi, -1.0 / fp.phi_tilde_scalar
-    )
 
     residuals = [
-        max(rel_residual(fp.psi_tilde_blocks[l], psi_t_rhs[l]) for l in range(dims.num_scatter)),
-        rel_residual(fp.psi, psi_rhs),
+        max(rel_residual(a, b) for a, b in zip(fp.psi_tilde_blocks, psi_t_rhs)),
+        rel_residual(fp.psi, system.psi(fp.g_c_tilde)),
         rel_residual(fp.phi_tilde_scalar, -fp.g_d_scalar),
-        rel_residual(fp.phi_scalar, 1.0 - float(np.trace(fp.g_dd).real) / dims.n_s),
+        rel_residual(fp.phi_scalar, 1.0 - float(np.trace(fp.g_dd).real) / stats.dims.n_s),
         rel_residual(fp.pi, pi_rhs),
         rel_residual(fp.g_c_tilde, gct_rhs),
         rel_residual(fp.g_c, gc_rhs),
         rel_residual(fp.g_d_scalar, 1.0 / fp.phi_scalar),
-        rel_residual(fp.g_dd, gdd_rhs),
+        rel_residual(fp.g_dd, _g_dd(phi, gc_rhs)),
     ]
     return float(max(residuals))
-
-
-class _CommSystem:
-    """Right-hand sides of the communication equations at fixed (stats, W, w)."""
-
-    branch = "comm"
-    contexts = ("comm omega inverse", "comm g_e_tilde equation",
-                "comm omega_tilde inverse", "comm g_e equation")
-
-    def __init__(self, stats: ScenarioStats, w_bf: Beamformer, w: float):
-        self.ops = CorrelationOps(stats)
-        self.w_bf = w_bf
-        self.w = w
-        self.dims = stats.dims
-        _, self.h_eff, _ = effective_los(stats, w_bf)
-        self.packing = _Packing((self.dims.m, self.dims.n_u), (1.0, -w))
-
-    def omega_tilde(self, g_e: np.ndarray) -> np.ndarray:
-        return self.w * np.eye(self.dims.n_u) - self.ops.tau_tilde_w(g_e, self.w_bf)
-
-    def omega(self, g_e_tilde: np.ndarray) -> np.ndarray:
-        return np.eye(self.dims.m) - self.ops.tau_w(g_e_tilde, self.w_bf)
-
-    def in_cone(self, g_e, g_e_tilde) -> bool:
-        return _is_pd(g_e) and _is_pd(-g_e_tilde)
-
-    def inverse_equations(self, om_t: np.ndarray, om: np.ndarray):
-        """(g_e, g_e_tilde) from (omega_tilde, omega)."""
-        g_e_tilde, g_e = _resolvent_pair((om_t,), om, self.h_eff, self.contexts)
-        return g_e, g_e_tilde
-
-    def rhs(self, g_e, g_e_tilde):
-        om_t = self.omega_tilde(g_e)
-        om = self.omega(g_e_tilde)
-        return self.inverse_equations(om_t, om), (om_t, om)
 
 
 def solve_comm(
@@ -455,39 +456,30 @@ def solve_comm(
     initial: CommFixedPoint | None = None,
 ) -> CommFixedPoint:
     """Solve the communication deterministic-equivalent system at w = point.w < 0."""
-    dims = stats.dims
-    system = _CommSystem(stats, w_bf, point.w)
-    if initial is not None:
-        start = (initial.g_e, initial.g_e_tilde)
-    else:
-        start = (np.eye(dims.m), np.eye(dims.n_u) / point.w)
-
-    (g_e, g_e_tilde), (om_t, om), residual, it, history = _iterate(system, start, opts)
-    fp = CommFixedPoint(
+    system = _comm_system(stats, w_bf, point.w)
+    start = None if initial is None else (initial.g_e, initial.g_e_tilde)
+    g_e, g_e_tilde, (psi_t, _, pi, _, _), residual, it, history = _solve(system, start, opts)
+    return CommFixedPoint(
         g_e_tilde=g_e_tilde,
         g_e=g_e,
-        omega_tilde=om_t,
-        omega=om,
+        omega_tilde=psi_t[0],
+        omega=pi,
         residual=residual,
         iterations=it,
         history=history,
     )
-    _check_signs("comm", fp, fp.g_e_tilde, fp.g_e)
-    return fp
 
 
 def residual_comm(
     fp: CommFixedPoint, stats: ScenarioStats, w_bf: Beamformer, point: SpectralPoint
 ) -> float:
     """Max relative residual of the four stored communication equations."""
-    system = _CommSystem(stats, w_bf, point.w)
-    om_t_rhs = system.omega_tilde(fp.g_e)
-    om_rhs = system.omega(fp.g_e_tilde)
-    ge_rhs, get_rhs = system.inverse_equations(fp.omega_tilde, fp.omega)
+    system = _comm_system(stats, w_bf, point.w)
+    get_rhs, ge_rhs = system.resolvents((fp.omega_tilde,), fp.omega)
     return float(
         max(
-            rel_residual(fp.omega_tilde, om_t_rhs),
-            rel_residual(fp.omega, om_rhs),
+            rel_residual(fp.omega_tilde, system.psi_tilde_blocks(fp.g_e)[0]),
+            rel_residual(fp.omega, system.psi(fp.g_e_tilde) + np.eye(stats.dims.m)),
             rel_residual(fp.g_e_tilde, get_rhs),
             rel_residual(fp.g_e, ge_rhs),
         )

@@ -20,7 +20,7 @@ import numpy as np
 # inv_herm is unused here but stays bound: bench/tracer.py wraps isac_mi.optimizer.inv_herm by name
 from ._linalg import SingularMatrixError, inv_herm  # noqa: F401
 from .fixedpoint import CommFixedPoint, ConvergenceError, SensingFixedPoint, SolverOptions
-from .fixedpoint import _los_term, _SensingSystem
+from .fixedpoint import _comm_system, _sensing_system
 from .mi import NonRealShannonError, weighted_mi
 from .model import Beamformer, NoiseConfig, ScenarioStats
 
@@ -107,32 +107,31 @@ def gradient(
 
     With the fixed-point variables held at their converged values (they are
     stationary points of the Shannon-transform functional), the explicit
-    W-dependence gives
+    W-dependence of each branch's MI is one term of the shared
+    deterministic-equivalent system (`fixedpoint._System.gradient_term`):
 
-        grad = rho       * (psi_raw - LoS(Gbar, psi_tilde)) W g_c
-             - (1 - rho) * (tau(g_e_tilde) + LoS(Hbar, omega_tilde)) W g_e
+        grad = rho * T(sensing) + (1 - rho) * T(comm),
+        T    = (psi_raw(g_tilde) - LoS(h_raw, psi_tilde)) W g,
 
-    with the terms the fixed-point equations use: LoS(h, A) = sum_l h_l' A_l^-1 h_l
-    over the raw LoS means (`fixedpoint._los_term`), and psi_raw =
-    -sum_l eta_l(g_c_tilde block l), the transmit-side sensing self-energy
-    before beamforming (`_SensingSystem.psi_raw`).  The self-energy terms
-    enter because the one-sided correlation operators of the beamformed
-    channel carry W; dropping them breaks the finite-difference check.
+    where psi_raw = -sum_l E[X_l' g_tilde_l X_l] is the transmit-side
+    self-energy before beamforming and LoS(h, A) = sum_l h_l' A_l^-1 h_l is
+    taken over the raw LoS means.  For communication psi_raw is -tau(g_e_tilde)
+    and psi_tilde is omega_tilde.  The self-energy terms enter because the
+    one-sided correlation operators of the beamformed channel carry W;
+    dropping them breaks the finite-difference check.
     """
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     if max(fp_s.residual, fp_c.residual) > UNCONVERGED_RESIDUAL:
         raise ValueError("gradient requires converged fixed points")
     dims = stats.dims
-    w = w_bf.w
-    if w.shape != (dims.n_t, dims.m):
-        raise ValueError(f"beamformer shape {w.shape} != {(dims.n_t, dims.m)}")
-    sensing = _SensingSystem(stats, w_bf, -noise.sigma_s2)
-    los_s = _los_term(sensing.g_raw, fp_s.psi_tilde_blocks, "sensing psi_tilde block inverse")
-    grad_s = ((sensing.psi_raw(fp_s.g_c_tilde) - los_s) @ w) @ fp_s.g_c
-    los_c = _los_term(stats.comm.mean, (fp_c.omega_tilde,), "comm omega_tilde inverse")
-    grad_c = ((sensing.ops.tau(fp_c.g_e_tilde) + los_c) @ w) @ fp_c.g_e
-    return rho * grad_s - (1.0 - rho) * grad_c
+    if w_bf.w.shape != (dims.n_t, dims.m):
+        raise ValueError(f"beamformer shape {w_bf.w.shape} != {(dims.n_t, dims.m)}")
+    sensing = _sensing_system(stats, w_bf, -noise.sigma_s2)
+    comm = _comm_system(stats, w_bf, -noise.sigma_c2)
+    grad_s = sensing.gradient_term(fp_s.g_c, fp_s.g_c_tilde, fp_s.psi_tilde_blocks)
+    grad_c = comm.gradient_term(fp_c.g_e, fp_c.g_e_tilde, (fp_c.omega_tilde,))
+    return rho * grad_s + (1.0 - rho) * grad_c
 
 
 def project(w: np.ndarray, p_t: float) -> np.ndarray:

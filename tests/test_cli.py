@@ -72,11 +72,26 @@ def test_config_defaults_follow_dimension_chain():
         ({"noise": {"sensing_offset_db": float("nan")}}, "finite"),
         ({"noise": {"snr_db_grid": [0.0, float("inf")]}}, "finite"),
         ({"run": {"gap_threshold": -1.0}}, "gap_threshold"),
+        ({"run": {"trials": 2.9}}, "run.trials must be an integer"),
+        ({"scenario": {"n_t": 16.5}}, "scenario.n_t must be an integer"),
+        ({"scenario": {"seed": 7.9}}, "scenario.seed must be an integer"),
+        ({"run": {"pga": {"init_seed": 0.5}}}, "run.pga.init_seed must be an integer"),
+        ({"run": {"solver": {"max_iter": 3.5}}}, "run.solver.max_iter must be an integer"),
+        ({"run": {"pga": {"max_outer_iters": 1.2}}}, "run.pga.max_outer_iters must be an integer"),
+        ({"run": {"antenna_counts": [4.7]}}, "run.antenna_counts must be an integer"),
     ],
 )
 def test_config_validation_errors(doc, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(doc)
+
+
+def test_integral_floats_are_accepted_as_integers():
+    cfg = parse_config(
+        {"scenario": {"n_t": 16.0, "seed": 7.0}, "run": {"trials": 300.0, "antenna_counts": [4.0]}}
+    )
+    assert (cfg.dims.n_t, cfg.seed, cfg.trials, cfg.antenna_counts) == (16, 7, 300, (4,))
+    assert isinstance(cfg.dims.n_t, int) and isinstance(cfg.trials, int)
 
 
 def test_load_config_rejects_bad_json(tmp_path):
@@ -238,3 +253,27 @@ def test_help_documents_csv_schemas(capsys):
     assert VERIFY_HEADER in out
     assert TRADEOFF_HEADER in out
     assert "ISAC_MI_THREADS" in out
+
+
+def test_unusable_output_path_is_a_config_error(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, TINY)
+    not_a_dir = tmp_path / "plain-file"
+    not_a_dir.write_text("")
+    assert main(["scenario-gen", "--config", cfg_path, "--out", str(not_a_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: cannot create the output directory" in err
+    assert "Traceback" not in err
+
+
+def test_unusable_output_path_fails_before_the_work(tmp_path, capsys, monkeypatch):
+    from isac_mi import cli
+
+    def must_not_run(cfg):
+        raise AssertionError("run_tradeoff called with an unusable output path")
+
+    monkeypatch.setattr(cli, "run_tradeoff", must_not_run)
+    cfg_path = _write_config(tmp_path, TINY)
+    not_a_dir = tmp_path / "plain-file"
+    not_a_dir.write_text("")
+    assert main(["tradeoff", "--config", cfg_path, "--out", str(not_a_dir)]) == 1
+    assert "config error: cannot create the output directory" in capsys.readouterr().err

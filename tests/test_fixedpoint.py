@@ -305,3 +305,20 @@ def test_stall_fallback_reaches_the_same_fixed_point(scenario4, beamformer4, mon
     assert residual_comm(forced_c, scenario4, beamformer4, point_c) <= 1e-10
     assert forced.i_s == pytest.approx(plain.i_s, rel=1e-9)
     assert forced.i_c == pytest.approx(plain.i_c, rel=1e-9)
+
+
+def test_sensing_without_symbol_block_is_the_comm_system():
+    # one scatter channel equal to the uplink channel and n_s >> m: S S' -> I,
+    # so the sensing Gram matrix is the communication one
+    from isac_mi import ScenarioStats, generate_scenario, weighted_mi
+
+    dims = SystemDims(n_t=6, n_r=4, n_u=4, num_scatter=1, m=3, n_s=10**6)
+    s = generate_scenario(dims, 1.0, seed=11)
+    stats = ScenarioStats(dims, s.comm, (s.comm,), s.rician_kappa, s.seed)
+    bf = default_beamformer(dims, 6.0)
+    noise = NoiseConfig(10.0, sensing_offset_db=0.0)
+    report, fp_s, fp_c = weighted_mi(stats, bf, noise, 0.5, return_fixed_points=True)
+    assert abs(report.i_s - report.i_c) / report.i_c <= 1e-6
+    assert np.abs(fp_s.g_c - fp_c.g_e).max() <= 1e-6
+    assert np.abs(fp_s.g_c_tilde - fp_c.g_e_tilde).max() <= 1e-5
+    assert 0.0 <= fp_s.phi_scalar - 1.0 <= 1e-5
