@@ -462,6 +462,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConvergenceError, SingularMatrixError, NonRealShannonError, PgaAbort) as exc:
         print(f"numerical failure during {args.command}: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # writing an output file; the computation does no I/O
+        where = exc.filename or "an output file"
+        print(f"config error: cannot write {where}: {exc.strerror}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ two-sided Rician form of Hachem, Loubaton & Najim (Ann. Appl. Probab. 2007):
     g_tilde, g  = (blockdiag psi_tilde - h pi^-1 h')^-1, (pi - h' psi_tilde^-1 h)^-1
 
 around the beamformed LoS mean h (`_resolvent_pair`; its LoS term
-sum_l h_l' A_l^-1 h_l is `_los_term`, which also serves the sensing Shannon
-transform and the PGA gradient).  The scalar chain phi = 1 - Tr(g_dd)/n_s with
+sum_l h_l' A_l^-1 h_l is `_los_term`, which also serves the Shannon transform
+of both branches and the PGA gradient).  The scalar chain phi = 1 - Tr(g_dd)/n_s with
 g_dd = -phi I + phi^2 g has the closed form phi = 2 / (b + sqrt(b^2 + 4 Tr g / n_s)),
 b = 1 - m/n_s, its positive root, which is exactly 1 for communication.  In
 the communication fields omega_tilde is the psi_tilde block and omega is pi.
@@ -125,7 +125,8 @@ class SolverOptions:
 class SensingFixedPoint:
     """Converged sensing system.  Scalar-multiple-of-identity blocks are stored
     as scalars: g_d_tilde = g_d_scalar * I_{n_s}, phi_tilde = phi_tilde_scalar * I_m,
-    phi = phi_scalar * I_{n_s}."""
+    phi = phi_scalar * I_{n_s}.  g_d_scalar = 1/phi, phi_tilde_scalar = -1/phi and
+    g_dd = -phi I + phi^2 g are functions of phi and g, kept and checked."""
 
     g_c_tilde: np.ndarray  # (L n_r, L n_r) Hermitian, negative definite
     g_c: np.ndarray  # (m, m) Hermitian, positive definite
@@ -349,6 +350,22 @@ class _System:
         rhs_g_tilde, rhs_g = self.resolvents(psi_t, pi)
         return (rhs_g, rhs_g_tilde), (psi_t, psi, pi, phi, rhs_g)
 
+    def residual(self, psi_t_blocks, pi, g_tilde, g, phi, derived=()) -> float:
+        """Max relative residual of a stored state: the psi_tilde blocks, pi, g_tilde,
+        g, the phi chain and the stored fields `derived`, a prefix of (psi, g_d,
+        phi_tilde, g_dd), each against its equation; g_dd is taken at the resolvent g."""
+        psi = self.psi(g_tilde)
+        pi_rhs = psi + phi * np.eye(self.m)
+        g_tilde_rhs, g_rhs = self.resolvents(psi_t_blocks, pi_rhs)
+        g_dd = _g_dd(phi, g_rhs)
+        pairs = [
+            *zip(psi_t_blocks, self.psi_tilde_blocks(g)),
+            (pi, pi_rhs), (g_tilde, g_tilde_rhs), (g, g_rhs),
+            (phi, 1.0 - float(np.trace(g_dd).real) / self.n_s),
+            *zip(derived, (psi, 1.0 / phi, -1.0 / phi, g_dd)),
+        ]
+        return max(rel_residual(a, b) for a, b in pairs)
+
     def gradient_term(self, g, g_tilde, psi_t_blocks) -> np.ndarray:
         """(psi_raw(g_tilde) - LoS(h_raw, psi_tilde)) W g at a converged state."""
         los = _los_term(self.h_raw, psi_t_blocks, self.contexts[2])
@@ -428,24 +445,10 @@ def residual_sensing(
     fp: SensingFixedPoint, stats: ScenarioStats, w_bf: Beamformer, point: SpectralPoint
 ) -> float:
     """Max relative residual of every stored sensing equation at the stored state."""
-    system = _sensing_system(stats, w_bf, point.w)
-    phi = -1.0 / fp.phi_tilde_scalar
-    pi_rhs = fp.psi + phi * np.eye(stats.dims.m)  # psi - phi_tilde^-1
-    gct_rhs, gc_rhs = system.resolvents(fp.psi_tilde_blocks, pi_rhs)
-    psi_t_rhs = system.psi_tilde_blocks(fp.g_c)
-
-    residuals = [
-        max(rel_residual(a, b) for a, b in zip(fp.psi_tilde_blocks, psi_t_rhs)),
-        rel_residual(fp.psi, system.psi(fp.g_c_tilde)),
-        rel_residual(fp.phi_tilde_scalar, -fp.g_d_scalar),
-        rel_residual(fp.phi_scalar, 1.0 - float(np.trace(fp.g_dd).real) / stats.dims.n_s),
-        rel_residual(fp.pi, pi_rhs),
-        rel_residual(fp.g_c_tilde, gct_rhs),
-        rel_residual(fp.g_c, gc_rhs),
-        rel_residual(fp.g_d_scalar, 1.0 / fp.phi_scalar),
-        rel_residual(fp.g_dd, _g_dd(phi, gc_rhs)),
-    ]
-    return float(max(residuals))
+    return _sensing_system(stats, w_bf, point.w).residual(
+        fp.psi_tilde_blocks, fp.pi, fp.g_c_tilde, fp.g_c, fp.phi_scalar,
+        (fp.psi, fp.g_d_scalar, fp.phi_tilde_scalar, fp.g_dd),
+    )
 
 
 def solve_comm(
@@ -473,14 +476,7 @@ def solve_comm(
 def residual_comm(
     fp: CommFixedPoint, stats: ScenarioStats, w_bf: Beamformer, point: SpectralPoint
 ) -> float:
-    """Max relative residual of the four stored communication equations."""
-    system = _comm_system(stats, w_bf, point.w)
-    get_rhs, ge_rhs = system.resolvents((fp.omega_tilde,), fp.omega)
-    return float(
-        max(
-            rel_residual(fp.omega_tilde, system.psi_tilde_blocks(fp.g_e)[0]),
-            rel_residual(fp.omega, system.psi(fp.g_e_tilde) + np.eye(stats.dims.m)),
-            rel_residual(fp.g_e_tilde, get_rhs),
-            rel_residual(fp.g_e, ge_rhs),
-        )
+    """Max relative residual of the stored communication equations (phi = 1)."""
+    return _comm_system(stats, w_bf, point.w).residual(
+        (fp.omega_tilde,), fp.omega, fp.g_e_tilde, fp.g_e, 1.0
     )

@@ -1,12 +1,12 @@
 """Shannon and Cauchy transforms of the converged fixed points, weighted MI.
 
-The per-dimension Shannon transforms are assembled from log-determinant and
-trace terms of the fixed-point matrices.  Two of the sensing log-dets run
-over negative-definite matrices whose phases cancel only jointly, so every
-term is accumulated as a complex log and the total is asserted real up to
-the pair's constant phase of pi * m (the real part is then exactly the
-paired positive-definite evaluation).  All values are in nats; CSV output
-converts to bits.
+Both branches share one Shannon transform, `_shannon`, in the form that is
+stationary in every stored variable, so the MIs are second-order accurate in
+the solver residual:  V = log det(pi - LoS(h, psi_tilde)) + Phi
++ sum_l [log det(psi_tilde_l / w) + Tr(g_tilde_l (wI - psi_tilde_l))], where the
+symbol-block terms Phi = (n_s - m) log phi + phi Tr g - m vanish in the
+communication limit n_s -> inf.  Every log-det is of a positive definite matrix;
+the complex total is asserted real.  Values are in nats; CSV output converts to bits.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class NonRealShannonError(ArithmeticError):
 
     def __init__(self, branch: str, residue: float):
         super().__init__(
-            f"{branch} Shannon transform has non-real total (phase residue {residue:.3e}); "
+            f"{branch} Shannon transform has non-real total (imaginary part {residue:.3e}); "
             "this signals a transcription or convergence fault"
         )
         self.residue = residue
@@ -80,55 +80,54 @@ class MiReport:
     CSV_HEADER = "snr_db,rho,i_s_bits,i_c_bits,weighted_bits,residual_s,residual_c,iters_s,iters_c"
 
 
-def _assert_real(total: complex, expected_phase: float, branch: str) -> float:
-    residue = abs(np.exp(1j * total.imag) - np.exp(1j * expected_phase))
+def _assert_real(total: complex, branch: str) -> float:
+    residue = abs(total.imag)
     if residue > IMAG_RESIDUE_TOL:
         raise NonRealShannonError(branch, residue)
     return total.real
+
+
+def _symbol_block_terms(phi: float, tr_g: complex, m: int, n_s: float) -> complex:
+    """Phi = (n_s - m) log phi + phi Tr g - m; 0 in the n_s -> inf limit."""
+    if math.isinf(n_s):
+        return 0.0
+    return (n_s - m) * math.log(phi) + phi * tr_g - m
+
+
+def _shannon(branch, h, psi_t_blocks, g_tilde, pi, g, phi, n_s, w, context) -> float:
+    """Per-dimension Shannon transform V / rows(h) of one system at its stored state;
+    `context` names the psi_tilde block inverses of the LoS term."""
+    n_rx = psi_t_blocks[0].shape[0]
+    total = logdet_phased(pi - _los_term(h, psi_t_blocks, context))
+    for l, block in enumerate(psi_t_blocks):
+        total += logdet_phased(block / w)
+        total += np.trace(_diag_block(g_tilde, l, n_rx) @ (w * np.eye(n_rx) - block))
+    total += _symbol_block_terms(phi, np.trace(g), pi.shape[0], n_s)
+    return _assert_real(total, branch) / h.shape[0]
 
 
 def shannon_sensing(
     fp: SensingFixedPoint, point: SpectralPoint, dims: SystemDims, g_eff: np.ndarray
 ) -> float:
     """Per-dimension Shannon transform of the sensing Gram matrix at w = point.w."""
-    w = point.w
-    m = dims.m
-    ln_r = dims.num_scatter * dims.n_r
-    n_r = dims.n_r
-    if g_eff.shape != (ln_r, m):
-        raise ValueError(f"g_eff shape {g_eff.shape} != {(ln_r, m)}")
-
-    total = 0.0 + 0.0j
-    for l, block in enumerate(fp.psi_tilde_blocks):
-        total += logdet_phased(block / w)
-        # trace against the block-diagonal wI - psi_tilde
-        total += np.trace(_diag_block(fp.g_c_tilde, l, n_r) @ (w * np.eye(n_r) - block))
-    los = _los_term(g_eff, fp.psi_tilde_blocks, "sensing psi_tilde block inverse")
-    phi_tilde_inv = 1.0 / fp.phi_tilde_scalar
-    total += logdet_phased(fp.psi - los - phi_tilde_inv * np.eye(m))
-    total += logdet_phased(fp.phi_tilde_scalar * np.eye(m))
-    total += fp.g_d_scalar * np.trace(fp.g_dd)  # Tr(g_d_tilde * zeta(g_d))
-    total += dims.n_s * math.log(fp.phi_scalar)
-
-    # The phi_tilde log-det runs over a negative-definite matrix; its phase
-    # pi*m is the only expected imaginary contribution.
-    value = _assert_real(total, math.pi * m, "sensing")
-    return value / ln_r
+    if g_eff.shape != (dims.num_scatter * dims.n_r, dims.m):
+        raise ValueError(f"g_eff shape {g_eff.shape} != {(dims.num_scatter * dims.n_r, dims.m)}")
+    return _shannon(
+        "sensing", g_eff, fp.psi_tilde_blocks, fp.g_c_tilde, fp.pi, fp.g_c, fp.phi_scalar,
+        dims.n_s, point.w, "sensing psi_tilde block inverse",
+    )
 
 
 def shannon_comm(
     fp: CommFixedPoint, point: SpectralPoint, dims: SystemDims, h_eff: np.ndarray
 ) -> float:
-    """Per-dimension Shannon transform of the communication Gram matrix."""
-    w = point.w
+    """Per-dimension Shannon transform of the communication Gram matrix (n_s = inf)."""
     if h_eff.shape != (dims.n_u, dims.m):
         raise ValueError(f"h_eff shape {h_eff.shape} != {(dims.n_u, dims.m)}")
-    total = logdet_phased(fp.omega_tilde / w)
-    # tau_tilde_w(g_e) = wI - omega_tilde at the fixed point
-    total += np.trace(fp.g_e_tilde @ (w * np.eye(dims.n_u) - fp.omega_tilde))
-    total -= logdet_phased(fp.g_e)
-    value = _assert_real(total, 0.0, "comm")
-    return value / dims.n_u
+    return _shannon(
+        "comm", h_eff, (fp.omega_tilde,), fp.g_e_tilde, fp.omega, fp.g_e, 1.0,
+        math.inf, point.w, "comm omega_tilde inverse",
+    )
 
 
 def cauchy_sensing(fp: SensingFixedPoint) -> float:
@@ -176,6 +175,12 @@ def weighted_mi(
     return report
 
 
+_BRANCHES = {
+    "sensing": ("sigma_s2", solve_sensing, shannon_sensing, cauchy_sensing, 0),
+    "comm": ("sigma_c2", solve_comm, shannon_comm, cauchy_comm, 1),
+}
+
+
 def derivative_identity_check(
     stats: ScenarioStats,
     w_bf: Beamformer,
@@ -188,27 +193,20 @@ def derivative_identity_check(
 
     The per-dimension Shannon transform of either branch must satisfy
     dV/dsigma2 = -1/sigma2 - G(-sigma2); the returned discrepancy should
-    vanish to finite-difference accuracy on any scenario.
+    vanish to finite-difference accuracy on any scenario.  The step h is in (0, sigma2).
     """
-    if h <= 0.0:
-        raise ValueError("finite-difference step must be positive")
-    if branch not in ("sensing", "comm"):
+    if branch not in _BRANCHES:
         raise ValueError("branch must be 'sensing' or 'comm'")
-    sigma2 = noise.sigma_s2 if branch == "sensing" else noise.sigma_c2
-    g_eff, h_eff, _ = effective_los(stats, w_bf)
+    noise_power, solve, shannon, cauchy, los = _BRANCHES[branch]
+    sigma2 = getattr(noise, noise_power)
+    if not 0.0 < h < sigma2:
+        raise ValueError(f"finite-difference step {h:g} must lie in (0, sigma2 = {sigma2:g})")
+    mean = effective_los(stats, w_bf)[los]
 
     def value(s2: float) -> float:
         point = SpectralPoint.from_noise_power(s2)
-        if branch == "sensing":
-            fp = solve_sensing(stats, w_bf, point, opts)
-            return shannon_sensing(fp, point, stats.dims, g_eff)
-        fp = solve_comm(stats, w_bf, point, opts)
-        return shannon_comm(fp, point, stats.dims, h_eff)
+        return shannon(solve(stats, w_bf, point, opts), point, stats.dims, mean)
 
     fd = (value(sigma2 + h) - value(sigma2 - h)) / (2.0 * h)
-    point = SpectralPoint.from_noise_power(sigma2)
-    if branch == "sensing":
-        cauchy = cauchy_sensing(solve_sensing(stats, w_bf, point, opts))
-    else:
-        cauchy = cauchy_comm(solve_comm(stats, w_bf, point, opts))
-    return abs(fd - (-1.0 / sigma2 - cauchy))
+    cauchy_value = cauchy(solve(stats, w_bf, SpectralPoint.from_noise_power(sigma2), opts))
+    return abs(fd - (-1.0 / sigma2 - cauchy_value))

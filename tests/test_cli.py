@@ -277,3 +277,26 @@ def test_unusable_output_path_fails_before_the_work(tmp_path, capsys, monkeypatc
     not_a_dir.write_text("")
     assert main(["tradeoff", "--config", cfg_path, "--out", str(not_a_dir)]) == 1
     assert "config error: cannot create the output directory" in capsys.readouterr().err
+
+
+def test_output_file_that_is_a_directory_is_a_config_error(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, TINY)
+    out = tmp_path / "out"
+    (out / "scenario.json").mkdir(parents=True)
+    assert main(["scenario-gen", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: cannot write {out / 'scenario.json'}" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_file_after_the_work_is_a_config_error(tmp_path, capsys, monkeypatch):
+    from isac_mi import cli
+
+    monkeypatch.setattr(cli, "run_tradeoff", lambda cfg: TRADEOFF_HEADER + "\n0,1,1,1\n")
+    cfg_path = _write_config(tmp_path, TINY)
+    out = tmp_path / "out"
+    (out / "tradeoff.csv").mkdir(parents=True)
+    assert main(["tradeoff", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: cannot write {out / 'tradeoff.csv'}" in err
+    assert "Traceback" not in err

@@ -124,6 +124,9 @@ def test_derivative_identity_rejects_bad_args(scenario4, beamformer4):
         derivative_identity_check(scenario4, beamformer4, NoiseConfig(0.0), "comm", -1.0)
     with pytest.raises(ValueError):
         derivative_identity_check(scenario4, beamformer4, NoiseConfig(0.0), "both", 1e-4)
+    noise = NoiseConfig(0.0)
+    with pytest.raises(ValueError, match="sigma2"):
+        derivative_identity_check(scenario4, beamformer4, noise, "comm", noise.sigma_c2)
 
 
 def test_corrupted_fixed_point_raises_non_real(scenario4, beamformer4):

@@ -4,7 +4,9 @@
 {1, 2, 4}, n_s in {m, 4m}, kappa from near-Rayleigh to pure LoS and SNR from
 -20 to 40 dB, each with the default beamformer on scenario seed 7.  Every
 point must converge to a fixed point with the resolvent sign structure and
-self-consistent stored equations.
+self-consistent stored equations.  A few of these points also check that the
+MIs are stationary in the solver residual, the derivative identity and the
+closed form against Monte Carlo.
 """
 
 import itertools
@@ -15,10 +17,13 @@ import pytest
 
 from isac_mi import (
     NoiseConfig,
+    SolverOptions,
     SpectralPoint,
     SystemDims,
     default_beamformer,
+    derivative_identity_check,
     generate_scenario,
+    mi_curves,
     residual_comm,
     residual_sensing,
     weighted_mi,
@@ -26,27 +31,50 @@ from isac_mi import (
 
 _SHAPES = ((16, 16, 16, 16), (32, 16, 8, 8), (16, 8, 12, 6))  # (n_t, n_r, n_u, m)
 
-_GRID = [
-    pytest.param(
-        shape, num_scatter, n_s_factor, kappa, snr_db,
+
+def _point(shape, num_scatter, n_s, kappa, snr_db):
+    """One grid point as a pytest param with a readable id."""
+    return pytest.param(
+        shape, num_scatter, n_s, kappa, snr_db,
         id=f"{'/'.join(map(str, shape[:3]))},m={shape[3]},L={num_scatter},"
-        f"n_s={n_s_factor * shape[3]},kappa={kappa:g},snr={snr_db:g}dB",
+        f"n_s={n_s},kappa={kappa:g},snr={snr_db:g}dB",
     )
+
+
+def _setup(shape, num_scatter, n_s, kappa, snr_db):
+    """(scenario on seed 7, default beamformer, noise) of one grid point."""
+    n_t, n_r, n_u, m = shape
+    dims = SystemDims(n_t=n_t, n_r=n_r, n_u=n_u, num_scatter=num_scatter, m=m, n_s=n_s)
+    return (
+        generate_scenario(dims, kappa, seed=7),
+        default_beamformer(dims, float(n_t)),
+        NoiseConfig(snr_db),
+    )
+
+
+_GRID = [
+    _point(shape, num_scatter, n_s_factor * shape[3], kappa, snr_db)
     for shape, num_scatter, n_s_factor, kappa, snr_db in itertools.product(
         _SHAPES, (1, 2, 4), (1, 4), (0.05, 1.0, math.inf), (-20.0, 0.0, 20.0, 30.0, 40.0)
     )
 ]
 
+# high-SNR points of the solve-highsnr bench workload: headline at 40 dB,
+# near-Rayleigh with L = 4, and m < n_t
+_HARD = [
+    _point((16, 16, 16, 16), 2, 16, 1.0, 40.0),
+    _point((16, 16, 16, 16), 4, 64, 0.05, 30.0),
+    _point((32, 16, 8, 8), 2, 64, 1.0, 30.0),
+]
 
-@pytest.mark.parametrize("shape, num_scatter, n_s_factor, kappa, snr_db", _GRID)
+_PARAMS = "shape, num_scatter, n_s, kappa, snr_db"
+
+
+@pytest.mark.parametrize(_PARAMS, _GRID)
 def test_grid_point_converges_to_a_consistent_fixed_point(
-    shape, num_scatter, n_s_factor, kappa, snr_db
+    shape, num_scatter, n_s, kappa, snr_db
 ):
-    n_t, n_r, n_u, m = shape
-    dims = SystemDims(n_t=n_t, n_r=n_r, n_u=n_u, num_scatter=num_scatter, m=m, n_s=n_s_factor * m)
-    stats = generate_scenario(dims, kappa, seed=7)
-    bf = default_beamformer(dims, float(n_t))
-    noise = NoiseConfig(snr_db)
+    stats, bf, noise = _setup(shape, num_scatter, n_s, kappa, snr_db)
     _, fp_s, fp_c = weighted_mi(stats, bf, noise, 0.8, return_fixed_points=True)
     assert np.linalg.eigvalsh(-fp_s.g_c_tilde).min() > -1e-8
     assert np.linalg.eigvalsh(fp_s.g_c).min() > -1e-8
@@ -57,3 +85,37 @@ def test_grid_point_converges_to_a_consistent_fixed_point(
     point_c = SpectralPoint.from_noise_power(noise.sigma_c2)
     assert residual_sensing(fp_s, stats, bf, point_s) <= 1e-10
     assert residual_comm(fp_c, stats, bf, point_c) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    _PARAMS,
+    [_point((16, 16, 16, 16), 1, 16, 1.0, 20.0), _point((16, 16, 16, 16), 4, 64, 1.0, 0.0)],
+)
+def test_mi_is_second_order_in_the_solver_residual(shape, num_scatter, n_s, kappa, snr_db):
+    # the Shannon transform is stationary at the fixed point, so a solve at the
+    # default tolerance gives the MIs of a far tighter solve
+    stats, bf, noise = _setup(shape, num_scatter, n_s, kappa, snr_db)
+    default = weighted_mi(stats, bf, noise, 0.8)
+    tight = weighted_mi(stats, bf, noise, 0.8, SolverOptions(tol=1e-13))
+    assert abs(default.i_s - tight.i_s) <= 1e-12 * tight.i_s
+    assert abs(default.i_c - tight.i_c) <= 1e-12 * tight.i_c
+
+
+@pytest.mark.parametrize(_PARAMS, _HARD)
+def test_derivative_identity_at_hard_points(shape, num_scatter, n_s, kappa, snr_db):
+    # the discrepancy scales with 1/sigma2, so it is gated relative to it
+    stats, bf, noise = _setup(shape, num_scatter, n_s, kappa, snr_db)
+    for branch, sigma2 in (("sensing", noise.sigma_s2), ("comm", noise.sigma_c2)):
+        discrepancy = derivative_identity_check(stats, bf, noise, branch, 1e-4 * sigma2)
+        assert sigma2 * discrepancy <= 1e-8, branch
+
+
+@pytest.mark.parametrize(_PARAMS, _HARD)
+def test_closed_form_matches_monte_carlo_at_hard_points(
+    shape, num_scatter, n_s, kappa, snr_db
+):
+    stats, bf, noise = _setup(shape, num_scatter, n_s, kappa, snr_db)
+    report = weighted_mi(stats, bf, noise, 0.8)
+    mc_s, mc_c = mi_curves(stats, bf, [noise], trials=2000)
+    assert abs(report.i_s - mc_s[0].mean) / mc_s[0].mean < 0.02
+    assert abs(report.i_c - mc_c[0].mean) / mc_c[0].mean < 0.02
