@@ -19,7 +19,7 @@ from pathlib import Path
 
 from ._linalg import SingularMatrixError
 from .fixedpoint import ConvergenceError, SolverOptions
-from .mi import NonRealShannonError, weighted_mi
+from .mi import MiReport, NonRealShannonError, weighted_mi
 from .model import (
     Beamformer,
     GeometryConfig,
@@ -305,15 +305,13 @@ def run_sweep(cfg: ExperimentConfig) -> str:
     """Baseline vs PGA-optimized weighted MI over the SNR grid."""
     stats = _scenario(cfg)
     baseline = default_beamformer(cfg.dims, cfg.p_t)
-    # warm start: monotone ascent keeps optimized >= baseline
+    # PGA starts at the baseline: monotone ascent keeps optimized >= baseline
     pga_opts = replace(cfg.pga, init=baseline)
 
     def one(snr: float):
-        noise = NoiseConfig(snr, cfg.sensing_offset_db)
-        base_report = weighted_mi(stats, baseline, noise, cfg.rho, cfg.solver)
-        best, trace = pga(stats, noise, cfg.rho, cfg.p_t, pga_opts)
-        opt_report = weighted_mi(stats, best, noise, cfg.rho, cfg.solver)
-        return base_report.weighted, opt_report.weighted, len(trace.rows) - 1
+        # PGA's start row is the baseline and its best report the optimum: no re-solve
+        _, trace = pga(stats, NoiseConfig(snr, cfg.sensing_offset_db), cfg.rho, cfg.p_t, pga_opts)
+        return trace.rows[0].weighted_mi, trace.best.weighted, len(trace.rows) - 1
 
     results = [one(snr) for snr in cfg.snr_db_grid]
     lines = [SWEEP_HEADER]
@@ -332,15 +330,14 @@ def run_tradeoff(cfg: ExperimentConfig) -> str:
     stats = _scenario(cfg)
     noise = NoiseConfig(cfg.snr_db, cfg.sensing_offset_db)
 
-    candidates: list[Beamformer] = []
+    pairs: list[MiReport] = []
     init: Beamformer | None = None
     for rho in cfg.rho_grid:
-        best, _ = pga(stats, noise, rho, cfg.p_t, replace(cfg.pga, init=init))
-        candidates.append(best)
-        init = best
+        init, trace = pga(stats, noise, rho, cfg.p_t, replace(cfg.pga, init=init))
+        pairs.append(trace.best)
 
-    # i_s and i_c do not depend on rho, so each candidate is evaluated once.
-    pairs = [weighted_mi(stats, w_bf, noise, 0.5, cfg.solver) for w_bf in candidates]
+    # i_s and i_c do not depend on rho, so each candidate's pair is the one PGA
+    # already solved for it (warm-started, with a cold fallback): no re-solve.
     lines = [TRADEOFF_HEADER]
     for rho in cfg.rho_grid:
         best_idx = max(

@@ -399,8 +399,13 @@ def _solve(system: _System, start, opts: SolverOptions):
     """Iterate `system` from `start` (None: the zero-channel solution) and check the
     sign structure.  Returns (g, g_tilde, (psi_tilde blocks, psi, pi, phi, rhs_g),
     residual, iterations, history)."""
+    n = system.h_raw.shape[0]
     if start is None:
-        start = (np.eye(system.m), np.eye(system.h_raw.shape[0]) / system.w)
+        start = (np.eye(system.m), np.eye(n) / system.w)
+    shapes, expected = tuple(np.shape(b) for b in start), ((system.m, system.m), (n, n))
+    if shapes != expected:
+        branch = system.branch
+        raise ValueError(f"{branch} warm start has (g, g_tilde) shapes {shapes}, expected {expected}")
     (g, g_tilde), derived, residual, it, history = _iterate(system, start, opts)
     if min_eigval(-g_tilde) < SIGN_EIG_FLOOR or min_eigval(g) < SIGN_EIG_FLOOR:
         reason = "violated the resolvent sign structure"

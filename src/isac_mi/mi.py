@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # inv_herm is unused here but stays bound: bench/tracer.py wraps isac_mi.mi.inv_herm by name
-from ._linalg import inv_herm, logdet_phased  # noqa: F401
+from ._linalg import SingularMatrixError, inv_herm, logdet_phased  # noqa: F401
 from .fixedpoint import (
     CommFixedPoint,
+    ConvergenceError,
     SensingFixedPoint,
     SolverOptions,
     SpectralPoint,
@@ -139,6 +140,17 @@ def cauchy_comm(fp: CommFixedPoint) -> float:
     return float(np.trace(fp.g_e_tilde).real) / fp.g_e_tilde.shape[0]
 
 
+def _solve_from(solve, stats, w_bf, point, opts, initial):
+    """`solve` warm-started from the fixed point `initial`, re-solved cold when
+    `initial` is None or the warm solve fails; only a failed cold solve raises."""
+    if initial is not None:
+        try:
+            return solve(stats, w_bf, point, opts, initial=initial)
+        except (ConvergenceError, SingularMatrixError):
+            pass
+    return solve(stats, w_bf, point, opts)
+
+
 def weighted_mi(
     stats: ScenarioStats,
     w_bf: Beamformer,
@@ -146,20 +158,24 @@ def weighted_mi(
     rho: float,
     opts: SolverOptions = SolverOptions(),
     return_fixed_points: bool = False,
+    initial: tuple[SensingFixedPoint, CommFixedPoint] | None = None,
 ):
     """Solve both branches and combine: rho * i_s + (1 - rho) * i_c, in nats.
 
     Sensing is evaluated at sigma_s2 and communication at sigma_c2.  With
-    return_fixed_points=True the converged fixed points are returned as well
-    (used by the beamforming optimizer).
+    return_fixed_points=True the converged fixed points are returned as well;
+    the beamforming optimizer passes those of a nearby beamformer back as
+    `initial` = (sensing, comm) to warm-start both solves, with a cold re-solve
+    of a branch whose warm solve fails.
     """
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     dims = stats.dims
     point_s = SpectralPoint.from_noise_power(noise.sigma_s2)
     point_c = SpectralPoint.from_noise_power(noise.sigma_c2)
-    fp_s = solve_sensing(stats, w_bf, point_s, opts)
-    fp_c = solve_comm(stats, w_bf, point_c, opts)
+    init_s, init_c = (None, None) if initial is None else initial
+    fp_s = _solve_from(solve_sensing, stats, w_bf, point_s, opts, init_s)
+    fp_c = _solve_from(solve_comm, stats, w_bf, point_c, opts, init_c)
     g_eff, h_eff, _ = effective_los(stats, w_bf)
     i_s = dims.num_scatter * dims.n_r * shannon_sensing(fp_s, point_s, dims, g_eff)
     i_c = dims.n_u * shannon_comm(fp_c, point_c, dims, h_eff)
@@ -194,6 +210,7 @@ def derivative_identity_check(
     The per-dimension Shannon transform of either branch must satisfy
     dV/dsigma2 = -1/sigma2 - G(-sigma2); the returned discrepancy should
     vanish to finite-difference accuracy on any scenario.  The step h is in (0, sigma2).
+    The sigma2 +- h solves are warm-started from the solve at sigma2.
     """
     if branch not in _BRANCHES:
         raise ValueError("branch must be 'sensing' or 'comm'")
@@ -203,10 +220,12 @@ def derivative_identity_check(
         raise ValueError(f"finite-difference step {h:g} must lie in (0, sigma2 = {sigma2:g})")
     mean = effective_los(stats, w_bf)[los]
 
+    centre = solve(stats, w_bf, SpectralPoint.from_noise_power(sigma2), opts)
+
     def value(s2: float) -> float:
         point = SpectralPoint.from_noise_power(s2)
-        return shannon(solve(stats, w_bf, point, opts), point, stats.dims, mean)
+        fp = _solve_from(solve, stats, w_bf, point, opts, centre)
+        return shannon(fp, point, stats.dims, mean)
 
     fd = (value(sigma2 + h) - value(sigma2 - h)) / (2.0 * h)
-    cauchy_value = cauchy(solve(stats, w_bf, SpectralPoint.from_noise_power(sigma2), opts))
-    return abs(fd - (-1.0 / sigma2 - cauchy_value))
+    return abs(fd - (-1.0 / sigma2 - cauchy(centre)))

@@ -6,8 +6,10 @@ values; by stationarity of the deterministic equivalent this equals the
 total derivative, which the finite-difference suite pins down.  For a real
 objective f(W), a perturbation dW changes f by 2 Re Tr(grad' dW), so the
 update W + lambda * grad ascends.  Every candidate step is followed by a
-projection onto the Frobenius power ball and evaluated by a full
-fixed-point re-solve.
+projection onto the Frobenius power ball and evaluated by a fixed-point
+re-solve warm-started from the fixed points of the current accepted point;
+a branch whose warm solve fails is re-solved cold, and only a failed cold
+solve aborts the ascent.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from ._linalg import SingularMatrixError, inv_herm  # noqa: F401
 from .fixedpoint import CommFixedPoint, ConvergenceError, SensingFixedPoint, SolverOptions
 from .fixedpoint import _comm_system, _sensing_system
-from .mi import NonRealShannonError, weighted_mi
+from .mi import MiReport, NonRealShannonError, weighted_mi
 from .model import Beamformer, NoiseConfig, ScenarioStats
 
 UNCONVERGED_RESIDUAL = 1e-6
@@ -72,16 +74,24 @@ class PgaOptions:
 
 @dataclass(frozen=True)
 class PgaTraceRow:
+    """One accepted point.  evaluations counts the weighted-MI solves spent on
+    the step (rejected line-search candidates included), solver_iterations the
+    sensing plus comm iterations of the solves they returned.  Neither is in
+    the CSV, and a final line search that finds no ascent step has no row."""
+
     iteration: int
     weighted_mi: float  # nats
     step_size: float
     grad_norm: float
     feasible: bool
+    evaluations: int = 0
+    solver_iterations: int = 0
 
 
 @dataclass
 class PgaTrace:
     rows: list[PgaTraceRow] = field(default_factory=list)
+    best: MiReport | None = None  # report of the best feasible point seen
 
     CSV_HEADER = "iter,weighted_bits,step,grad_norm"
 
@@ -164,22 +174,34 @@ def pga(
 ) -> tuple[Beamformer, PgaTrace]:
     """Algorithm: step along the gradient, project, stop on a small MI change.
 
-    Returns the best feasible beamformer seen and the per-iteration trace.
-    Under backtracking the trace is monotone nondecreasing and the result is
-    never worse than the initial point.
+    Returns the best feasible beamformer seen and the per-iteration trace,
+    whose `best` is that beamformer's MiReport.  Under backtracking the trace
+    is monotone nondecreasing and the result is never worse than the initial
+    point.  Only the first solve is cold; every candidate is warm-started
+    from the fixed points of the current point.
     """
     trace = PgaTrace()
     current = _initial_beamformer(stats, p_t, opts)
+    spent: list[MiReport] = []  # the evaluations since the last trace row
 
-    def evaluate(w_bf: Beamformer):
+    def evaluate(w_bf: Beamformer, initial):
         try:
-            return weighted_mi(stats, w_bf, noise, rho, opts.solver, return_fixed_points=True)
+            out = weighted_mi(
+                stats, w_bf, noise, rho, opts.solver, return_fixed_points=True, initial=initial
+            )
         except (ConvergenceError, SingularMatrixError, NonRealShannonError) as exc:
             raise PgaAbort(f"fixed-point solve failed inside PGA: {exc}", trace) from exc
+        spent.append(out[0])
+        return out
 
-    report, fp_s, fp_c = evaluate(current)
-    trace.rows.append(PgaTraceRow(0, report.weighted, 0.0, 0.0, True))
-    best = (current, report)
+    def record(it: int, value: float, lam: float, grad_norm: float, feasible: bool) -> None:
+        iters = sum(r.diagnostics.iterations_s + r.diagnostics.iterations_c for r in spent)
+        trace.rows.append(PgaTraceRow(it, value, lam, grad_norm, feasible, len(spent), iters))
+        spent.clear()
+
+    report, fp_s, fp_c = evaluate(current, None)
+    record(0, report.weighted, 0.0, 0.0, True)
+    best_w, trace.best = current, report
 
     for it in range(1, opts.max_outer_iters + 1):
         grad = gradient(stats, current, noise, rho, fp_s, fp_c)
@@ -190,7 +212,7 @@ def pga(
         if opts.step == "fixed":
             lam = float(opts.lambda0)
             candidate = Beamformer(project(current.w + lam * grad, p_t), p_t)
-            cand_report, fp_s, fp_c = evaluate(candidate)
+            cand_report, fp_s, fp_c = evaluate(candidate, (fp_s, fp_c))
             accepted = True
         else:
             lam = opts.lambda0 if opts.lambda0 is not None else math.sqrt(p_t) / (1.0 + grad_norm)
@@ -198,7 +220,7 @@ def pga(
             accepted = False
             while lam > lam_floor:
                 candidate = Beamformer(project(current.w + lam * grad, p_t), p_t)
-                cand_report, cand_fs, cand_fc = evaluate(candidate)
+                cand_report, cand_fs, cand_fc = evaluate(candidate, (fp_s, fp_c))
                 if cand_report.weighted >= report.weighted + opts.slope * lam * grad_norm**2:
                     fp_s, fp_c = cand_fs, cand_fc
                     accepted = True
@@ -209,12 +231,10 @@ def pga(
 
         previous = report.weighted
         current, report = candidate, cand_report
-        trace.rows.append(
-            PgaTraceRow(it, report.weighted, lam, grad_norm, current.power <= p_t + 1e-12)
-        )
-        if report.weighted > best[1].weighted:
-            best = (current, report)
+        record(it, report.weighted, lam, grad_norm, current.power <= p_t + 1e-12)
+        if report.weighted > trace.best.weighted:
+            best_w, trace.best = current, report
         if abs(report.weighted - previous) <= opts.epsilon:
             break
 
-    return best[0], trace
+    return best_w, trace

@@ -15,6 +15,7 @@ from isac_mi import (
     default_beamformer,
     effective_los,
     estimate,
+    generate_scenario,
     residual_comm,
     residual_sensing,
     solve_comm,
@@ -187,6 +188,24 @@ def test_two_initializations_agree(scenario4, beamformer4):
     other_c = solve_comm(scenario4, beamformer4, SpectralPoint(-2.0))
     warm_c = solve_comm(scenario4, beamformer4, point, initial=other_c)
     assert np.allclose(cold_c.g_e, warm_c.g_e, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "branch, solve, received, expected",
+    [("sensing", solve_sensing, (6, 6), (8, 8)), ("comm", solve_comm, (6, 6), (4, 4))],
+)
+def test_mis_shaped_warm_start_names_branch_and_shapes(
+    branch, solve, received, expected, scenario4, beamformer4
+):
+    # a fixed point of other dims is rejected before it is unpacked
+    dims = SystemDims(n_t=4, n_r=3, n_u=6, num_scatter=2, m=4, n_s=5)
+    stats = generate_scenario(dims, rician_kappa=1.0, seed=3)
+    point = SpectralPoint(-0.5)
+    other = solve(stats, default_beamformer(dims, 4.0), point)
+    with pytest.raises(ValueError, match=rf"{branch} warm start") as info:
+        solve(scenario4, beamformer4, point, initial=other)
+    message = str(info.value)
+    assert f"((4, 4), {received})" in message and f"expected ((4, 4), {expected})" in message
 
 
 def test_iteration_trace_is_written(scenario4, beamformer4):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import isac_mi.mi as mi_module
 from isac_mi import (
     Beamformer,
     MiReport,
@@ -109,6 +110,25 @@ def test_derivative_identity_random_scenario(branch, scenario4, beamformer4):
     sigma2 = noise.sigma_s2 if branch == "sensing" else noise.sigma_c2
     discrepancy = derivative_identity_check(scenario4, beamformer4, noise, branch, 1e-4 * sigma2)
     assert discrepancy < 1e-6
+
+
+@pytest.mark.parametrize("branch", ["sensing", "comm"])
+def test_derivative_identity_warm_starts_from_the_centre(branch, scenario4, beamformer4, monkeypatch):
+    noise_power, solve, *rest = mi_module._BRANCHES[branch]
+    calls = []
+
+    def recording(stats, w_bf, point, opts, initial=None):
+        fp = solve(stats, w_bf, point, opts, initial=initial)
+        calls.append((point.w, initial, fp))
+        return fp
+
+    monkeypatch.setitem(mi_module._BRANCHES, branch, (noise_power, recording, *rest))
+    noise = NoiseConfig(2.0)
+    sigma2 = getattr(noise, noise_power)
+    derivative_identity_check(scenario4, beamformer4, noise, branch, 1e-4 * sigma2)
+    (w0, first, centre), *sides = calls
+    assert w0 == -sigma2 and first is None
+    assert len(sides) == 2 and all(initial is centre for _, initial, _ in sides)
 
 
 def test_derivative_identity_zero_channel():

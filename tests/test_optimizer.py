@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import isac_mi.mi as mi_module
 from isac_mi import (
     Beamformer,
+    ConvergenceError,
     NoiseConfig,
     PgaAbort,
     PgaOptions,
@@ -27,6 +29,30 @@ def interior_beamformer(dims4):
     w = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     w = 0.8 * 2.0 * w / np.linalg.norm(w)  # norm 1.6, strictly inside sqrt(p_t) = 2
     return Beamformer(w, 4.0)
+
+
+def _patch_solvers(monkeypatch, wrap):
+    """Route both solves of weighted_mi through wrap(solver)."""
+    for name in ("solve_sensing", "solve_comm"):
+        monkeypatch.setattr(mi_module, name, wrap(getattr(mi_module, name)))
+
+
+def _recording(log, mode="warm"):
+    """A solver wrapper that logs (initial, iterations) per call; mode "cold"
+    drops the warm start, mode "fail" raises on every warm start."""
+
+    def wrap(solve):
+        def patched(stats, w_bf, point, opts, initial=None):
+            log.append([initial, None])
+            if mode == "fail" and initial is not None:
+                raise ConvergenceError("patched", 0, 1.0)
+            fp = solve(stats, w_bf, point, opts, initial=None if mode == "cold" else initial)
+            log[-1][1] = fp.iterations
+            return fp
+
+        return patched
+
+    return wrap
 
 
 def test_gradient_vanishes_at_zero_beamformer(scenario4, dims4):
@@ -112,11 +138,15 @@ def test_pga_random_init_never_loses_to_start(scenario4):
     assert opt.weighted >= trace.rows[0].weighted_mi - 1e-12
 
 
-def test_pga_fixed_step_mode(scenario4, dims4):
+def test_pga_fixed_step_mode(scenario4, dims4, monkeypatch):
     noise = NoiseConfig(5.0)
     opts = PgaOptions(step="fixed", lambda0=0.05, max_outer_iters=8, init=default_beamformer(dims4, 4.0))
+    log = []
+    _patch_solvers(monkeypatch, _recording(log))
     best, trace = pga(scenario4, noise, 0.8, 4.0, opts)
     assert len(trace.rows) >= 2
+    assert all(initial is not None for initial, _ in log[2:])  # every step is warm-started
+    assert [row.evaluations for row in trace.rows] == [1] * len(trace.rows)
     opt = weighted_mi(scenario4, best, noise, 0.8)
     assert opt.weighted >= trace.rows[0].weighted_mi  # best-so-far is returned
 
@@ -154,3 +184,77 @@ def test_trace_csv_schema():
     assert lines[0] == "iter,weighted_bits,step,grad_norm"
     assert lines[1].startswith("0,1,")
     assert lines[2].startswith("1,2,0.5,1.25")
+
+
+def test_trace_csv_header_is_pinned_and_ignores_cost_fields():
+    assert PgaTrace.CSV_HEADER == "iter,weighted_bits,step,grad_norm"
+    plain = PgaTrace(rows=[PgaTraceRow(1, math.log(2.0), 0.5, 1.25, True)])
+    costed = PgaTrace(
+        rows=[PgaTraceRow(1, math.log(2.0), 0.5, 1.25, True, evaluations=3, solver_iterations=40)]
+    )
+    assert costed.to_csv() == plain.to_csv() == "iter,weighted_bits,step,grad_norm\n1,1,0.5,1.25\n"
+
+
+def test_pga_warm_starts_every_solve_after_the_first(scenario4, dims4, monkeypatch):
+    noise = NoiseConfig(10.0)
+    opts = PgaOptions(init=default_beamformer(dims4, 4.0))
+    runs = {}
+    for mode in ("cold", "warm"):
+        log = []
+        with monkeypatch.context() as patch:
+            _patch_solvers(patch, _recording(log, mode))
+            best, trace = pga(scenario4, noise, 0.8, 4.0, opts)
+        runs[mode] = (best, trace, log)
+
+    best, trace, log = runs["warm"]
+    assert [initial for initial, _ in log[:2]] == [None, None]
+    assert all(initial is not None for initial, _ in log[2:])
+    assert any(row.evaluations > 1 for row in trace.rows)  # the run backtracked
+    # the trace accounts for every solve: 2 per evaluation, iterations summed
+    assert 2 * sum(row.evaluations for row in trace.rows) == len(log)
+    warm_iters = sum(iters for _, iters in log)
+    assert sum(row.solver_iterations for row in trace.rows) == warm_iters
+    cold_iters = sum(iters for _, iters in runs["cold"][2])
+    assert warm_iters < cold_iters
+    assert abs(trace.best.weighted - runs["cold"][1].best.weighted) <= opts.epsilon
+    assert abs(trace.best.weighted - weighted_mi(scenario4, best, noise, 0.8).weighted) < 1e-9
+
+
+def test_pga_falls_back_to_cold_when_a_warm_solve_fails(scenario4, dims4, monkeypatch):
+    noise = NoiseConfig(10.0)
+    opts = PgaOptions(init=default_beamformer(dims4, 4.0), max_outer_iters=3)
+    unpatched, _ = pga(scenario4, noise, 0.8, 4.0, opts)
+    runs = {}
+    for mode in ("cold", "fail"):
+        log = []
+        with monkeypatch.context() as patch:
+            _patch_solvers(patch, _recording(log, mode))
+            runs[mode] = pga(scenario4, noise, 0.8, 4.0, opts)
+    best, trace = runs["fail"]
+    # every failed warm solve is repeated cold, so the run is the all-cold run
+    assert np.array_equal(best.w, runs["cold"][0].w)
+    assert trace.to_csv() == runs["cold"][1].to_csv()
+    assert np.allclose(best.w, unpatched.w, atol=1e-8)
+
+
+def test_pga_abort_after_failed_cold_fallback_carries_trace(scenario4, dims4, monkeypatch):
+    log = []
+
+    def start_only(solve):
+        def patched(stats, w_bf, point, opts, initial=None):
+            log.append(initial)
+            if initial is not None or len(log) > 2:  # only the two cold start solves succeed
+                raise ConvergenceError("patched", 0, 1.0)
+            return solve(stats, w_bf, point, opts)
+
+        return patched
+
+    _patch_solvers(monkeypatch, start_only)
+    opts = PgaOptions(init=default_beamformer(dims4, 4.0))
+    with pytest.raises(PgaAbort, match="fixed-point solve failed") as info:
+        pga(scenario4, NoiseConfig(10.0), 0.8, 4.0, opts)
+    assert log[0] is None and log[1] is None
+    assert log[2] is not None and log[3] is None  # the warm solve, then its cold fallback
+    trace = info.value.trace
+    assert [row.iteration for row in trace.rows] == [0]
+    assert trace.best.weighted == trace.rows[0].weighted_mi
