@@ -10,6 +10,14 @@ projection onto the Frobenius power ball and evaluated by a fixed-point
 re-solve warm-started from the fixed points of the current accepted point;
 a branch whose warm solve fails is re-solved cold, and only a failed cold
 solve aborts the ascent.
+
+Backtracking uses the Armijo rule along the projection arc (Bertsekas,
+IEEE TAC 1976): with d = P(W + lambda * grad) - W, a step is accepted when
+f(W + d) >= f(W) + slope * Re<grad, d>.  Without projection d = lambda * grad
+and this is the classical test; on the power-ball boundary it asks only for
+the gain the projected step can deliver, not that of the discarded radial
+part.  Projection onto a convex set gives Re<grad, d> >= ||d||^2 / lambda,
+so every accepted step ascends.
 """
 
 from __future__ import annotations
@@ -41,10 +49,12 @@ class PgaAbort(RuntimeError):
 class PgaOptions:
     """Stopping rule, step rule and initialization for the ascent.
 
-    step is "backtracking" (Armijo shrinking from lambda0, default
-    sqrt(p_t)/(1 + ||grad||_F)) or "fixed" (constant lambda0, accepted
-    unconditionally).  init is None for a random Gaussian start projected
-    to the power ball, or a Beamformer to start from.
+    step is "backtracking" (Armijo along the projection arc, Bertsekas 1976:
+    lambda shrinks by beta from lambda0, default sqrt(p_t)/(1 + ||grad||_F),
+    until the MI gains slope * Re<grad, d> for the projected step d) or
+    "fixed" (constant lambda0, accepted unconditionally).  init is None for
+    a random Gaussian start projected to the power ball, or a Beamformer to
+    start from.
     """
 
     epsilon: float = 1e-4
@@ -77,7 +87,8 @@ class PgaTraceRow:
     """One accepted point.  evaluations counts the weighted-MI solves spent on
     the step (rejected line-search candidates included), solver_iterations the
     sensing plus comm iterations of the solves they returned.  Neither is in
-    the CSV, and a final line search that finds no ascent step has no row."""
+    the CSV.  A final line search that accepts no step has no row; its solves
+    are counted in PgaTrace.final_search_evaluations."""
 
     iteration: int
     weighted_mi: float  # nats
@@ -92,6 +103,7 @@ class PgaTraceRow:
 class PgaTrace:
     rows: list[PgaTraceRow] = field(default_factory=list)
     best: MiReport | None = None  # report of the best feasible point seen
+    final_search_evaluations: int = 0  # solves of a last line search that accepted no step
 
     CSV_HEADER = "iter,weighted_bits,step,grad_norm"
 
@@ -175,9 +187,13 @@ def pga(
     """Algorithm: step along the gradient, project, stop on a small MI change.
 
     Returns the best feasible beamformer seen and the per-iteration trace,
-    whose `best` is that beamformer's MiReport.  Under backtracking the trace
-    is monotone nondecreasing and the result is never worse than the initial
-    point.  Only the first solve is cold; every candidate is warm-started
+    whose `best` is that beamformer's MiReport.  Backtracking tests the
+    Armijo condition against the projected step d = P(W + lambda * grad) - W
+    (Bertsekas 1976), f(W + d) >= f(W) + slope * Re<grad, d>.  It gives up
+    when lambda falls below 1e-12 lambda0, or without a solve when rounding
+    leaves Re<grad, d> <= 0.  Under backtracking the trace is monotone
+    nondecreasing and the result is never worse than the initial point.
+    Only the first solve is cold; every candidate is warm-started
     from the fixed points of the current point.
     """
     trace = PgaTrace()
@@ -220,8 +236,12 @@ def pga(
             accepted = False
             while lam > lam_floor:
                 candidate = Beamformer(project(current.w + lam * grad, p_t), p_t)
+                # Armijo along the projection arc: the predicted gain of the projected step
+                predicted = float(np.vdot(grad, candidate.w - current.w).real)
+                if predicted <= 0.0:
+                    break  # the projected step is lost in rounding, and stays so for smaller lam
                 cand_report, cand_fs, cand_fc = evaluate(candidate, (fp_s, fp_c))
-                if cand_report.weighted >= report.weighted + opts.slope * lam * grad_norm**2:
+                if cand_report.weighted >= report.weighted + opts.slope * predicted:
                     fp_s, fp_c = cand_fs, cand_fc
                     accepted = True
                     break
@@ -237,4 +257,5 @@ def pga(
         if abs(report.weighted - previous) <= opts.epsilon:
             break
 
+    trace.final_search_evaluations = len(spent)
     return best_w, trace

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import isac_mi.mi as mi_module
+import isac_mi.optimizer as optimizer_module
 from isac_mi import (
     Beamformer,
     ConvergenceError,
@@ -14,6 +15,7 @@ from isac_mi import (
     SolverOptions,
     SystemDims,
     default_beamformer,
+    generate_scenario,
     gradient,
     pga,
     project,
@@ -196,8 +198,10 @@ def test_trace_csv_header_is_pinned_and_ignores_cost_fields():
 
 
 def test_pga_warm_starts_every_solve_after_the_first(scenario4, dims4, monkeypatch):
-    noise = NoiseConfig(10.0)
-    opts = PgaOptions(init=default_beamformer(dims4, 4.0))
+    # a long first step from a weak start overshoots, so the run backtracks
+    noise = NoiseConfig(30.0)
+    start = Beamformer(0.1 * default_beamformer(dims4, 4.0).w, 4.0)
+    opts = PgaOptions(init=start, lambda0=1e3)
     runs = {}
     for mode in ("cold", "warm"):
         log = []
@@ -258,3 +262,81 @@ def test_pga_abort_after_failed_cold_fallback_carries_trace(scenario4, dims4, mo
     trace = info.value.trace
     assert [row.iteration for row in trace.rows] == [0]
     assert trace.best.weighted == trace.rows[0].weighted_mi
+
+
+def test_projected_step_is_an_ascent_step():
+    # The Armijo test of pga predicts the gain Re<g, d> of the projected step
+    # d = project(W + lam g) - W.  Projection onto the convex power ball gives
+    # Re<g, d> >= ||d||^2 / lam, and Re<g, d> = lam ||g||^2 when it is inactive.
+    rng = np.random.default_rng(5)
+    p_t = 4.0
+    for _ in range(200):
+        g = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        z = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        for radius in (rng.uniform(0.0, 1.0), 1.0):  # inside and on the power ball
+            w = radius * math.sqrt(p_t) * z / np.linalg.norm(z)
+            lam = 10.0 ** rng.uniform(-4.0, 2.0)
+            d = project(w + lam * g, p_t) - w
+            predicted = np.vdot(g, d).real
+            assert predicted >= np.linalg.norm(d) ** 2 / lam - 1e-12
+            lam_inside = (math.sqrt(p_t) - np.linalg.norm(w)) / (2.0 * np.linalg.norm(g))
+            if lam_inside >= 1e-3:  # W + lam g stays strictly inside: no projection
+                d = project(w + lam_inside * g, p_t) - w
+                exact = lam_inside * np.linalg.norm(g) ** 2
+                assert abs(np.vdot(g, d).real - exact) <= 1e-12 * exact
+
+
+def test_pga_tradeoff_boundary_search_accepts_the_projected_step(monkeypatch):
+    # The tradeoff scenario with continuation over rho: at rho = 0.5 the start
+    # lies on the power-ball boundary with an almost radial gradient.  Testing
+    # the unprojected gain lam ||g||^2 rejected 40 ascent steps there (44
+    # solves); the projected-step test accepts each first trial.
+    dims = SystemDims(n_t=8, n_r=8, n_u=8, num_scatter=2, m=8, n_s=8)
+    stats = generate_scenario(dims, rician_kappa=1.0, seed=7)
+    noise = NoiseConfig(10.0)
+    log = []
+    _patch_solvers(monkeypatch, _recording(log))
+    # best weighted MI (nats) of the unprojected test, for rho = 0, 0.5, 1
+    floor = {0.0: 30.7351872351, 0.5: 19.1239173023, 1.0: 7.7033002968}
+    init = None
+    for rho in (0.0, 0.5, 1.0):
+        start = len(log)
+        init, trace = pga(stats, noise, rho, 8.0, PgaOptions(init=init))
+        evaluations = sum(row.evaluations for row in trace.rows)
+        assert 2 * (evaluations + trace.final_search_evaluations) == len(log) - start
+        assert trace.final_search_evaluations == 0  # every solve belongs to a row
+        assert trace.best.weighted >= floor[rho]
+        if rho == 0.5:
+            assert evaluations <= 8
+
+
+@pytest.mark.parametrize("radial", [False, True])
+def test_pga_counts_a_final_search_that_accepts_nothing(radial, scenario4, dims4, monkeypatch):
+    # Every candidate reports less than the start, so the first line search
+    # accepts nothing.  From inside the power ball it halves lam from lambda0
+    # to its 1e-12 lambda0 floor.  With a radial gradient on the boundary the
+    # projected step is zero, so the search stops before its first solve.
+    log = []
+    _patch_solvers(monkeypatch, _recording(log))
+    reports = []
+
+    def declining(*args, **kwargs):
+        report, fp_s, fp_c = weighted_mi(*args, **kwargs)
+        reports.append(report)
+        if len(reports) > 1:
+            report = dataclasses.replace(report, weighted=reports[0].weighted - 1e-9)
+        return report, fp_s, fp_c
+
+    monkeypatch.setattr(optimizer_module, "weighted_mi", declining)
+    start = default_beamformer(dims4, 4.0)
+    if radial:
+        monkeypatch.setattr(optimizer_module, "gradient", lambda stats, w_bf, *rest: 3.0 * w_bf.w)
+    else:
+        start = Beamformer(0.5 * start.w, 4.0)
+    opts = PgaOptions(init=start)
+    _, trace = pga(scenario4, NoiseConfig(10.0), 0.8, 4.0, opts)
+    assert [row.evaluations for row in trace.rows] == [1]
+    floor = math.ceil(math.log(1e-12) / math.log(opts.beta))  # halvings to the floor
+    assert trace.final_search_evaluations == (0 if radial else floor)
+    assert 2 * (trace.rows[0].evaluations + trace.final_search_evaluations) == len(log)
+    assert trace.to_csv() == PgaTrace(rows=trace.rows).to_csv()
