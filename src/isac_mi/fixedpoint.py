@@ -17,10 +17,14 @@ two-sided Rician form of Hachem, Loubaton & Najim (Ann. Appl. Probab. 2007):
 
 around the beamformed LoS mean h (`_resolvent_pair`; its LoS term
 sum_l h_l' A_l^-1 h_l is `_los_term`, which also serves the Shannon transform
-of both branches and the PGA gradient).  The scalar chain phi = 1 - Tr(g_dd)/n_s with
-g_dd = -phi I + phi^2 g has the closed form phi = 2 / (b + sqrt(b^2 + 4 Tr g / n_s)),
-b = 1 - m/n_s, its positive root, which is exactly 1 for communication.  In
-the communication fields omega_tilde is the psi_tilde block and omega is pi.
+of both branches and the PGA gradient).  The symbol-block variables are closed-form
+functions of phi and g: g_d = 1/phi, phi_tilde = -1/phi and g_dd = -phi I + phi^2 g,
+so the scalar chain phi = 1 - Tr(g_dd)/n_s has the closed form
+phi = 2 / (b + sqrt(b^2 + 4 Tr g / n_s)), b = 1 - m/n_s, its positive root, which is
+exactly 1 for communication.  A record stores the state (g, g_tilde) and the
+self-energies at it, nothing derived from them; its `_variables` property is the one
+map of its fields onto the system's (g, g_tilde, psi_tilde blocks, pi, phi) (for
+communication: g_e, g_e_tilde, (omega_tilde,), omega and phi = 1).
 
 The system is solved by one driver, `_iterate`, from the exact zero-channel
 solution (or a warm start).  The driver runs type-II Anderson acceleration
@@ -113,8 +117,8 @@ class SolverOptions:
     damping: float = 0.5
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
         if not (0.0 < self.damping <= 1.0):
@@ -123,23 +127,25 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SensingFixedPoint:
-    """Converged sensing system.  Scalar-multiple-of-identity blocks are stored
-    as scalars: g_d_tilde = g_d_scalar * I_{n_s}, phi_tilde = phi_tilde_scalar * I_m,
-    phi = phi_scalar * I_{n_s}.  g_d_scalar = 1/phi, phi_tilde_scalar = -1/phi and
-    g_dd = -phi I + phi^2 g are functions of phi and g, kept and checked."""
+    """Converged sensing system: the state (g_c, g_c_tilde) and the self-energies
+    at it.  The record holds phi = phi_scalar * I_{n_s} as a scalar; the other
+    symbol-block variables are functions of phi and g_c and are not stored:
+    g_d = (1/phi) I_{n_s}, phi_tilde = (-1/phi) I_m and g_dd = -phi I + phi^2 g_c."""
 
     g_c_tilde: np.ndarray  # (L n_r, L n_r) Hermitian, negative definite
     g_c: np.ndarray  # (m, m) Hermitian, positive definite
-    g_d_scalar: float
-    g_dd: np.ndarray  # (m, m) Hermitian
     psi_tilde_blocks: tuple[np.ndarray, ...]  # L blocks (n_r, n_r)
     psi: np.ndarray  # (m, m)
-    phi_tilde_scalar: float
     phi_scalar: float
     pi: np.ndarray  # (m, m)
     residual: float
     iterations: int
     history: tuple[float, ...]  # residual of every iteration, in order
+
+    @property
+    def _variables(self):
+        """(g, g_tilde, psi_tilde blocks, pi, phi) of `_System`."""
+        return self.g_c, self.g_c_tilde, self.psi_tilde_blocks, self.pi, self.phi_scalar
 
 
 @dataclass(frozen=True)
@@ -151,6 +157,11 @@ class CommFixedPoint:
     residual: float
     iterations: int
     history: tuple[float, ...]  # residual of every iteration, in order
+
+    @property
+    def _variables(self):
+        """(g, g_tilde, psi_tilde blocks, pi, phi) of `_System`; phi = 1 for n_s = inf."""
+        return self.g_e, self.g_e_tilde, (self.omega_tilde,), self.omega, 1.0
 
 
 def _diag_block(a: np.ndarray, l: int, n: int) -> np.ndarray:
@@ -207,8 +218,8 @@ class _Packing:
 def _iterate(system, start, opts: SolverOptions):
     """Safeguarded Anderson iteration of `system.rhs` from the blocks `start`.
 
-    Returns (blocks, derived, residual, iterations, history) at the first
-    iterate whose residual meets opts.tol, after the conditional polish step.
+    Returns (blocks, residual, iterations, history) at the first iterate whose
+    residual meets opts.tol, after the conditional polish step.
     """
     packing = system.packing
     x = packing.pack(start)
@@ -224,18 +235,17 @@ def _iterate(system, start, opts: SolverOptions):
 
     def evaluate(x):
         blocks = packing.unpack(x)
-        rhs, derived = system.rhs(*blocks)
-        gx = packing.pack(rhs)
-        return blocks, derived, gx, packing.residual(x, gx)
+        gx = packing.pack(system.rhs(*blocks))
+        return blocks, gx, packing.residual(x, gx)
 
     for it in range(opts.max_iter + 1):
-        blocks, derived, gx, residual = evaluate(x)
+        blocks, gx, residual = evaluate(x)
         history.append(residual)
         if residual <= opts.tol:
             polished = evaluate(gx)
-            if polished[3] <= residual:
-                blocks, derived, _, residual = polished
-            return blocks, derived, residual, it, tuple(history)
+            if polished[2] <= residual:
+                blocks, _, residual = polished
+            return blocks, residual, it, tuple(history)
         if it == opts.max_iter:
             break
         if extrapolated and residual > _SAFEGUARD * last[2]:
@@ -287,15 +297,6 @@ def _resolvent_pair(a_blocks, b: np.ndarray, h: np.ndarray, contexts):
     return rx, tx
 
 
-def _g_dd(phi: float, g: np.ndarray) -> np.ndarray:
-    """g_dd = (phi_tilde - (psi - LoS)^-1)^-1 with phi_tilde = -(1/phi) I.
-
-    Woodbury, with g = (pi - LoS)^-1 = (psi - LoS - phi_tilde^-1)^-1, gives
-    phi_tilde^-1 + phi_tilde^-1 g phi_tilde^-1 = -phi I + phi^2 g.
-    """
-    return herm(-phi * np.eye(g.shape[0]) + phi**2 * g)
-
-
 class _System:
     """Right-hand sides of one deterministic-equivalent system at fixed (W, w).
 
@@ -329,7 +330,8 @@ class _System:
         return w.conj().T @ self.psi_raw(g_tilde) @ w
 
     def phi(self, g: np.ndarray) -> float:
-        """Positive root of phi = 1 - Tr(g_dd)/n_s with g_dd = -phi I + phi^2 g."""
+        """Positive root of phi = 1 - Tr(g_dd)/n_s with g_dd = -phi I + phi^2 g
+        (Woodbury on g_dd = (phi_tilde - (psi - LoS)^-1)^-1, phi_tilde = -(1/phi) I)."""
         b = 1.0 - self.m / self.n_s
         return 2.0 / (b + math.sqrt(b * b + 4.0 * float(np.trace(g).real) / self.n_s))
 
@@ -340,30 +342,34 @@ class _System:
         """(g_tilde, g) from (psi_tilde blocks, pi)."""
         return _resolvent_pair(psi_t_blocks, pi, self.h_eff, self.contexts)
 
-    def rhs(self, g, g_tilde):
-        """One Picard evaluation: ((rhs_g, rhs_g_tilde), (psi_tilde blocks, psi, pi, phi, rhs_g)),
-        phi taken from the closed form at g."""
+    def self_energies(self, g, g_tilde):
+        """(psi_tilde blocks, psi, pi, phi) at the state (g, g_tilde), phi taken
+        from the closed form at g."""
         phi = self.phi(g)
-        psi_t = self.psi_tilde_blocks(g)
         psi = self.psi(g_tilde)
-        pi = psi + phi * np.eye(self.m)
-        rhs_g_tilde, rhs_g = self.resolvents(psi_t, pi)
-        return (rhs_g, rhs_g_tilde), (psi_t, psi, pi, phi, rhs_g)
+        return self.psi_tilde_blocks(g), psi, psi + phi * np.eye(self.m), phi
 
-    def residual(self, psi_t_blocks, pi, g_tilde, g, phi, derived=()) -> float:
+    def rhs(self, g, g_tilde):
+        """One Picard evaluation: (rhs_g, rhs_g_tilde)."""
+        psi_t, _, pi, _ = self.self_energies(g, g_tilde)
+        rhs_g_tilde, rhs_g = self.resolvents(psi_t, pi)
+        return rhs_g, rhs_g_tilde
+
+    def residual(self, g, g_tilde, psi_t_blocks, pi, phi, psi=None) -> float:
         """Max relative residual of a stored state: the psi_tilde blocks, pi, g_tilde,
-        g, the phi chain and the stored fields `derived`, a prefix of (psi, g_d,
-        phi_tilde, g_dd), each against its equation; g_dd is taken at the resolvent g."""
-        psi = self.psi(g_tilde)
-        pi_rhs = psi + phi * np.eye(self.m)
+        g, the phi chain phi = 1 - Tr(g_dd)/n_s with g_dd = -phi I + phi^2 g taken at
+        the resolvent g, and a stored psi, each against its equation."""
+        psi_rhs = self.psi(g_tilde)
+        pi_rhs = psi_rhs + phi * np.eye(self.m)
         g_tilde_rhs, g_rhs = self.resolvents(psi_t_blocks, pi_rhs)
-        g_dd = _g_dd(phi, g_rhs)
+        tr_g_dd = phi * (phi * float(np.trace(g_rhs).real) - self.m)
         pairs = [
             *zip(psi_t_blocks, self.psi_tilde_blocks(g)),
             (pi, pi_rhs), (g_tilde, g_tilde_rhs), (g, g_rhs),
-            (phi, 1.0 - float(np.trace(g_dd).real) / self.n_s),
-            *zip(derived, (psi, 1.0 / phi, -1.0 / phi, g_dd)),
+            (phi, 1.0 - tr_g_dd / self.n_s),
         ]
+        if psi is not None:
+            pairs.append((psi, psi_rhs))
         return max(rel_residual(a, b) for a, b in pairs)
 
     def gradient_term(self, g, g_tilde, psi_t_blocks) -> np.ndarray:
@@ -395,22 +401,24 @@ def _comm_system(stats: ScenarioStats, w_bf: Beamformer, w: float) -> _System:
     return _System("comm", contexts, maps, stats.comm.mean, h_eff, math.inf, w_bf, w)
 
 
-def _solve(system: _System, start, opts: SolverOptions):
-    """Iterate `system` from `start` (None: the zero-channel solution) and check the
-    sign structure.  Returns (g, g_tilde, (psi_tilde blocks, psi, pi, phi, rhs_g),
-    residual, iterations, history)."""
+def _solve(system: _System, initial, opts: SolverOptions):
+    """Iterate `system` from the state of the record `initial` (None: the
+    zero-channel solution) and check the sign structure.  Returns (g, g_tilde,
+    (psi_tilde blocks, psi, pi, phi), residual, iterations, history)."""
     n = system.h_raw.shape[0]
-    if start is None:
+    if initial is None:
         start = (np.eye(system.m), np.eye(n) / system.w)
+    else:
+        start = initial._variables[:2]
     shapes, expected = tuple(np.shape(b) for b in start), ((system.m, system.m), (n, n))
     if shapes != expected:
         branch = system.branch
         raise ValueError(f"{branch} warm start has (g, g_tilde) shapes {shapes}, expected {expected}")
-    (g, g_tilde), derived, residual, it, history = _iterate(system, start, opts)
+    (g, g_tilde), residual, it, history = _iterate(system, start, opts)
     if min_eigval(-g_tilde) < SIGN_EIG_FLOOR or min_eigval(g) < SIGN_EIG_FLOOR:
         reason = "violated the resolvent sign structure"
         raise ConvergenceError(system.branch, it, residual, reason, history)
-    return g, g_tilde, derived, residual, it, history
+    return g, g_tilde, system.self_energies(g, g_tilde), residual, it, history
 
 
 def solve_sensing(
@@ -426,18 +434,12 @@ def solve_sensing(
     state of a previous solve when `initial` is given.
     """
     system = _sensing_system(stats, w_bf, point.w)
-    start = None if initial is None else (initial.g_c, initial.g_c_tilde)
-    g_c, g_c_tilde, (psi_t, psi, pi, phi, rhs_g_c), residual, it, history = _solve(
-        system, start, opts
-    )
+    g_c, g_c_tilde, (psi_t, psi, pi, phi), residual, it, history = _solve(system, initial, opts)
     return SensingFixedPoint(
         g_c_tilde=g_c_tilde,
         g_c=g_c,
-        g_d_scalar=1.0 / phi,
-        g_dd=_g_dd(phi, rhs_g_c),  # the g_c that residual_sensing recomputes from pi
         psi_tilde_blocks=tuple(psi_t),
         psi=psi,
-        phi_tilde_scalar=-1.0 / phi,
         phi_scalar=phi,
         pi=pi,
         residual=residual,
@@ -450,10 +452,7 @@ def residual_sensing(
     fp: SensingFixedPoint, stats: ScenarioStats, w_bf: Beamformer, point: SpectralPoint
 ) -> float:
     """Max relative residual of every stored sensing equation at the stored state."""
-    return _sensing_system(stats, w_bf, point.w).residual(
-        fp.psi_tilde_blocks, fp.pi, fp.g_c_tilde, fp.g_c, fp.phi_scalar,
-        (fp.psi, fp.g_d_scalar, fp.phi_tilde_scalar, fp.g_dd),
-    )
+    return _sensing_system(stats, w_bf, point.w).residual(*fp._variables, psi=fp.psi)
 
 
 def solve_comm(
@@ -465,8 +464,7 @@ def solve_comm(
 ) -> CommFixedPoint:
     """Solve the communication deterministic-equivalent system at w = point.w < 0."""
     system = _comm_system(stats, w_bf, point.w)
-    start = None if initial is None else (initial.g_e, initial.g_e_tilde)
-    g_e, g_e_tilde, (psi_t, _, pi, _, _), residual, it, history = _solve(system, start, opts)
+    g_e, g_e_tilde, (psi_t, _, pi, _), residual, it, history = _solve(system, initial, opts)
     return CommFixedPoint(
         g_e_tilde=g_e_tilde,
         g_e=g_e,
@@ -482,6 +480,4 @@ def residual_comm(
     fp: CommFixedPoint, stats: ScenarioStats, w_bf: Beamformer, point: SpectralPoint
 ) -> float:
     """Max relative residual of the stored communication equations (phi = 1)."""
-    return _comm_system(stats, w_bf, point.w).residual(
-        (fp.omega_tilde,), fp.omega, fp.g_e_tilde, fp.g_e, 1.0
-    )
+    return _comm_system(stats, w_bf, point.w).residual(*fp._variables)

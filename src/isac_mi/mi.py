@@ -95,9 +95,10 @@ def _symbol_block_terms(phi: float, tr_g: complex, m: int, n_s: float) -> comple
     return (n_s - m) * math.log(phi) + phi * tr_g - m
 
 
-def _shannon(branch, h, psi_t_blocks, g_tilde, pi, g, phi, n_s, w, context) -> float:
-    """Per-dimension Shannon transform V / rows(h) of one system at its stored state;
-    `context` names the psi_tilde block inverses of the LoS term."""
+def _shannon(branch, fp, h, n_s, w, context) -> float:
+    """Per-dimension Shannon transform V / rows(h) of one system at the stored state
+    of the record `fp`; `context` names the psi_tilde block inverses of the LoS term."""
+    g, g_tilde, psi_t_blocks, pi, phi = fp._variables
     n_rx = psi_t_blocks[0].shape[0]
     total = logdet_phased(pi - _los_term(h, psi_t_blocks, context))
     for l, block in enumerate(psi_t_blocks):
@@ -113,10 +114,7 @@ def shannon_sensing(
     """Per-dimension Shannon transform of the sensing Gram matrix at w = point.w."""
     if g_eff.shape != (dims.num_scatter * dims.n_r, dims.m):
         raise ValueError(f"g_eff shape {g_eff.shape} != {(dims.num_scatter * dims.n_r, dims.m)}")
-    return _shannon(
-        "sensing", g_eff, fp.psi_tilde_blocks, fp.g_c_tilde, fp.pi, fp.g_c, fp.phi_scalar,
-        dims.n_s, point.w, "sensing psi_tilde block inverse",
-    )
+    return _shannon("sensing", fp, g_eff, dims.n_s, point.w, "sensing psi_tilde block inverse")
 
 
 def shannon_comm(
@@ -125,19 +123,17 @@ def shannon_comm(
     """Per-dimension Shannon transform of the communication Gram matrix (n_s = inf)."""
     if h_eff.shape != (dims.n_u, dims.m):
         raise ValueError(f"h_eff shape {h_eff.shape} != {(dims.n_u, dims.m)}")
-    return _shannon(
-        "comm", h_eff, (fp.omega_tilde,), fp.g_e_tilde, fp.omega, fp.g_e, 1.0,
-        math.inf, point.w, "comm omega_tilde inverse",
-    )
+    return _shannon("comm", fp, h_eff, math.inf, point.w, "comm omega_tilde inverse")
 
 
-def cauchy_sensing(fp: SensingFixedPoint) -> float:
-    """Normalized trace of the sensing resolvent block, (1/Ln_r) Tr(g_c_tilde)."""
-    return float(np.trace(fp.g_c_tilde).real) / fp.g_c_tilde.shape[0]
+def _cauchy(fp: SensingFixedPoint | CommFixedPoint) -> float:
+    """Normalized trace of the resolvent block g_tilde: (1/Ln_r) Tr(g_c_tilde) for
+    sensing, (1/n_u) Tr(g_e_tilde) for communication."""
+    g_tilde = fp._variables[1]
+    return float(np.trace(g_tilde).real) / g_tilde.shape[0]
 
 
-def cauchy_comm(fp: CommFixedPoint) -> float:
-    return float(np.trace(fp.g_e_tilde).real) / fp.g_e_tilde.shape[0]
+cauchy_sensing = cauchy_comm = _cauchy
 
 
 def _solve_from(solve, stats, w_bf, point, opts, initial):
@@ -192,8 +188,8 @@ def weighted_mi(
 
 
 _BRANCHES = {
-    "sensing": ("sigma_s2", solve_sensing, shannon_sensing, cauchy_sensing, 0),
-    "comm": ("sigma_c2", solve_comm, shannon_comm, cauchy_comm, 1),
+    "sensing": ("sigma_s2", solve_sensing, shannon_sensing, 0),
+    "comm": ("sigma_c2", solve_comm, shannon_comm, 1),
 }
 
 
@@ -214,7 +210,7 @@ def derivative_identity_check(
     """
     if branch not in _BRANCHES:
         raise ValueError("branch must be 'sensing' or 'comm'")
-    noise_power, solve, shannon, cauchy, los = _BRANCHES[branch]
+    noise_power, solve, shannon, los = _BRANCHES[branch]
     sigma2 = getattr(noise, noise_power)
     if not 0.0 < h < sigma2:
         raise ValueError(f"finite-difference step {h:g} must lie in (0, sigma2 = {sigma2:g})")
@@ -228,4 +224,4 @@ def derivative_identity_check(
         return shannon(fp, point, stats.dims, mean)
 
     fd = (value(sigma2 + h) - value(sigma2 - h)) / (2.0 * h)
-    return abs(fd - (-1.0 / sigma2 - cauchy(centre)))
+    return abs(fd - (-1.0 / sigma2 - _cauchy(centre)))

@@ -51,10 +51,11 @@ class PgaOptions:
 
     step is "backtracking" (Armijo along the projection arc, Bertsekas 1976:
     lambda shrinks by beta from lambda0, default sqrt(p_t)/(1 + ||grad||_F),
-    until the MI gains slope * Re<grad, d> for the projected step d) or
-    "fixed" (constant lambda0, accepted unconditionally).  init is None for
-    a random Gaussian start projected to the power ball, or a Beamformer to
-    start from.
+    until the MI gains slope * Re<grad, d> for the projected step d, with
+    slope in (0, 1), the classical Armijo range; the first-order gain of d is
+    2 Re<grad, d>) or "fixed" (constant lambda0, accepted unconditionally).
+    init is None for a random Gaussian start projected to the power ball, or
+    a Beamformer to start from.
     """
 
     epsilon: float = 1e-4
@@ -68,10 +69,12 @@ class PgaOptions:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
         if not (0.0 < self.beta < 1.0):
             raise ValueError("beta must be in (0, 1)")
+        if not (0.0 < self.slope < 1.0):
+            raise ValueError("slope must be in (0, 1)")
         if self.step not in ("backtracking", "fixed"):
             raise ValueError("step must be 'backtracking' or 'fixed'")
         if self.step == "fixed" and self.lambda0 is None:
@@ -151,8 +154,8 @@ def gradient(
         raise ValueError(f"beamformer shape {w_bf.w.shape} != {(dims.n_t, dims.m)}")
     sensing = _sensing_system(stats, w_bf, -noise.sigma_s2)
     comm = _comm_system(stats, w_bf, -noise.sigma_c2)
-    grad_s = sensing.gradient_term(fp_s.g_c, fp_s.g_c_tilde, fp_s.psi_tilde_blocks)
-    grad_c = comm.gradient_term(fp_c.g_e, fp_c.g_e_tilde, (fp_c.omega_tilde,))
+    grad_s = sensing.gradient_term(*fp_s._variables[:3])
+    grad_c = comm.gradient_term(*fp_c._variables[:3])
     return rho * grad_s + (1.0 - rho) * grad_c
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from isac_mi import generate_scenario, scenario_from_json
+from isac_mi import GeometryConfig, PgaOptions, SolverOptions, generate_scenario, scenario_from_json
 from isac_mi.cli import (
     CONVERGENCE_HEADER,
     SWEEP_HEADER,
@@ -43,6 +43,14 @@ def test_default_config_parses():
     assert cfg.trials == 10000
 
 
+def test_cli_defaults_match_library_defaults():
+    # the config defaults restate the dataclass defaults; they must not drift apart
+    cfg = parse_config({})
+    assert cfg.solver == SolverOptions()
+    assert cfg.pga == PgaOptions()
+    assert cfg.geometry == GeometryConfig()
+
+
 def test_config_defaults_follow_dimension_chain():
     cfg = parse_config({"scenario": {"n_t": 8, "n_r": 8, "n_u": 6}})
     assert cfg.dims.m == 6 and cfg.dims.n_s == 6
@@ -79,6 +87,13 @@ def test_config_defaults_follow_dimension_chain():
         ({"run": {"solver": {"max_iter": 3.5}}}, "run.solver.max_iter must be an integer"),
         ({"run": {"pga": {"max_outer_iters": 1.2}}}, "run.pga.max_outer_iters must be an integer"),
         ({"run": {"antenna_counts": [4.7]}}, "run.antenna_counts must be an integer"),
+        ({"run": {"solver": {"tol": float("inf")}}}, "tol"),
+        ({"run": {"solver": {"tol": float("nan")}}}, "tol"),
+        ({"run": {"pga": {"epsilon": float("nan")}}}, "epsilon"),
+        ({"run": {"pga": {"epsilon": float("inf")}}}, "epsilon"),
+        ({"run": {"pga": {"slope": -1.0}}}, "slope"),
+        ({"run": {"pga": {"slope": 0.0}}}, "slope"),
+        ({"run": {"pga": {"slope": 5.0}}}, "slope"),
     ],
 )
 def test_config_validation_errors(doc, match):

@@ -24,6 +24,33 @@ from isac_mi import (
 from helpers import scalar_los_oracle, scalar_los_scenario, zero_scenario
 
 
+def test_public_names_and_record_fields_are_pinned():
+    # a removal from the public surface has to edit this test in plain view
+    import isac_mi
+    from isac_mi import CommFixedPoint, SensingFixedPoint
+
+    assert isac_mi.__all__ == [
+        "Beamformer", "CommFixedPoint", "ConvergenceError", "CorrelationOps", "DimensionError",
+        "GeometryConfig", "McEstimate", "MiReport", "NoiseConfig", "NonRealShannonError",
+        "PgaAbort", "PgaOptions", "PgaTrace", "ScenarioStats", "SensingFixedPoint",
+        "SingularMatrixError", "SolverOptions", "SpectralPoint", "SystemDims",
+        "WeichselbergerStats", "cauchy_comm", "cauchy_sensing", "default_beamformer",
+        "derivative_identity_check", "effective_los", "eigen_ecdf", "estimate",
+        "finite_mi_comm", "finite_mi_sensing", "generate_scenario", "gradient", "mi_curves",
+        "pga", "project", "residual_comm", "residual_sensing", "sample_channels",
+        "sample_symbols", "scenario_from_json", "scenario_to_json", "shannon_comm",
+        "shannon_sensing", "solve_comm", "solve_sensing", "upa_steering", "validate",
+        "weighted_mi",
+    ]
+    assert [f.name for f in dataclasses.fields(SensingFixedPoint)] == [
+        "g_c_tilde", "g_c", "psi_tilde_blocks", "psi", "phi_scalar", "pi",
+        "residual", "iterations", "history",
+    ]
+    assert [f.name for f in dataclasses.fields(CommFixedPoint)] == [
+        "g_e_tilde", "g_e", "omega_tilde", "omega", "residual", "iterations", "history",
+    ]
+
+
 def test_spectral_point_must_be_negative():
     with pytest.raises(ValueError):
         SpectralPoint(0.5)
@@ -31,8 +58,9 @@ def test_spectral_point_must_be_negative():
 
 
 def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(tol=0.0)
+    for tol in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            SolverOptions(tol=tol)
     with pytest.raises(ValueError):
         SolverOptions(damping=1.5)
 
@@ -75,7 +103,8 @@ def test_scalar_pure_los_matches_bisection_oracle(sigma2):
     assert abs(fp.phi_scalar - oracle["phi"]) < 1e-10
     assert abs(complex(fp.g_c[0, 0]) - oracle["g_c"]) < 1e-10
     assert abs(complex(fp.g_c_tilde[0, 0]) - oracle["g_c_tilde"]) < 1e-10
-    assert abs(complex(fp.g_dd[0, 0]) - oracle["g_d"]) < 1e-10
+    g_dd = -fp.phi_scalar + fp.phi_scalar**2 * complex(fp.g_c[0, 0])  # -phi I + phi^2 g_c
+    assert abs(g_dd - oracle["g_d"]) < 1e-10
     assert abs(cauchy_sensing(fp) - oracle["cauchy"].real) < 1e-10
 
 
@@ -135,16 +164,64 @@ def test_converged_residual_meets_tolerance(scenario4, beamformer4):
     assert residual_comm(fc, scenario4, beamformer4, point) <= 1e-10
 
 
-def test_perturbed_state_has_large_residual(scenario4, beamformer4):
+_BRANCHES = {"sensing": (solve_sensing, residual_sensing), "comm": (solve_comm, residual_comm)}
+
+
+def _nudge(value):
+    """value + 1e-3 max(1, ||value||) I, with I = 1 for a scalar."""
+    step = 1e-3 * max(1.0, float(np.linalg.norm(value)))
+    return value + step * (np.eye(value.shape[0]) if np.ndim(value) else 1.0)
+
+
+@pytest.mark.parametrize(
+    "branch, field",
+    [
+        ("sensing", "g_c"),
+        ("sensing", "g_c_tilde"),
+        ("sensing", "psi_tilde_blocks"),
+        ("sensing", "psi"),
+        ("sensing", "pi"),
+        ("sensing", "phi_scalar"),
+        ("comm", "g_e"),
+        ("comm", "g_e_tilde"),
+        ("comm", "omega_tilde"),
+        ("comm", "omega"),
+    ],
+)
+def test_perturbed_state_has_large_residual(scenario4, beamformer4, branch, field):
+    solve, residual = _BRANCHES[branch]
     point = SpectralPoint(-0.1)
-    fp = solve_sensing(scenario4, beamformer4, point)
-    perturbed = dataclasses.replace(fp, g_c=fp.g_c + 1e-3 * np.eye(4))
-    assert residual_sensing(perturbed, scenario4, beamformer4, point) > 1e-4
+    fp = solve(scenario4, beamformer4, point)
+    value = getattr(fp, field)
+    nudged = (_nudge(value[0]), *value[1:]) if field == "psi_tilde_blocks" else _nudge(value)
+    perturbed = dataclasses.replace(fp, **{field: nudged})
+    assert residual(perturbed, scenario4, beamformer4, point) > 1e-4
+
+
+@pytest.mark.parametrize("branch", ["sensing", "comm"])
+def test_record_is_a_function_of_its_state(scenario4, beamformer4, branch):
+    # every stored self-energy is bitwise the system's own at the stored (g, g_tilde)
+    from isac_mi.fixedpoint import _comm_system, _sensing_system
+
+    make_system = {"sensing": _sensing_system, "comm": _comm_system}[branch]
+    point = SpectralPoint(-0.1)
+    fp = _BRANCHES[branch][0](scenario4, beamformer4, point)
+    g, g_tilde, psi_t_blocks, pi, phi = fp._variables
+    psi_t_rhs, psi_rhs, pi_rhs, phi_rhs = make_system(scenario4, beamformer4, point.w).self_energies(
+        g, g_tilde
+    )
+    assert len(psi_t_blocks) == len(psi_t_rhs)
+    for stored, rhs in zip(psi_t_blocks, psi_t_rhs):
+        assert np.array_equal(stored, rhs)
+    assert np.array_equal(pi, pi_rhs)
+    assert phi == phi_rhs
+    if branch == "sensing":
+        assert np.array_equal(fp.psi, psi_rhs)
 
 
 def test_stored_matrices_are_hermitian(scenario4, beamformer4):
     fp = solve_sensing(scenario4, beamformer4, SpectralPoint(-0.2))
-    for a in (fp.g_c_tilde, fp.g_c, fp.g_dd, fp.psi, fp.pi, *fp.psi_tilde_blocks):
+    for a in (fp.g_c_tilde, fp.g_c, fp.psi, fp.pi, *fp.psi_tilde_blocks):
         assert np.linalg.norm(a - a.conj().T) < 1e-10
     fc = solve_comm(scenario4, beamformer4, SpectralPoint(-0.2))
     for a in (fc.g_e_tilde, fc.g_e, fc.omega_tilde, fc.omega):

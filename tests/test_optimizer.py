@@ -167,8 +167,12 @@ def test_pga_solver_failure_carries_trace(scenario4):
 
 
 def test_pga_options_validation(dims4):
-    with pytest.raises(ValueError):
-        PgaOptions(epsilon=0.0)
+    for epsilon in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            PgaOptions(epsilon=epsilon)
+    for slope in (-1.0, 0.0, 1.0, 5.0, float("nan")):
+        with pytest.raises(ValueError, match="slope"):
+            PgaOptions(slope=slope)
     with pytest.raises(ValueError):
         PgaOptions(step="newton")
     with pytest.raises(ValueError):
