@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from ._linalg import SingularMatrixError
@@ -40,6 +40,14 @@ class ConfigError(ValueError):
     """The experiment configuration is malformed."""
 
 
+_NOT_CONFIG_KEYS = ("init", "solver")  # PgaOptions fields that the config does not set
+
+
+def _defaults(cls) -> dict:
+    """Each config field of a dataclass with its default (MISSING if it has none)."""
+    return {f.name: f.default for f in fields(cls) if f.name not in _NOT_CONFIG_KEYS}
+
+
 _DEFAULT_CONFIG = {
     "scenario": {
         "n_t": 16,
@@ -50,12 +58,7 @@ _DEFAULT_CONFIG = {
         "n_s": None,  # defaults to m
         "rician_kappa": 1.0,
         "seed": 7,
-        "geometry": {
-            "comm_departure": [0.62832, 0.26180],
-            "comm_arrival": [-0.52360, 0.31416],
-            "target_center": [-0.78540, 0.22440],
-            "scatter_spread": 0.17453,
-        },
+        "geometry": _defaults(GeometryConfig),
     },
     "noise": {
         "snr_db_grid": [-10.0, 0.0, 10.0, 20.0, 30.0],
@@ -69,16 +72,8 @@ _DEFAULT_CONFIG = {
         "gap_threshold": 0.02,
         "antenna_counts": [4, 8, 16],
         "p_t": None,  # defaults to n_t
-        "solver": {"tol": 1e-10, "max_iter": 5000, "damping": 0.5},
-        "pga": {
-            "epsilon": 1e-4,
-            "max_outer_iters": 50,
-            "step": "backtracking",
-            "lambda0": None,
-            "beta": 0.5,
-            "slope": 1e-4,
-            "init_seed": 1,
-        },
+        "solver": _defaults(SolverOptions),
+        "pga": _defaults(PgaOptions),
     },
     "output": {"directory": "out", "formats": ["csv"]},
 }
@@ -148,6 +143,30 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _convert(value, default, key: str):
+    """A config value of the type of its dataclass default.  A field without a
+    default is a SystemDims count; a None default is an optional float."""
+    if default is MISSING or isinstance(default, int):
+        return _integer(value, key)
+    if isinstance(default, tuple):
+        return tuple(float(x) for x in value)
+    if default is None:
+        return None if value is None else float(value)
+    return type(default)(value)
+
+
+def _build(cls, section: dict, where: str, what: str, **given):
+    """SystemDims or an option dataclass from its config section, one field at a time."""
+    try:
+        values = {
+            name: _convert(section[name], default, f"{where}.{name}")
+            for name, default in _defaults(cls).items()
+        }
+        return cls(**values, **given)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a raw config document and resolve defaults."""
     _require(isinstance(doc, dict), "config root must be an object")
@@ -156,25 +175,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     m = sc["m"] if sc["m"] is not None else sc["n_u"]
     n_s = sc["n_s"] if sc["n_s"] is not None else m
-    try:
-        dims = SystemDims(
-            **{k: _integer(sc[k], f"scenario.{k}") for k in ("n_t", "n_r", "n_u", "num_scatter")},
-            m=_integer(m, "scenario.m"),
-            n_s=_integer(n_s, "scenario.n_s"),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid scenario dimensions: {exc}") from exc
-
-    geo = sc["geometry"]
-    try:
-        geometry = GeometryConfig(
-            comm_departure=tuple(float(x) for x in geo["comm_departure"]),
-            comm_arrival=tuple(float(x) for x in geo["comm_arrival"]),
-            target_center=tuple(float(x) for x in geo["target_center"]),
-            scatter_spread=float(geo["scatter_spread"]),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid geometry: {exc}") from exc
+    dims = _build(SystemDims, {**sc, "m": m, "n_s": n_s}, "scenario", "scenario dimensions")
+    geometry = _build(GeometryConfig, sc["geometry"], "scenario.geometry", "geometry")
 
     grid = noise["snr_db_grid"]
     _require(isinstance(grid, (list, tuple)) and len(grid) > 0, "noise.snr_db_grid must be nonempty")
@@ -195,31 +197,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _require(seed >= 0, "scenario.seed must be >= 0")
     _require(all(map(math.isfinite, (*grid, snr_db, offset_db))), "noise values must be finite")
     _require(gap_threshold > 0.0, "run.gap_threshold must be positive")
+    _require(len(rho_grid) > 0, "run.rho_grid must be nonempty")
     for r in (rho, *rho_grid):
         _require(0.0 <= r <= 1.0, f"rho values must be in [0, 1], got {r}")
     _require(trials >= 2, "run.trials must be >= 2 for Monte Carlo experiments")
     _require(len(counts) > 0 and min(counts) >= 1, "run.antenna_counts must be nonempty, >= 1")
-    _require(p_t > 0.0, "run.p_t must be positive")
+    _require(0.0 < p_t < math.inf, "run.p_t must be finite and positive")
 
-    try:
-        solver = SolverOptions(
-            tol=float(run["solver"]["tol"]),
-            max_iter=_integer(run["solver"]["max_iter"], "run.solver.max_iter"),
-            damping=float(run["solver"]["damping"]),
-        )
-        pga_cfg = run["pga"]
-        pga_opts = PgaOptions(
-            epsilon=float(pga_cfg["epsilon"]),
-            max_outer_iters=_integer(pga_cfg["max_outer_iters"], "run.pga.max_outer_iters"),
-            step=str(pga_cfg["step"]),
-            lambda0=None if pga_cfg["lambda0"] is None else float(pga_cfg["lambda0"]),
-            beta=float(pga_cfg["beta"]),
-            slope=float(pga_cfg["slope"]),
-            init_seed=_integer(pga_cfg["init_seed"], "run.pga.init_seed"),
-            solver=solver,
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid solver/pga options: {exc}") from exc
+    solver = _build(SolverOptions, run["solver"], "run.solver", "solver/pga options")
+    pga_opts = _build(PgaOptions, run["pga"], "run.pga", "solver/pga options", solver=solver)
 
     for f in formats:
         _require(f in ("csv", "dat"), f"unknown output format '{f}'")
@@ -264,6 +250,13 @@ def _scenario(cfg: ExperimentConfig) -> ScenarioStats:
     return generate_scenario(cfg.dims, cfg.rician_kappa, cfg.seed, cfg.geometry)
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text: numbers print as %.12g, strings (pre-formatted columns) unchanged."""
+    lines = [header]
+    lines += [",".join(v if isinstance(v, str) else f"{v:.12g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def run_verify(cfg: ExperimentConfig) -> tuple[str, bool]:
     """Closed form vs Monte Carlo over the SNR grid; ok iff all gaps < threshold."""
     stats = _scenario(cfg)
@@ -273,19 +266,17 @@ def run_verify(cfg: ExperimentConfig) -> tuple[str, bool]:
     closed = [weighted_mi(stats, w_bf, noise, cfg.rho, cfg.solver) for noise in noise_grid]
     mc_s, mc_c = mi_curves(stats, w_bf, noise_grid, cfg.trials)
 
-    lines = [VERIFY_HEADER]
+    rows = []
     ok = True
     for snr, report, est_s, est_c in zip(cfg.snr_db_grid, closed, mc_s, mc_c):
         gap_s = abs(report.i_s - est_s.mean) / abs(est_s.mean)
         gap_c = abs(report.i_c - est_c.mean) / abs(est_c.mean)
         ok = ok and gap_s < cfg.gap_threshold and gap_c < cfg.gap_threshold
-        lines.append(
-            f"{snr:.12g},{report.i_s / LN2:.12g},{est_s.mean / LN2:.12g},"
-            f"{est_s.std_error / LN2:.12g},{gap_s:.6e},"
-            f"{report.i_c / LN2:.12g},{est_c.mean / LN2:.12g},"
-            f"{est_c.std_error / LN2:.12g},{gap_c:.6e}"
-        )
-    return "\n".join(lines) + "\n", ok
+        rows.append((
+            snr, report.i_s / LN2, est_s.mean / LN2, est_s.std_error / LN2, f"{gap_s:.6e}",
+            report.i_c / LN2, est_c.mean / LN2, est_c.std_error / LN2, f"{gap_c:.6e}",
+        ))
+    return _csv(VERIFY_HEADER, rows), ok
 
 
 def run_convergence(cfg: ExperimentConfig) -> str:
@@ -314,10 +305,10 @@ def run_sweep(cfg: ExperimentConfig) -> str:
         return trace.rows[0].weighted_mi, trace.best.weighted, len(trace.rows) - 1
 
     results = [one(snr) for snr in cfg.snr_db_grid]
-    lines = [SWEEP_HEADER]
-    for snr, (base, opt, iters) in zip(cfg.snr_db_grid, results):
-        lines.append(f"{snr:.12g},{base / LN2:.12g},{opt / LN2:.12g},{iters}")
-    return "\n".join(lines) + "\n"
+    return _csv(SWEEP_HEADER, [
+        (snr, base / LN2, opt / LN2, iters)
+        for snr, (base, opt, iters) in zip(cfg.snr_db_grid, results)
+    ])
 
 
 def run_tradeoff(cfg: ExperimentConfig) -> str:
@@ -338,7 +329,7 @@ def run_tradeoff(cfg: ExperimentConfig) -> str:
 
     # i_s and i_c do not depend on rho, so each candidate's pair is the one PGA
     # already solved for it (warm-started, with a cold fallback): no re-solve.
-    lines = [TRADEOFF_HEADER]
+    rows = []
     for rho in cfg.rho_grid:
         best_idx = max(
             range(len(pairs)),
@@ -346,10 +337,8 @@ def run_tradeoff(cfg: ExperimentConfig) -> str:
         )
         chosen = pairs[best_idx]
         weighted = rho * chosen.i_s + (1.0 - rho) * chosen.i_c
-        lines.append(
-            f"{rho:.12g},{chosen.i_s / LN2:.12g},{chosen.i_c / LN2:.12g},{weighted / LN2:.12g}"
-        )
-    return "\n".join(lines) + "\n"
+        rows.append((rho, chosen.i_s / LN2, chosen.i_c / LN2, weighted / LN2))
+    return _csv(TRADEOFF_HEADER, rows)
 
 
 def _write_outputs(cfg: ExperimentConfig, name: str, csv_text: str) -> Path:

@@ -63,23 +63,6 @@ class MiReport:
     rho: float
     diagnostics: SolveDiagnostics
 
-    def to_csv_row(self, snr_db: float) -> str:
-        ln2 = math.log(2.0)
-        fields = (
-            f"{snr_db:.12g}",
-            f"{self.rho:.12g}",
-            f"{self.i_s / ln2:.12g}",
-            f"{self.i_c / ln2:.12g}",
-            f"{self.weighted / ln2:.12g}",
-            f"{self.diagnostics.residual_s:.6e}",
-            f"{self.diagnostics.residual_c:.6e}",
-            str(self.diagnostics.iterations_s),
-            str(self.diagnostics.iterations_c),
-        )
-        return ",".join(fields)
-
-    CSV_HEADER = "snr_db,rho,i_s_bits,i_c_bits,weighted_bits,residual_s,residual_c,iters_s,iters_c"
-
 
 def _assert_real(total: complex, branch: str) -> float:
     residue = abs(total.imag)

@@ -164,8 +164,10 @@ class Beamformer:
         object.__setattr__(self, "w", w)
         if w.ndim != 2:
             raise DimensionError("beamformer must be a matrix")
-        if self.p_t <= 0.0:
-            raise ValueError("transmit power budget must be positive")
+        if not 0.0 < self.p_t < math.inf:
+            raise ValueError("transmit power budget must be finite and positive")
+        if not np.isfinite(w).all():
+            raise ValueError("beamformer entries must be finite")
         power = float(np.linalg.norm(w) ** 2)
         if power > self.p_t + 1e-9:
             raise ValueError(
@@ -300,8 +302,8 @@ def generate_scenario(
 
 def default_beamformer(dims: SystemDims, p_t: float) -> Beamformer:
     """Unoptimized baseline sqrt(p_t/M) * [I_M on top of zeros], norm^2 = p_t."""
-    if p_t <= 0.0:
-        raise ValueError("p_t must be positive")
+    if not 0.0 < p_t < math.inf:
+        raise ValueError("p_t must be finite and positive")
     w = np.zeros((dims.n_t, dims.m), dtype=complex)
     w[: dims.m, :] = math.sqrt(p_t / dims.m) * np.eye(dims.m)
     return Beamformer(w, p_t)

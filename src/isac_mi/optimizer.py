@@ -161,8 +161,8 @@ def gradient(
 
 def project(w: np.ndarray, p_t: float) -> np.ndarray:
     """Project onto the power ball: unchanged if ||W||_F^2 <= p_t, else rescaled."""
-    if p_t <= 0.0:
-        raise ValueError("p_t must be positive")
+    if not 0.0 < p_t < math.inf:
+        raise ValueError("p_t must be finite and positive")
     norm2 = float(np.linalg.norm(w) ** 2)
     if norm2 <= p_t:
         return w

@@ -1,9 +1,17 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from isac_mi import GeometryConfig, PgaOptions, SolverOptions, generate_scenario, scenario_from_json
+from isac_mi import (
+    GeometryConfig,
+    PgaOptions,
+    SolverOptions,
+    SystemDims,
+    generate_scenario,
+    scenario_from_json,
+)
 from isac_mi.cli import (
     CONVERGENCE_HEADER,
     SWEEP_HEADER,
@@ -94,11 +102,59 @@ def test_config_defaults_follow_dimension_chain():
         ({"run": {"pga": {"slope": -1.0}}}, "slope"),
         ({"run": {"pga": {"slope": 0.0}}}, "slope"),
         ({"run": {"pga": {"slope": 5.0}}}, "slope"),
+        ({"run": {"p_t": float("inf")}}, "run.p_t must be finite"),
+        ({"run": {"p_t": float("nan")}}, "run.p_t must be finite"),
+        ({"run": {"rho_grid": []}}, "run.rho_grid must be nonempty"),
     ],
 )
 def test_config_validation_errors(doc, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(doc)
+
+
+# A valid non-default value for every config field of the option dataclasses
+_NON_DEFAULT = {
+    SystemDims: {"n_t": 20, "n_r": 5, "n_u": 12, "num_scatter": 3, "m": 8, "n_s": 9},
+    SolverOptions: {"tol": 1e-9, "max_iter": 123, "damping": 0.25},
+    PgaOptions: {
+        "epsilon": 1e-3, "max_outer_iters": 7, "step": "fixed", "lambda0": 2.5,
+        "beta": 0.25, "slope": 0.3, "init_seed": 9,
+    },
+    GeometryConfig: {
+        "comm_departure": (0.1, 0.2), "comm_arrival": (-0.3, 0.4),
+        "target_center": (0.5, -0.6), "scatter_spread": 0.3,
+    },
+}
+_SECTIONS = {
+    SystemDims: (("scenario",), "dims"),
+    SolverOptions: (("run", "solver"), "solver"),
+    PgaOptions: (("run", "pga"), "pga"),
+    GeometryConfig: (("scenario", "geometry"), "geometry"),
+}
+
+
+def _option_fields():
+    for cls in _SECTIONS:
+        for f in dataclasses.fields(cls):
+            if not (cls is PgaOptions and f.name in ("init", "solver")):
+                yield pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
+
+
+@pytest.mark.parametrize("cls, field", _option_fields())
+def test_every_option_field_is_reachable_from_the_config(cls, field):
+    path, attr = _SECTIONS[cls]
+    if field.default is not dataclasses.MISSING:
+        assert getattr(getattr(parse_config({}), attr), field.name) == field.default
+    value = _NON_DEFAULT[cls][field.name]  # a KeyError here: the new field needs a value
+    assert value != field.default
+    section = {field.name: list(value) if isinstance(value, tuple) else value}
+    if field.name == "step":
+        section["lambda0"] = 0.5  # the fixed step needs one
+    for key in reversed(path):
+        section = {key: section}
+    parsed = getattr(parse_config(section), attr)
+    assert getattr(parsed, field.name) == value
+    assert type(getattr(parsed, field.name)) is type(value)
 
 
 def test_integral_floats_are_accepted_as_integers():
@@ -168,10 +224,18 @@ def test_config_error_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "run, match", [({"pga": {"beta": 1.0}}, "beta"), ({"solver": {"max_iter": -1}}, "max_iter")]
+    "run, match",
+    [
+        ({"pga": {"beta": 1.0}}, "beta"),
+        ({"solver": {"max_iter": -1}}, "max_iter"),
+        ({"p_t": float("inf")}, "run.p_t"),
+        ({"rho_grid": []}, "run.rho_grid"),
+    ],
 )
 def test_step_and_iteration_limits_are_config_errors(tmp_path, capsys, run, match):
-    # beta = 1 never shrinks the Armijo step and max_iter < 0 runs no iteration
+    # beta = 1 never shrinks the Armijo step and max_iter < 0 runs no iteration;
+    # p_t = inf (json writes Infinity) leaves the random start unscaled, and an
+    # empty rho_grid would write a header-only frontier
     doc = dict(TINY, run=dict(TINY["run"], **run))
     cfg_path = _write_config(tmp_path, doc)
     assert main(["tradeoff", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1

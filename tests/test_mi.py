@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ import pytest
 import isac_mi.mi as mi_module
 from isac_mi import (
     Beamformer,
-    MiReport,
     NoiseConfig,
     NonRealShannonError,
     SpectralPoint,
@@ -174,15 +172,3 @@ def test_nonsquare_dims_agree_with_monte_carlo():
         sigma2 = noise.sigma_s2 if branch == "sensing" else noise.sigma_c2
         assert derivative_identity_check(stats, bf, noise, branch, 1e-4 * sigma2) < 1e-6
 
-
-def test_report_csv_row_schema(scenario4, beamformer4):
-    rep = weighted_mi(scenario4, beamformer4, NoiseConfig(10.0), 0.8)
-    assert MiReport.CSV_HEADER == (
-        "snr_db,rho,i_s_bits,i_c_bits,weighted_bits,residual_s,residual_c,iters_s,iters_c"
-    )
-    row = rep.to_csv_row(10.0)
-    fields = row.split(",")
-    assert len(fields) == 9
-    assert float(fields[0]) == 10.0 and float(fields[1]) == 0.8
-    assert abs(float(fields[2]) - rep.i_s / math.log(2.0)) < 1e-9
-    assert int(fields[7]) == rep.diagnostics.iterations_s

@@ -13,6 +13,7 @@ from isac_mi import (
     default_beamformer,
     effective_los,
     generate_scenario,
+    project,
     scenario_from_json,
     scenario_to_json,
     upa_steering,
@@ -183,6 +184,19 @@ def test_beamformer_power_budget_is_enforced():
     with pytest.raises(ValueError, match="infeasible"):
         Beamformer(2.0 * np.eye(2), 1.0)
     Beamformer(np.eye(2) * math.sqrt(0.5), 1.0)  # feasible
+    # NaN > p_t is False, so the budget test alone would pass a NaN matrix
+    with pytest.raises(ValueError, match="finite"):
+        Beamformer(np.full((2, 2), np.nan), 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        Beamformer(np.array([[np.inf, 0.0], [0.0, 0.0]]), 1.0)
+    dims = SystemDims(n_t=2, n_r=2, n_u=2, num_scatter=1, m=2, n_s=2)
+    for p_t in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Beamformer(np.eye(2), p_t)
+        with pytest.raises(ValueError, match="finite and positive"):
+            default_beamformer(dims, p_t)  # sqrt(inf / m) * 0 would put NaN off the diagonal
+        with pytest.raises(ValueError, match="finite and positive"):
+            project(np.eye(2), p_t)
 
 
 def test_noise_config_snr_mapping():
