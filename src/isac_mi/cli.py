@@ -31,7 +31,7 @@ from .model import (
     scenario_to_json,
 )
 from .montecarlo import mi_curves
-from .optimizer import PgaAbort, PgaOptions, PgaTrace, pga
+from .optimizer import UNCONVERGED_RESIDUAL, PgaAbort, PgaOptions, PgaTrace, pga
 
 LN2 = math.log(2.0)
 
@@ -75,7 +75,7 @@ _DEFAULT_CONFIG = {
         "solver": _defaults(SolverOptions),
         "pga": _defaults(PgaOptions),
     },
-    "output": {"directory": "out", "formats": ["csv"]},
+    "output": {"directory": "out"},
 }
 
 VERIFY_HEADER = (
@@ -128,7 +128,6 @@ class ExperimentConfig:
     solver: SolverOptions
     pga: PgaOptions
     out_dir: str
-    formats: tuple[str, ...]
 
 
 def _require(cond: bool, message: str) -> None:
@@ -191,7 +190,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         p_t = float(run["p_t"]) if run["p_t"] is not None else float(dims.n_t)
         kappa = float(sc["rician_kappa"])
         seed = _integer(sc["seed"], "scenario.seed")
-        formats = tuple(str(f) for f in out["formats"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
     _require(seed >= 0, "scenario.seed must be >= 0")
@@ -206,9 +204,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     solver = _build(SolverOptions, run["solver"], "run.solver", "solver/pga options")
     pga_opts = _build(PgaOptions, run["pga"], "run.pga", "solver/pga options", solver=solver)
-
-    for f in formats:
-        _require(f in ("csv", "dat"), f"unknown output format '{f}'")
 
     _require(kappa > 0.0, "scenario.rician_kappa must be positive (inf for pure LoS)")
 
@@ -229,7 +224,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         solver=solver,
         pga=pga_opts,
         out_dir=str(out["directory"]),
-        formats=formats,
     )
 
 
@@ -341,16 +335,9 @@ def run_tradeoff(cfg: ExperimentConfig) -> str:
     return _csv(TRADEOFF_HEADER, rows)
 
 
-def _write_outputs(cfg: ExperimentConfig, name: str, csv_text: str) -> Path:
-    out_dir = Path(cfg.out_dir)
-    csv_path = out_dir / f"{name}.csv"
+def _write_csv(cfg: ExperimentConfig, name: str, csv_text: str) -> Path:
+    csv_path = Path(cfg.out_dir) / f"{name}.csv"
     csv_path.write_text(csv_text, encoding="utf-8")
-    if "dat" in cfg.formats:
-        header, *rows = csv_text.strip().split("\n")
-        dat = "# " + header.replace(",", " ") + "\n" + "\n".join(
-            r.replace(",", " ") for r in rows
-        ) + "\n"
-        (out_dir / f"{name}.dat").write_text(dat, encoding="utf-8")
     return csv_path
 
 
@@ -406,6 +393,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
+        if args.command in ("convergence", "sweep", "tradeoff"):
+            _require(
+                cfg.solver.tol <= UNCONVERGED_RESIDUAL,
+                f"run.solver.tol must be <= {UNCONVERGED_RESIDUAL:g} for {args.command}, "
+                f"whose gradient needs converged fixed points; got {cfg.solver.tol:g}",
+            )
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -422,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "verify":
             csv_text, ok = run_verify(cfg)
-            path = _write_outputs(cfg, "verify", csv_text)
+            path = _write_csv(cfg, "verify", csv_text)
             print(f"wrote {path} (all gaps < {cfg.gap_threshold:g}: {ok})")
             if not ok:
                 print(
@@ -433,11 +426,11 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
             return 0
         if args.command == "convergence":
-            path = _write_outputs(cfg, "convergence", run_convergence(cfg))
+            path = _write_csv(cfg, "convergence", run_convergence(cfg))
         elif args.command == "sweep":
-            path = _write_outputs(cfg, "sweep", run_sweep(cfg))
+            path = _write_csv(cfg, "sweep", run_sweep(cfg))
         elif args.command == "tradeoff":
-            path = _write_outputs(cfg, "tradeoff", run_tradeoff(cfg))
+            path = _write_csv(cfg, "tradeoff", run_tradeoff(cfg))
         else:  # unreachable with required=True
             return 1
         print(f"wrote {path}")

@@ -196,8 +196,12 @@ class GeometryConfig:
     scatter_spread: float = 0.17453
 
     def __post_init__(self):
-        if self.scatter_spread < 0.0:
-            raise ValueError("scatter_spread must be nonnegative")
+        for name in ("comm_departure", "comm_arrival", "target_center"):
+            direction = getattr(self, name)
+            if len(direction) != 2 or not all(map(math.isfinite, direction)):
+                raise ValueError(f"{name} must be an (azimuth, elevation) pair of finite floats")
+        if not 0.0 <= self.scatter_spread < math.inf:
+            raise ValueError("scatter_spread must be finite and nonnegative")
 
 
 def upa_steering(rows: int, cols: int, azimuth: float, elevation: float) -> np.ndarray:

@@ -134,14 +134,12 @@ def estimate(
     noise: NoiseConfig,
     quantity: str,
     trials: int,
-    dump_path: str | None = None,
 ) -> McEstimate:
     """Sample mean and standard error of one finite-size quantity.
 
     quantity is one of mi_s, mi_c (MIs in nats at the branch noise power) or
     resolvent_s, resolvent_c (normalized resolvent traces at w = -sigma2).
-    Trials run serially in index order.  With dump_path set, the per-trial
-    values are written as `trial,value` CSV rows.
+    Trials run serially in index order.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
@@ -154,11 +152,6 @@ def estimate(
         values = _logdet_from_eigvals(evals, sigma2)
     else:
         values = np.mean(1.0 / (-sigma2 - evals), axis=-1)
-    if dump_path is not None:
-        with open(dump_path, "w", encoding="utf-8") as fh:
-            fh.write("trial,value\n")
-            for t, v in enumerate(values):
-                fh.write(f"{t},{v:.12g}\n")
     return _reduce(values)
 
 

@@ -17,7 +17,7 @@ f(W + d) >= f(W) + slope * Re<grad, d>.  Without projection d = lambda * grad
 and this is the classical test; on the power-ball boundary it asks only for
 the gain the projected step can deliver, not that of the discarded radial
 part.  Projection onto a convex set gives Re<grad, d> >= ||d||^2 / lambda,
-so every accepted step ascends.
+so every accepted step ascends and the ascent returns its last accepted point.
 """
 
 from __future__ import annotations
@@ -49,18 +49,16 @@ class PgaAbort(RuntimeError):
 class PgaOptions:
     """Stopping rule, step rule and initialization for the ascent.
 
-    step is "backtracking" (Armijo along the projection arc, Bertsekas 1976:
+    The step backtracks by Armijo along the projection arc (Bertsekas 1976):
     lambda shrinks by beta from lambda0, default sqrt(p_t)/(1 + ||grad||_F),
     until the MI gains slope * Re<grad, d> for the projected step d, with
     slope in (0, 1), the classical Armijo range; the first-order gain of d is
-    2 Re<grad, d>) or "fixed" (constant lambda0, accepted unconditionally).
-    init is None for a random Gaussian start projected to the power ball, or
-    a Beamformer to start from.
+    2 Re<grad, d>.  init is None for a random Gaussian start projected to the
+    power ball, or a Beamformer to start from.
     """
 
     epsilon: float = 1e-4
     max_outer_iters: int = 50
-    step: str = "backtracking"
     lambda0: float | None = None
     beta: float = 0.5
     slope: float = 1e-4
@@ -75,10 +73,6 @@ class PgaOptions:
             raise ValueError("beta must be in (0, 1)")
         if not (0.0 < self.slope < 1.0):
             raise ValueError("slope must be in (0, 1)")
-        if self.step not in ("backtracking", "fixed"):
-            raise ValueError("step must be 'backtracking' or 'fixed'")
-        if self.step == "fixed" and self.lambda0 is None:
-            raise ValueError("fixed-step mode requires lambda0")
         if self.lambda0 is not None and not self.lambda0 > 0.0:
             raise ValueError("lambda0 must be positive")
         if self.init_seed < 0:
@@ -97,7 +91,6 @@ class PgaTraceRow:
     weighted_mi: float  # nats
     step_size: float
     grad_norm: float
-    feasible: bool
     evaluations: int = 0
     solver_iterations: int = 0
 
@@ -105,7 +98,7 @@ class PgaTraceRow:
 @dataclass
 class PgaTrace:
     rows: list[PgaTraceRow] = field(default_factory=list)
-    best: MiReport | None = None  # report of the best feasible point seen
+    best: MiReport | None = None  # report of the returned (last accepted) point
     final_search_evaluations: int = 0  # solves of a last line search that accepted no step
 
     CSV_HEADER = "iter,weighted_bits,step,grad_norm"
@@ -189,15 +182,15 @@ def pga(
 ) -> tuple[Beamformer, PgaTrace]:
     """Algorithm: step along the gradient, project, stop on a small MI change.
 
-    Returns the best feasible beamformer seen and the per-iteration trace,
-    whose `best` is that beamformer's MiReport.  Backtracking tests the
-    Armijo condition against the projected step d = P(W + lambda * grad) - W
+    Returns the last accepted beamformer and the per-iteration trace, whose
+    `best` is that beamformer's MiReport.  Backtracking tests the Armijo
+    condition against the projected step d = P(W + lambda * grad) - W
     (Bertsekas 1976), f(W + d) >= f(W) + slope * Re<grad, d>.  It gives up
     when lambda falls below 1e-12 lambda0, or without a solve when rounding
-    leaves Re<grad, d> <= 0.  Under backtracking the trace is monotone
-    nondecreasing and the result is never worse than the initial point.
-    Only the first solve is cold; every candidate is warm-started
-    from the fixed points of the current point.
+    leaves Re<grad, d> <= 0.  Every accepted step has Re<grad, d> > 0, so the
+    trace is nondecreasing and the last accepted point is the best one.
+    Only the first solve is cold; every candidate is warm-started from the
+    fixed points of the current point.
     """
     trace = PgaTrace()
     current = _initial_beamformer(stats, p_t, opts)
@@ -213,14 +206,13 @@ def pga(
         spent.append(out[0])
         return out
 
-    def record(it: int, value: float, lam: float, grad_norm: float, feasible: bool) -> None:
+    def record(it: int, lam: float, grad_norm: float) -> None:
         iters = sum(r.diagnostics.iterations_s + r.diagnostics.iterations_c for r in spent)
-        trace.rows.append(PgaTraceRow(it, value, lam, grad_norm, feasible, len(spent), iters))
+        trace.rows.append(PgaTraceRow(it, trace.best.weighted, lam, grad_norm, len(spent), iters))
         spent.clear()
 
-    report, fp_s, fp_c = evaluate(current, None)
-    record(0, report.weighted, 0.0, 0.0, True)
-    best_w, trace.best = current, report
+    trace.best, fp_s, fp_c = evaluate(current, None)
+    record(0, 0.0, 0.0)
 
     for it in range(1, opts.max_outer_iters + 1):
         grad = gradient(stats, current, noise, rho, fp_s, fp_c)
@@ -228,37 +220,28 @@ def pga(
         if grad_norm == 0.0:
             break
 
-        if opts.step == "fixed":
-            lam = float(opts.lambda0)
+        lam = opts.lambda0 if opts.lambda0 is not None else math.sqrt(p_t) / (1.0 + grad_norm)
+        lam_floor = lam * 1e-12
+        previous = trace.best.weighted
+        accepted = False
+        while lam > lam_floor:
             candidate = Beamformer(project(current.w + lam * grad, p_t), p_t)
-            cand_report, fp_s, fp_c = evaluate(candidate, (fp_s, fp_c))
-            accepted = True
-        else:
-            lam = opts.lambda0 if opts.lambda0 is not None else math.sqrt(p_t) / (1.0 + grad_norm)
-            lam_floor = lam * 1e-12
-            accepted = False
-            while lam > lam_floor:
-                candidate = Beamformer(project(current.w + lam * grad, p_t), p_t)
-                # Armijo along the projection arc: the predicted gain of the projected step
-                predicted = float(np.vdot(grad, candidate.w - current.w).real)
-                if predicted <= 0.0:
-                    break  # the projected step is lost in rounding, and stays so for smaller lam
-                cand_report, cand_fs, cand_fc = evaluate(candidate, (fp_s, fp_c))
-                if cand_report.weighted >= report.weighted + opts.slope * predicted:
-                    fp_s, fp_c = cand_fs, cand_fc
-                    accepted = True
-                    break
-                lam *= opts.beta
-            if not accepted:
-                break  # no improving projected step: stationary to working precision
+            # Armijo along the projection arc: the predicted gain of the projected step
+            predicted = float(np.vdot(grad, candidate.w - current.w).real)
+            if predicted <= 0.0:
+                break  # the projected step is lost in rounding, and stays so for smaller lam
+            report, cand_fs, cand_fc = evaluate(candidate, (fp_s, fp_c))
+            if report.weighted >= previous + opts.slope * predicted:
+                accepted = True
+                break
+            lam *= opts.beta
+        if not accepted:
+            break  # no improving projected step: stationary to working precision
 
-        previous = report.weighted
-        current, report = candidate, cand_report
-        record(it, report.weighted, lam, grad_norm, current.power <= p_t + 1e-12)
-        if report.weighted > trace.best.weighted:
-            best_w, trace.best = current, report
-        if abs(report.weighted - previous) <= opts.epsilon:
+        current, trace.best, fp_s, fp_c = candidate, report, cand_fs, cand_fc
+        record(it, lam, grad_norm)
+        if trace.best.weighted - previous <= opts.epsilon:
             break
 
     trace.final_search_evaluations = len(spent)
-    return best_w, trace
+    return current, trace

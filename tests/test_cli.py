@@ -73,17 +73,17 @@ def test_config_defaults_follow_dimension_chain():
         ({"run": {"trials": 1}}, "trials"),
         ({"bogus": {}}, "unknown config key"),
         ({"scenario": {"m": 9, "n_t": 4}}, "dimensions"),
-        ({"output": {"formats": ["xml"]}}, "format"),
+        ({"output": {"formats": ["xml"]}}, "unknown config key 'output.formats'"),
         ({"run": {"pga": {"beta": 1.0}}}, "beta"),
         ({"run": {"pga": {"beta": 1.5}}}, "beta"),
         ({"run": {"solver": {"max_iter": -1}}}, "max_iter"),
         ({"run": {"pga": {"lambda0": 0.0}}}, "lambda0"),
-        ({"run": {"pga": {"step": "fixed", "lambda0": -0.5}}}, "lambda0"),
+        ({"run": {"pga": {"lambda0": -0.5}}}, "lambda0"),
         ({"run": {"pga": {"init_seed": -1}}}, "init_seed"),
         ({"run": {"antenna_counts": [0]}}, "antenna_counts"),
         ({"noise": {"snr_db_grid": ["x"]}}, "invalid config value"),
         ({"run": {"gap_threshold": "a"}}, "invalid config value"),
-        ({"output": {"formats": 5}}, "invalid config value"),
+        ({"output": {"formats": 5}}, "unknown config key 'output.formats'"),
         ({"scenario": {"seed": -1}}, "seed"),
         ({"noise": {"sensing_offset_db": float("nan")}}, "finite"),
         ({"noise": {"snr_db_grid": [0.0, float("inf")]}}, "finite"),
@@ -105,6 +105,15 @@ def test_config_defaults_follow_dimension_chain():
         ({"run": {"p_t": float("inf")}}, "run.p_t must be finite"),
         ({"run": {"p_t": float("nan")}}, "run.p_t must be finite"),
         ({"run": {"rho_grid": []}}, "run.rho_grid must be nonempty"),
+        ({"run": {"pga": {"step": "fixed"}}}, "unknown config key 'run.pga.step'"),
+        # geometry directions are pairs of finite floats; JSON writes inf as Infinity
+        ({"scenario": {"geometry": {"scatter_spread": float("inf")}}}, "invalid geometry"),
+        ({"scenario": {"geometry": {"scatter_spread": float("nan")}}}, "invalid geometry"),
+        ({"scenario": {"geometry": {"target_center": [0.1, 0.2, 0.3]}}}, "invalid geometry"),
+        ({"scenario": {"geometry": {"target_center": []}}}, "invalid geometry"),
+        ({"scenario": {"geometry": {"target_center": [float("nan"), 0.2]}}}, "invalid geometry"),
+        ({"scenario": {"geometry": {"comm_departure": [0.1, 0.2, 0.3]}}}, "invalid geometry"),
+        ({"scenario": {"geometry": {"comm_arrival": [float("inf"), 0.2]}}}, "invalid geometry"),
     ],
 )
 def test_config_validation_errors(doc, match):
@@ -117,7 +126,7 @@ _NON_DEFAULT = {
     SystemDims: {"n_t": 20, "n_r": 5, "n_u": 12, "num_scatter": 3, "m": 8, "n_s": 9},
     SolverOptions: {"tol": 1e-9, "max_iter": 123, "damping": 0.25},
     PgaOptions: {
-        "epsilon": 1e-3, "max_outer_iters": 7, "step": "fixed", "lambda0": 2.5,
+        "epsilon": 1e-3, "max_outer_iters": 7, "lambda0": 2.5,
         "beta": 0.25, "slope": 0.3, "init_seed": 9,
     },
     GeometryConfig: {
@@ -148,8 +157,6 @@ def test_every_option_field_is_reachable_from_the_config(cls, field):
     value = _NON_DEFAULT[cls][field.name]  # a KeyError here: the new field needs a value
     assert value != field.default
     section = {field.name: list(value) if isinstance(value, tuple) else value}
-    if field.name == "step":
-        section["lambda0"] = 0.5  # the fixed step needs one
     for key in reversed(path):
         section = {key: section}
     parsed = getattr(parse_config(section), attr)
@@ -214,6 +221,17 @@ def test_verify_gap_failure_exits_two(tmp_path, capsys):
     code = main(["verify", "--config", cfg_path, "--out", str(tmp_path / "out")])
     assert code == 2
     assert "verify" in capsys.readouterr().err
+
+
+def test_solver_tol_above_the_gradient_bound_is_rejected_only_for_pga_commands(tmp_path, capsys):
+    # the gradient demands residuals <= 1e-6, which a solve stopped at tol = 1e-5 may not meet
+    doc = dict(TINY, run=dict(TINY["run"], solver={"tol": 1e-5}))
+    cfg_path = _write_config(tmp_path, doc)
+    for command in ("convergence", "sweep", "tradeoff"):
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: run.solver.tol must be <= 1e-06 for {command}" in err
+    assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_config_error_exits_one(tmp_path, capsys):
@@ -302,15 +320,6 @@ def test_tradeoff_endpoints_are_extremal(tmp_path):
     i_c = [r[2] for r in rows]
     assert i_c[0] == max(i_c)  # rho = 0 maximizes communication
     assert i_s[-1] == max(i_s)  # rho = 1 maximizes sensing
-
-
-def test_dat_format_emission(tmp_path):
-    doc = dict(TINY)
-    doc["output"] = {"directory": "out", "formats": ["csv", "dat"]}
-    cfg_path = _write_config(tmp_path, doc)
-    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
-    dat = (tmp_path / "out" / "sweep.dat").read_text()
-    assert dat.startswith("# snr_db baseline_weighted_bits")
 
 
 def test_fast_flag_sets_trials(tmp_path):

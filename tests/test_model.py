@@ -209,3 +209,22 @@ def test_noise_config_snr_mapping():
 def test_geometry_rejects_negative_spread():
     with pytest.raises(ValueError):
         GeometryConfig(scatter_spread=-0.1)
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        {"scatter_spread": math.inf},
+        {"scatter_spread": math.nan},
+        {"target_center": (0.1, 0.2, 0.3)},
+        {"target_center": ()},
+        {"target_center": (math.nan, 0.2)},
+        {"comm_departure": (0.1, 0.2, 0.3)},
+        {"comm_arrival": (-math.inf, 0.2)},
+    ],
+)
+def test_geometry_requires_finite_direction_pairs_and_spread(geometry):
+    # each once reached the scenario draw: an OverflowError, an unpack error,
+    # a LinAlgError or a silently dropped third entry
+    with pytest.raises(ValueError, match="finite"):
+        GeometryConfig(**geometry)

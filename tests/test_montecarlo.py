@@ -148,18 +148,6 @@ def test_estimate_relative_error_at_headline_scale(scenario16, beamformer16):
     assert mc_s[0].std_error / mc_s[0].mean < 0.01
 
 
-def test_estimate_dumps_per_trial_values(tmp_path, scenario4, beamformer4):
-    path = tmp_path / "trials.csv"
-    est = estimate(
-        scenario4, beamformer4, NoiseConfig(0.0), "mi_c", trials=8, dump_path=str(path)
-    )
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "trial,value"
-    values = [float(line.split(",")[1]) for line in lines[1:]]
-    assert len(values) == 8
-    assert abs(np.mean(values) - est.mean) < 1e-10
-
-
 def test_estimate_matches_public_finite_mi(scenario4, beamformer4):
     noise = NoiseConfig(10.0)
     trials = 24
