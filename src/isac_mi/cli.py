@@ -31,7 +31,7 @@ from .model import (
     scenario_to_json,
 )
 from .montecarlo import mi_curves
-from .optimizer import UNCONVERGED_RESIDUAL, PgaAbort, PgaOptions, PgaTrace, pga
+from .optimizer import UNCONVERGED_RESIDUAL, PgaAbort, PgaOptions, pga
 
 LN2 = math.log(2.0)
 
@@ -82,7 +82,7 @@ VERIFY_HEADER = (
     "snr_db,i_s_closed_bits,i_s_mc_bits,i_s_mc_stderr_bits,i_s_rel_gap,"
     "i_c_closed_bits,i_c_mc_bits,i_c_mc_stderr_bits,i_c_rel_gap"
 )
-CONVERGENCE_HEADER = f"n_antennas,{PgaTrace.CSV_HEADER}"
+CONVERGENCE_HEADER = "n_antennas,iter,weighted_bits,step,grad_norm"
 SWEEP_HEADER = "snr_db,baseline_weighted_bits,optimized_weighted_bits,pga_iterations"
 TRADEOFF_HEADER = "rho,i_s_bits,i_c_bits,weighted_bits"
 
@@ -277,13 +277,15 @@ def run_convergence(cfg: ExperimentConfig) -> str:
     """PGA trace per antenna count at the single configured SNR."""
     noise = NoiseConfig(cfg.snr_db, cfg.sensing_offset_db)
 
-    lines = [CONVERGENCE_HEADER]
+    rows = []
     for n in cfg.antenna_counts:
         dims = SystemDims(n_t=n, n_r=n, n_u=n, num_scatter=cfg.dims.num_scatter, m=n, n_s=n)
         stats = generate_scenario(dims, cfg.rician_kappa, cfg.seed, cfg.geometry)
         _, trace = pga(stats, noise, cfg.rho, float(n), cfg.pga)
-        lines += [f"{n},{row}" for row in trace.to_csv().splitlines()[1:]]
-    return "\n".join(lines) + "\n"
+        rows += [
+            (n, r.iteration, r.weighted_mi / LN2, r.step_size, r.grad_norm) for r in trace.rows
+        ]
+    return _csv(CONVERGENCE_HEADER, rows)
 
 
 def run_sweep(cfg: ExperimentConfig) -> str:

@@ -37,8 +37,7 @@ Boyd (SIAM J. Optim. 2020):
 * an extrapolated iterate is used only if it lies in the sign cone below and
   its residual is at most `_SAFEGUARD` times that of the last accepted
   iterate; otherwise the driver takes the damped Picard step
-  x + damping * (f(x) - x) from the last accepted iterate, so
-  `SolverOptions.damping` sets the fallback step;
+  x + `_DAMPING` * (f(x) - x) from the last accepted iterate;
 * after `_STALL` iterations without a new best residual the driver switches
   to plain damped Picard iteration from the best iterate;
 * on convergence the undamped polish step x <- f(x) is kept only when it does
@@ -69,6 +68,7 @@ SIGN_EIG_FLOOR = -1e-8
 _MEMORY = 10  # Anderson history length
 _SAFEGUARD = 3.0  # largest accepted residual growth of an extrapolated iterate
 _STALL = 100  # iterations without a new best residual before plain damped Picard
+_DAMPING = 0.5  # Picard step of a rejected extrapolation and of the stall fallback
 
 
 class ConvergenceError(RuntimeError):
@@ -114,15 +114,12 @@ class SpectralPoint:
 class SolverOptions:
     tol: float = 1e-10
     max_iter: int = 5000
-    damping: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be finite and positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -227,7 +224,6 @@ def _iterate(system, start, opts: SolverOptions):
     d_f = np.empty((_MEMORY, x.size))
     d_g = np.empty((_MEMORY, x.size))
     stored = slot = 0
-    alpha = opts.damping
     history: list[float] = []
     last = best = None  # (x, f(x) - x, residual) of the last accepted / best iterate
     since_best = 0
@@ -249,7 +245,7 @@ def _iterate(system, start, opts: SolverOptions):
         if it == opts.max_iter:
             break
         if extrapolated and residual > _SAFEGUARD * last[2]:
-            x, extrapolated = last[0] + alpha * last[1], False
+            x, extrapolated = last[0] + _DAMPING * last[1], False
             continue
         f = gx - x
         if last is not None:
@@ -264,7 +260,7 @@ def _iterate(system, start, opts: SolverOptions):
         if not picard and since_best >= _STALL:
             picard, last = True, best
         if picard:
-            x = last[0] + alpha * last[1]
+            x = last[0] + _DAMPING * last[1]
             continue
         candidate = gx
         if stored:
@@ -272,7 +268,7 @@ def _iterate(system, start, opts: SolverOptions):
             gamma = np.linalg.lstsq(df @ df.T, df @ f, rcond=None)[0]
             candidate = gx - gamma @ d_g[:stored]
         extrapolated = system.in_cone(*packing.unpack(candidate))
-        x = candidate if extrapolated else x + alpha * f
+        x = candidate if extrapolated else x + _DAMPING * f
 
     raise ConvergenceError(system.branch, opts.max_iter, residual, history=history)
 

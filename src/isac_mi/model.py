@@ -99,14 +99,6 @@ class WeichselbergerStats:
         if profile.min() < 0.0:
             raise ValueError("variance profile has negative entries")
 
-    @property
-    def n_rx(self) -> int:
-        return self.mean.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.mean.shape[1]
-
 
 @dataclass(frozen=True)
 class ScenarioStats:

@@ -13,7 +13,7 @@ solve aborts the ascent.
 
 Backtracking uses the Armijo rule along the projection arc (Bertsekas,
 IEEE TAC 1976): with d = P(W + lambda * grad) - W, a step is accepted when
-f(W + d) >= f(W) + slope * Re<grad, d>.  Without projection d = lambda * grad
+f(W + d) >= f(W) + `_SLOPE` * Re<grad, d>.  Without projection d = lambda * grad
 and this is the classical test; on the power-ball boundary it asks only for
 the gain the projected step can deliver, not that of the discarded radial
 part.  Projection onto a convex set gives Re<grad, d> >= ||d||^2 / lambda,
@@ -36,6 +36,9 @@ from .model import Beamformer, NoiseConfig, ScenarioStats
 
 UNCONVERGED_RESIDUAL = 1e-6
 
+_BETA = 0.5  # backtracking factor of the Armijo step
+_SLOPE = 1e-4  # Armijo fraction of the predicted gain Re<grad, d>, in (0, 1)
+
 
 class PgaAbort(RuntimeError):
     """A solver failure inside a PGA iteration; carries the trace so far."""
@@ -47,21 +50,15 @@ class PgaAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class PgaOptions:
-    """Stopping rule, step rule and initialization for the ascent.
+    """Stopping rule and initialization for the ascent.
 
-    The step backtracks by Armijo along the projection arc (Bertsekas 1976):
-    lambda shrinks by beta from lambda0, default sqrt(p_t)/(1 + ||grad||_F),
-    until the MI gains slope * Re<grad, d> for the projected step d, with
-    slope in (0, 1), the classical Armijo range; the first-order gain of d is
-    2 Re<grad, d>.  init is None for a random Gaussian start projected to the
-    power ball, or a Beamformer to start from.
+    The ascent stops once an accepted step gains at most epsilon nats, or
+    after max_outer_iters steps.  init is None for a random Gaussian start
+    projected to the power ball, or a Beamformer to start from.
     """
 
     epsilon: float = 1e-4
     max_outer_iters: int = 50
-    lambda0: float | None = None
-    beta: float = 0.5
-    slope: float = 1e-4
     init: Beamformer | None = None
     init_seed: int = 1
     solver: SolverOptions = field(default_factory=SolverOptions)
@@ -69,12 +66,6 @@ class PgaOptions:
     def __post_init__(self):
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and positive")
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError("beta must be in (0, 1)")
-        if not (0.0 < self.slope < 1.0):
-            raise ValueError("slope must be in (0, 1)")
-        if self.lambda0 is not None and not self.lambda0 > 0.0:
-            raise ValueError("lambda0 must be positive")
         if self.init_seed < 0:
             raise ValueError("init_seed must be >= 0")
 
@@ -84,8 +75,8 @@ class PgaTraceRow:
     """One accepted point.  evaluations counts the weighted-MI solves spent on
     the step (rejected line-search candidates included), solver_iterations the
     sensing plus comm iterations of the solves they returned.  Neither is in
-    the CSV.  A final line search that accepts no step has no row; its solves
-    are counted in PgaTrace.final_search_evaluations."""
+    the convergence CSV.  A final line search that accepts no step has no
+    row; its solves are counted in PgaTrace.final_search_evaluations."""
 
     iteration: int
     weighted_mi: float  # nats
@@ -100,17 +91,6 @@ class PgaTrace:
     rows: list[PgaTraceRow] = field(default_factory=list)
     best: MiReport | None = None  # report of the returned (last accepted) point
     final_search_evaluations: int = 0  # solves of a last line search that accepted no step
-
-    CSV_HEADER = "iter,weighted_bits,step,grad_norm"
-
-    def to_csv(self) -> str:
-        ln2 = math.log(2.0)
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.iteration},{r.weighted_mi / ln2:.12g},{r.step_size:.12g},{r.grad_norm:.12g}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def gradient(
@@ -183,11 +163,13 @@ def pga(
     """Algorithm: step along the gradient, project, stop on a small MI change.
 
     Returns the last accepted beamformer and the per-iteration trace, whose
-    `best` is that beamformer's MiReport.  Backtracking tests the Armijo
-    condition against the projected step d = P(W + lambda * grad) - W
-    (Bertsekas 1976), f(W + d) >= f(W) + slope * Re<grad, d>.  It gives up
-    when lambda falls below 1e-12 lambda0, or without a solve when rounding
-    leaves Re<grad, d> <= 0.  Every accepted step has Re<grad, d> > 0, so the
+    `best` is that beamformer's MiReport.  Each step first tries
+    lambda = sqrt(p_t) / (1 + ||grad||_F) and backtracks by `_BETA`, testing
+    the Armijo condition against the projected step d = P(W + lambda * grad) - W
+    (Bertsekas 1976), f(W + d) >= f(W) + `_SLOPE` * Re<grad, d>; the
+    first-order gain of d is 2 Re<grad, d>.  It gives up when lambda falls
+    below 1e-12 of its first trial, or without a solve when rounding leaves
+    Re<grad, d> <= 0.  Every accepted step has Re<grad, d> > 0, so the
     trace is nondecreasing and the last accepted point is the best one.
     Only the first solve is cold; every candidate is warm-started from the
     fixed points of the current point.
@@ -220,7 +202,7 @@ def pga(
         if grad_norm == 0.0:
             break
 
-        lam = opts.lambda0 if opts.lambda0 is not None else math.sqrt(p_t) / (1.0 + grad_norm)
+        lam = math.sqrt(p_t) / (1.0 + grad_norm)
         lam_floor = lam * 1e-12
         previous = trace.best.weighted
         accepted = False
@@ -231,10 +213,10 @@ def pga(
             if predicted <= 0.0:
                 break  # the projected step is lost in rounding, and stays so for smaller lam
             report, cand_fs, cand_fc = evaluate(candidate, (fp_s, fp_c))
-            if report.weighted >= previous + opts.slope * predicted:
+            if report.weighted >= previous + _SLOPE * predicted:
                 accepted = True
                 break
-            lam *= opts.beta
+            lam *= _BETA
         if not accepted:
             break  # no improving projected step: stationary to working precision
 

@@ -23,6 +23,7 @@ from isac_mi import (
     default_beamformer,
     derivative_identity_check,
     effective_los,
+    estimate,
     generate_scenario,
     gradient,
     mi_curves,
@@ -67,6 +68,37 @@ def test_criterion_1_deterministic_equivalent_accuracy(scenario16, beamformer16)
     detail = f"max gap {max(gaps):.3%} over {SNR_GRID} dB, {elapsed:.0f}s"
     _gate("1 closed form vs MC within 2% (N=16, L=2, 2e3 trials)", max(gaps) < 0.02, detail)
     _gate("1b runtime under 10 minutes", elapsed < 600.0, f"{elapsed:.0f}s")
+
+
+def test_closed_form_gap_shrinks_as_the_arrays_grow():
+    # The deterministic equivalent is the large-array limit of the finite-size
+    # MI, so its gap to Monte Carlo must shrink as the arrays grow: a closed
+    # form with a small error would pass the 2% gate of criterion 1 and fail
+    # this.  Comm branch at 20 dB, headline ratios N = n_t = n_r = n_u = m =
+    # n_s, kappa = 1, L = 2; each doubling must shrink |gap| by more than three
+    # standard errors on either side.  Sensing is left out: from N = 8 on its
+    # standard error is as large as its gap.
+    start = time.time()
+    noise = NoiseConfig(20.0)
+    gaps = []  # (N, relative gap, its standard error)
+    for n in (4, 8, 16):
+        dims = SystemDims(n_t=n, n_r=n, n_u=n, num_scatter=2, m=n, n_s=n)
+        stats = generate_scenario(dims, 1.0, seed=7)
+        bf = default_beamformer(dims, float(n))
+        closed = weighted_mi(stats, bf, noise, 0.0).i_c
+        est = estimate(stats, bf, noise, "mi_c", trials=4000)
+        gaps.append((n, (closed - est.mean) / est.mean, est.std_error / est.mean))
+    elapsed = time.time() - start
+    for (n, gap, se), (n2, gap2, se2) in zip(gaps, gaps[1:]):
+        detail = (
+            f"|gap| {abs(gap):.2e} +- {se:.1e} -> {abs(gap2):.2e} +- {se2:.1e}, "
+            f"ratio {abs(gap) / abs(gap2):.2f}, {elapsed:.1f}s"
+        )
+        _gate(
+            f"comm closed form vs MC gap shrinks from N={n} to N={n2} (20 dB, 4e3 trials)",
+            abs(gap2) + 3.0 * se2 < abs(gap) - 3.0 * se,
+            detail,
+        )
 
 
 def test_criterion_2_pure_los_comm_exactness():

@@ -1,15 +1,18 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from isac_mi import (
     GeometryConfig,
+    NoiseConfig,
     PgaOptions,
     SolverOptions,
     SystemDims,
     generate_scenario,
+    pga,
     scenario_from_json,
 )
 from isac_mi.cli import (
@@ -21,6 +24,7 @@ from isac_mi.cli import (
     load_config,
     main,
     parse_config,
+    run_convergence,
     run_tradeoff,
 )
 
@@ -74,11 +78,7 @@ def test_config_defaults_follow_dimension_chain():
         ({"bogus": {}}, "unknown config key"),
         ({"scenario": {"m": 9, "n_t": 4}}, "dimensions"),
         ({"output": {"formats": ["xml"]}}, "unknown config key 'output.formats'"),
-        ({"run": {"pga": {"beta": 1.0}}}, "beta"),
-        ({"run": {"pga": {"beta": 1.5}}}, "beta"),
         ({"run": {"solver": {"max_iter": -1}}}, "max_iter"),
-        ({"run": {"pga": {"lambda0": 0.0}}}, "lambda0"),
-        ({"run": {"pga": {"lambda0": -0.5}}}, "lambda0"),
         ({"run": {"pga": {"init_seed": -1}}}, "init_seed"),
         ({"run": {"antenna_counts": [0]}}, "antenna_counts"),
         ({"noise": {"snr_db_grid": ["x"]}}, "invalid config value"),
@@ -99,13 +99,15 @@ def test_config_defaults_follow_dimension_chain():
         ({"run": {"solver": {"tol": float("nan")}}}, "tol"),
         ({"run": {"pga": {"epsilon": float("nan")}}}, "epsilon"),
         ({"run": {"pga": {"epsilon": float("inf")}}}, "epsilon"),
-        ({"run": {"pga": {"slope": -1.0}}}, "slope"),
-        ({"run": {"pga": {"slope": 0.0}}}, "slope"),
-        ({"run": {"pga": {"slope": 5.0}}}, "slope"),
         ({"run": {"p_t": float("inf")}}, "run.p_t must be finite"),
         ({"run": {"p_t": float("nan")}}, "run.p_t must be finite"),
         ({"run": {"rho_grid": []}}, "run.rho_grid must be nonempty"),
         ({"run": {"pga": {"step": "fixed"}}}, "unknown config key 'run.pga.step'"),
+        # the Picard damping and the Armijo step rule are module constants
+        ({"run": {"solver": {"damping": 0.5}}}, "unknown config key 'run.solver.damping'"),
+        ({"run": {"pga": {"lambda0": 1.0}}}, "unknown config key 'run.pga.lambda0'"),
+        ({"run": {"pga": {"beta": 0.5}}}, "unknown config key 'run.pga.beta'"),
+        ({"run": {"pga": {"slope": 1e-4}}}, "unknown config key 'run.pga.slope'"),
         # geometry directions are pairs of finite floats; JSON writes inf as Infinity
         ({"scenario": {"geometry": {"scatter_spread": float("inf")}}}, "invalid geometry"),
         ({"scenario": {"geometry": {"scatter_spread": float("nan")}}}, "invalid geometry"),
@@ -124,11 +126,8 @@ def test_config_validation_errors(doc, match):
 # A valid non-default value for every config field of the option dataclasses
 _NON_DEFAULT = {
     SystemDims: {"n_t": 20, "n_r": 5, "n_u": 12, "num_scatter": 3, "m": 8, "n_s": 9},
-    SolverOptions: {"tol": 1e-9, "max_iter": 123, "damping": 0.25},
-    PgaOptions: {
-        "epsilon": 1e-3, "max_outer_iters": 7, "lambda0": 2.5,
-        "beta": 0.25, "slope": 0.3, "init_seed": 9,
-    },
+    SolverOptions: {"tol": 1e-9, "max_iter": 123},
+    PgaOptions: {"epsilon": 1e-3, "max_outer_iters": 7, "init_seed": 9},
     GeometryConfig: {
         "comm_departure": (0.1, 0.2), "comm_arrival": (-0.3, 0.4),
         "target_center": (0.5, -0.6), "scatter_spread": 0.3,
@@ -244,16 +243,16 @@ def test_config_error_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize(
     "run, match",
     [
-        ({"pga": {"beta": 1.0}}, "beta"),
+        ({"pga": {"beta": 0.5}}, "unknown config key 'run.pga.beta'"),
         ({"solver": {"max_iter": -1}}, "max_iter"),
         ({"p_t": float("inf")}, "run.p_t"),
         ({"rho_grid": []}, "run.rho_grid"),
     ],
 )
 def test_step_and_iteration_limits_are_config_errors(tmp_path, capsys, run, match):
-    # beta = 1 never shrinks the Armijo step and max_iter < 0 runs no iteration;
-    # p_t = inf (json writes Infinity) leaves the random start unscaled, and an
-    # empty rho_grid would write a header-only frontier
+    # max_iter < 0 runs no iteration, p_t = inf (json writes Infinity) leaves the
+    # random start unscaled, an empty rho_grid would write a header-only
+    # frontier, and the Armijo factor beta is not a config key
     doc = dict(TINY, run=dict(TINY["run"], **run))
     cfg_path = _write_config(tmp_path, doc)
     assert main(["tradeoff", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
@@ -269,7 +268,7 @@ def test_negative_seed_override_exits_one(tmp_path, capsys):
 
 def test_solver_failure_exits_two(tmp_path, capsys):
     doc = dict(TINY)
-    doc["run"] = dict(TINY["run"], solver={"tol": 1e-10, "max_iter": 1, "damping": 0.5})
+    doc["run"] = dict(TINY["run"], solver={"tol": 1e-10, "max_iter": 1})
     cfg_path = _write_config(tmp_path, doc)
     code = main(["verify", "--config", cfg_path, "--out", str(tmp_path / "out")])
     assert code == 2
@@ -281,13 +280,36 @@ def test_convergence_command_schema(tmp_path):
     cfg_path = _write_config(tmp_path, TINY)
     assert main(["convergence", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
     lines = (tmp_path / "out" / "convergence.csv").read_text().strip().split("\n")
-    assert lines[0] == CONVERGENCE_HEADER
+    # pinned literally: the PGA cost fields (evaluations, solver iterations) are not in it
+    assert lines[0] == CONVERGENCE_HEADER == "n_antennas,iter,weighted_bits,step,grad_norm"
     final = {}
     for line in lines[1:]:
         n, _, weighted_bits, _, _ = line.split(",")
         final[int(n)] = float(weighted_bits)
     assert set(final) == {2, 3}
     assert final[2] < final[3]  # optimized weighted MI grows with the array
+
+
+def test_convergence_rows_are_the_pga_trace():
+    # one row per accepted PGA point: weighted MI in bits, the step and gradient
+    # norm of the step that reached it, all at 12 significant digits
+    cfg = parse_config(TINY)
+    lines = run_convergence(cfg).strip().split("\n")[1:]
+    expected = []
+    for n in cfg.antenna_counts:
+        dims = SystemDims(n_t=n, n_r=n, n_u=n, num_scatter=2, m=n, n_s=n)
+        stats = generate_scenario(dims, cfg.rician_kappa, cfg.seed, cfg.geometry)
+        noise = NoiseConfig(cfg.snr_db, cfg.sensing_offset_db)
+        _, trace = pga(stats, noise, cfg.rho, float(n), cfg.pga)
+        expected += [(n, r) for r in trace.rows]
+    assert len(lines) == len(expected) > len(cfg.antenna_counts)
+    for line, (n, row) in zip(lines, expected):
+        fields = line.split(",")
+        assert fields[:2] == [str(n), str(row.iteration)]
+        values = [float(f) for f in fields[2:]]
+        bits = row.weighted_mi / math.log(2.0)
+        assert values == pytest.approx([bits, row.step_size, row.grad_norm], rel=1e-11)
+    assert lines[0] == f"2,0,{expected[0][1].weighted_mi / math.log(2.0):.12g},0,0"
 
 
 def test_sweep_command_optimized_beats_baseline(tmp_path):
@@ -338,8 +360,8 @@ def test_help_documents_csv_schemas(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
     out = capsys.readouterr().out
-    assert VERIFY_HEADER in out
-    assert TRADEOFF_HEADER in out
+    for header in (VERIFY_HEADER, CONVERGENCE_HEADER, SWEEP_HEADER, TRADEOFF_HEADER):
+        assert header in out
     assert "ISAC_MI_THREADS" in out
 
 
@@ -388,3 +410,63 @@ def test_unwritable_output_file_after_the_work_is_a_config_error(tmp_path, capsy
     err = capsys.readouterr().err
     assert f"config error: cannot write {out / 'tradeoff.csv'}" in err
     assert "Traceback" not in err
+
+
+_FUZZ_BASE = {
+    "scenario": {"n_t": 4, "n_r": 4, "n_u": 4, "num_scatter": 2, "seed": 11},
+    "noise": {"snr_db_grid": [10.0]},
+    "run": {"trials": 20, "rho_grid": [0.5], "pga": {"max_outer_iters": 1}},
+}
+_FUZZ_VALUES = (
+    float("nan"), float("inf"), float("-inf"), 0, -1, "x", [], [1.0, 2.0, 3.0], None, True
+)
+
+
+def _config_paths(node, path=()):
+    """Every node and leaf of a config tree, as key paths, parents first."""
+    for key, value in node.items():
+        yield (*path, key)
+        if isinstance(value, dict) and value:
+            yield from _config_paths(value, (*path, key))
+
+
+def _with(doc: dict, path: tuple, value) -> dict:
+    """A copy of doc with the entry at path set to value, creating sections on the way."""
+    out = dict(doc)
+    if len(path) == 1:
+        out[path[0]] = value
+    else:
+        out[path[0]] = _with(doc.get(path[0], {}), path[1:], value)
+    return out
+
+
+def test_config_fuzz_runs_or_fails_by_name(tmp_path, capsys, monkeypatch):
+    # Every node and leaf of the default config, set to each hostile value, must
+    # run (exit 0), fail as a config error (1) or fail numerically by name (2):
+    # never raise.  New config keys are fuzzed without editing this test.  JSON
+    # writes NaN and inf as NaN and Infinity, which the config loader reads back.
+    # Huge finite magnitudes such as run.trials = 1e300 are not fuzzed: the
+    # parser accepts them and the run has no practical end.
+    from isac_mi.cli import _DEFAULT_CONFIG
+
+    monkeypatch.chdir(tmp_path)  # the output directory, fuzzed or default, is created here
+    paths = list(_config_paths(_DEFAULT_CONFIG))
+    assert ("run", "pga", "epsilon") in paths and ("scenario", "geometry") in paths
+    failures = []
+    for i, path in enumerate(paths):
+        for j, value in enumerate(_FUZZ_VALUES):
+            doc = _with(_FUZZ_BASE, path, value)
+            cfg_path = _write_config(tmp_path, doc, name=f"fuzz-{i}-{j}.json")
+            for command in ("verify", "tradeoff"):
+                case = f"{command} {'.'.join(path)}={value!r}"
+                try:
+                    code = main([command, "--config", cfg_path])
+                except Exception as exc:  # an uncaught exception is the finding
+                    failures.append(f"{case}: raised {type(exc).__name__}: {exc}")
+                    continue
+                err = capsys.readouterr().err
+                if code not in (0, 1, 2):
+                    failures.append(f"{case}: exit {code}")
+                elif code and not ("config error:" in err or "numerical failure" in err):
+                    failures.append(f"{case}: exit {code} without a named failure: {err!r}")
+    assert not failures, "\n".join(failures)

@@ -61,8 +61,8 @@ def test_solver_options_validation():
     for tol in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="tol"):
             SolverOptions(tol=tol)
-    with pytest.raises(ValueError):
-        SolverOptions(damping=1.5)
+    with pytest.raises(TypeError):
+        SolverOptions(damping=0.5)  # the Picard damping is the constant fixedpoint._DAMPING
 
 
 def test_zero_channel_sensing_solution():

@@ -21,7 +21,7 @@ from isac_mi import (
     project,
     weighted_mi,
 )
-from isac_mi.optimizer import PgaTrace, PgaTraceRow
+from isac_mi.optimizer import PgaTrace
 from helpers import fd_weighted_gradient, zero_scenario
 
 
@@ -156,45 +156,75 @@ def test_pga_options_validation(dims4):
     for epsilon in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="epsilon"):
             PgaOptions(epsilon=epsilon)
-    for slope in (-1.0, 0.0, 1.0, 5.0, float("nan")):
-        with pytest.raises(ValueError, match="slope"):
-            PgaOptions(slope=slope)
-    with pytest.raises(TypeError):
-        PgaOptions(step="fixed")  # one step rule: Armijo backtracking
 
 
-def test_trace_csv_schema():
-    trace = PgaTrace(
-        rows=[
-            PgaTraceRow(0, math.log(2.0), 0.0, 0.0),
-            PgaTraceRow(1, 2.0 * math.log(2.0), 0.5, 1.25),
-        ]
+@pytest.mark.parametrize("removed", ["step", "lambda0", "beta", "slope"])
+def test_pga_options_have_no_step_rule_settings(removed):
+    # one step rule, Armijo backtracking, whose first trial, factor and slope are constants
+    with pytest.raises(TypeError, match=removed):
+        PgaOptions(**{removed: 0.5})
+
+
+@pytest.mark.parametrize("rejections", [0, 1, 3])
+def test_pga_step_rule_constants(rejections, scenario4, interior_beamformer, monkeypatch):
+    # The first trial is sqrt(p_t) / (1 + ||grad||_F), each rejection halves it,
+    # and a candidate is accepted once it gains 1e-4 Re<grad, d>: the first
+    # `rejections` candidates report one ulp less than that, the next exactly it.
+    noise, rho, p_t = NoiseConfig(10.0), 0.8, 4.0
+    start, fp_s, fp_c = weighted_mi(
+        scenario4, interior_beamformer, noise, rho, return_fixed_points=True
     )
-    lines = trace.to_csv().strip().split("\n")
-    assert lines[0] == "iter,weighted_bits,step,grad_norm"
-    assert lines[1].startswith("0,1,")
-    assert lines[2].startswith("1,2,0.5,1.25")
+    grad = gradient(scenario4, interior_beamformer, noise, rho, fp_s, fp_c)
+    grad_norm = float(np.linalg.norm(grad))
+    candidates = []
 
+    def patched(stats, w_bf, *args, **kwargs):
+        report, cand_fs, cand_fc = weighted_mi(stats, w_bf, *args, **kwargs)
+        if kwargs["initial"] is None:
+            return report, cand_fs, cand_fc
+        candidates.append(w_bf)
+        predicted = float(np.vdot(grad, w_bf.w - interior_beamformer.w).real)
+        threshold = start.weighted + 1e-4 * predicted
+        if len(candidates) <= rejections:
+            threshold = np.nextafter(threshold, -np.inf)
+        return dataclasses.replace(report, weighted=threshold), cand_fs, cand_fc
 
-def test_trace_csv_header_is_pinned_and_ignores_cost_fields():
-    assert PgaTrace.CSV_HEADER == "iter,weighted_bits,step,grad_norm"
-    plain = PgaTrace(rows=[PgaTraceRow(1, math.log(2.0), 0.5, 1.25)])
-    costed = PgaTrace(
-        rows=[PgaTraceRow(1, math.log(2.0), 0.5, 1.25, evaluations=3, solver_iterations=40)]
-    )
-    assert costed.to_csv() == plain.to_csv() == "iter,weighted_bits,step,grad_norm\n1,1,0.5,1.25\n"
+    monkeypatch.setattr(optimizer_module, "weighted_mi", patched)
+    opts = PgaOptions(init=interior_beamformer, max_outer_iters=1)
+    _, trace = pga(scenario4, noise, rho, p_t, opts)
+
+    assert len(candidates) == rejections + 1
+    first = math.sqrt(p_t) / (1.0 + grad_norm)
+    assert [row.iteration for row in trace.rows] == [0, 1]
+    assert trace.rows[1].grad_norm == grad_norm
+    assert trace.rows[1].step_size == pytest.approx(first * 0.5**rejections, rel=1e-14)
+    assert trace.rows[1].evaluations == rejections + 1
 
 
 def test_pga_warm_starts_every_solve_after_the_first(scenario4, dims4, monkeypatch):
-    # a long first step from a weak start overshoots, so the run backtracks
+    # the first candidate reports no gain, so the run backtracks
     noise = NoiseConfig(30.0)
     start = Beamformer(0.1 * default_beamformer(dims4, 4.0).w, 4.0)
-    opts = PgaOptions(init=start, lambda0=1e3)
+    opts = PgaOptions(init=start)
+
+    def first_candidate_gains_nothing():
+        reports = []
+
+        def patched(*args, **kwargs):
+            report, fp_s, fp_c = weighted_mi(*args, **kwargs)
+            reports.append(report)
+            if len(reports) == 2:
+                report = dataclasses.replace(report, weighted=reports[0].weighted)
+            return report, fp_s, fp_c
+
+        return patched
+
     runs = {}
     for mode in ("cold", "warm"):
         log = []
         with monkeypatch.context() as patch:
             _patch_solvers(patch, _recording(log, mode))
+            patch.setattr(optimizer_module, "weighted_mi", first_candidate_gains_nothing())
             best, trace = pga(scenario4, noise, 0.8, 4.0, opts)
         runs[mode] = (best, trace, log)
 
@@ -225,7 +255,7 @@ def test_pga_falls_back_to_cold_when_a_warm_solve_fails(scenario4, dims4, monkey
     best, trace = runs["fail"]
     # every failed warm solve is repeated cold, so the run is the all-cold run
     assert np.array_equal(best.w, runs["cold"][0].w)
-    assert trace.to_csv() == runs["cold"][1].to_csv()
+    assert trace.rows == runs["cold"][1].rows
     assert np.allclose(best.w, unpatched.w, atol=1e-8)
 
 
@@ -301,9 +331,9 @@ def test_pga_tradeoff_boundary_search_accepts_the_projected_step(monkeypatch):
 @pytest.mark.parametrize("radial", [False, True])
 def test_pga_counts_a_final_search_that_accepts_nothing(radial, scenario4, dims4, monkeypatch):
     # Every candidate reports less than the start, so the first line search
-    # accepts nothing.  From inside the power ball it halves lam from lambda0
-    # to its 1e-12 lambda0 floor.  With a radial gradient on the boundary the
-    # projected step is zero, so the search stops before its first solve.
+    # accepts nothing.  From inside the power ball it halves lam from its first
+    # trial to the floor at 1e-12 of it.  With a radial gradient on the boundary
+    # the projected step is zero, so the search stops before its first solve.
     log = []
     _patch_solvers(monkeypatch, _recording(log))
     reports = []
@@ -324,7 +354,6 @@ def test_pga_counts_a_final_search_that_accepts_nothing(radial, scenario4, dims4
     opts = PgaOptions(init=start)
     _, trace = pga(scenario4, NoiseConfig(10.0), 0.8, 4.0, opts)
     assert [row.evaluations for row in trace.rows] == [1]
-    floor = math.ceil(math.log(1e-12) / math.log(opts.beta))  # halvings to the floor
+    floor = math.ceil(math.log(1e-12) / math.log(optimizer_module._BETA))  # halvings to the floor
     assert trace.final_search_evaluations == (0 if radial else floor)
     assert 2 * (trace.rows[0].evaluations + trace.final_search_evaluations) == len(log)
-    assert trace.to_csv() == PgaTrace(rows=trace.rows).to_csv()
