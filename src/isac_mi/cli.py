@@ -135,101 +135,91 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _integer(value, name: str) -> int:
-    """An integer config value: an integral float such as 16.0 is accepted, 2.9 is not."""
-    integral = isinstance(value, int) or float(value).is_integer()
-    _require(integral, f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _convert(value, default, key: str):
-    """A config value of the type of its dataclass default.  A field without a
-    default is a SystemDims count; a None default is an optional float."""
-    if default is MISSING or isinstance(default, int):
-        return _integer(value, key)
-    if isinstance(default, tuple):
-        return tuple(float(x) for x in value)
-    if default is None:
-        return None if value is None else float(value)
-    return type(default)(value)
+    """A config value of the JSON kind of its default.  An int default, or a
+    SystemDims field without one, takes an integer (16.0 but not 2.9); a list
+    default takes a list whose entries have the kind of its first entry; null
+    is only taken where the default is null, and true/false are not numbers."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if default is None and value is None:
+        return None
+    if isinstance(default, (list, tuple)):
+        if isinstance(value, (list, tuple)):
+            return tuple(_convert(v, default[0], key) for v in value)
+        kind = "a list"
+    elif isinstance(default, str):
+        if isinstance(value, str):
+            return value
+        kind = "a string"
+    elif default is MISSING or isinstance(default, int):
+        if number and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        kind = "an integer"
+    elif number:
+        return float(value)
+    else:
+        kind = "a number"
+    raise ConfigError(f"invalid config value: {key} must be {kind}, got {value!r}")
 
 
 def _build(cls, section: dict, where: str, what: str, **given):
     """SystemDims or an option dataclass from its config section, one field at a time."""
+    values = {
+        name: _convert(section[name], default, f"{where}.{name}")
+        for name, default in _defaults(cls).items()
+    }
     try:
-        values = {
-            name: _convert(section[name], default, f"{where}.{name}")
-            for name, default in _defaults(cls).items()
-        }
         return cls(**values, **given)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
-def parse_config(doc: dict) -> ExperimentConfig:
-    """Validate a raw config document and resolve defaults."""
+def parse_config(doc: dict, flags: dict | None = None) -> ExperimentConfig:
+    """Validate a raw config document, with the command-line flags merged over
+    it as config entries, and resolve defaults."""
     _require(isinstance(doc, dict), "config root must be an object")
-    merged = _merge(_DEFAULT_CONFIG, doc)
-    sc, noise, run, out = merged["scenario"], merged["noise"], merged["run"], merged["output"]
+    merged = _merge(_merge(_DEFAULT_CONFIG, doc), flags or {})
+    sc, run = merged["scenario"], merged["run"]
 
     m = sc["m"] if sc["m"] is not None else sc["n_u"]
     n_s = sc["n_s"] if sc["n_s"] is not None else m
     dims = _build(SystemDims, {**sc, "m": m, "n_s": n_s}, "scenario", "scenario dimensions")
     geometry = _build(GeometryConfig, sc["geometry"], "scenario.geometry", "geometry")
-
-    grid = noise["snr_db_grid"]
-    _require(isinstance(grid, (list, tuple)) and len(grid) > 0, "noise.snr_db_grid must be nonempty")
-    try:
-        grid = tuple(float(s) for s in grid)
-        snr_db, offset_db = float(noise["snr_db"]), float(noise["sensing_offset_db"])
-        rho = float(run["rho"])
-        rho_grid = tuple(float(r) for r in run["rho_grid"])
-        trials = _integer(run["trials"], "run.trials")
-        gap_threshold = float(run["gap_threshold"])
-        counts = tuple(_integer(n, "run.antenna_counts") for n in run["antenna_counts"])
-        p_t = float(run["p_t"]) if run["p_t"] is not None else float(dims.n_t)
-        kappa = float(sc["rician_kappa"])
-        seed = _integer(sc["seed"], "scenario.seed")
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
-    _require(seed >= 0, "scenario.seed must be >= 0")
-    _require(all(map(math.isfinite, (*grid, snr_db, offset_db))), "noise values must be finite")
-    _require(gap_threshold > 0.0, "run.gap_threshold must be positive")
-    _require(len(rho_grid) > 0, "run.rho_grid must be nonempty")
-    for r in (rho, *rho_grid):
-        _require(0.0 <= r <= 1.0, f"rho values must be in [0, 1], got {r}")
-    _require(trials >= 2, "run.trials must be >= 2 for Monte Carlo experiments")
-    _require(len(counts) > 0 and min(counts) >= 1, "run.antenna_counts must be nonempty, >= 1")
-    _require(0.0 < p_t < math.inf, "run.p_t must be finite and positive")
-
     solver = _build(SolverOptions, run["solver"], "run.solver", "solver/pga options")
     pga_opts = _build(PgaOptions, run["pga"], "run.pga", "solver/pga options", solver=solver)
-
-    _require(kappa > 0.0, "scenario.rician_kappa must be positive (inf for pure LoS)")
-
-    return ExperimentConfig(
-        dims=dims,
-        rician_kappa=kappa,
-        seed=seed,
-        geometry=geometry,
-        snr_db_grid=grid,
-        snr_db=snr_db,
-        sensing_offset_db=offset_db,
-        rho=rho,
-        rho_grid=rho_grid,
-        trials=trials,
-        gap_threshold=gap_threshold,
-        antenna_counts=counts,
-        p_t=p_t,
-        solver=solver,
-        pga=pga_opts,
-        out_dir=str(out["directory"]),
+    dims_keys = _defaults(SystemDims)
+    values = {
+        key: _convert(merged[name][key], default, f"{name}.{key}")
+        for name, section in _DEFAULT_CONFIG.items()
+        for key, default in section.items()
+        if not isinstance(default, dict) and key not in dims_keys
+    }
+    if values["p_t"] is None:
+        values["p_t"] = float(dims.n_t)
+    cfg = ExperimentConfig(
+        dims=dims, geometry=geometry, solver=solver, pga=pga_opts,
+        out_dir=values.pop("directory"), **values,
     )
 
+    _require(cfg.seed >= 0, "scenario.seed must be >= 0")
+    _require(len(cfg.snr_db_grid) > 0, "noise.snr_db_grid must be nonempty")
+    noise = (*cfg.snr_db_grid, cfg.snr_db, cfg.sensing_offset_db)
+    _require(all(map(math.isfinite, noise)), "noise values must be finite")
+    _require(cfg.gap_threshold > 0.0, "run.gap_threshold must be positive")
+    _require(len(cfg.rho_grid) > 0, "run.rho_grid must be nonempty")
+    for r in (cfg.rho, *cfg.rho_grid):
+        _require(0.0 <= r <= 1.0, f"rho values must be in [0, 1], got {r}")
+    _require(cfg.trials >= 2, "run.trials must be >= 2 for Monte Carlo experiments")
+    _require(min(cfg.antenna_counts, default=0) >= 1, "run.antenna_counts must be nonempty, >= 1")
+    _require(0.0 < cfg.p_t < math.inf, "run.p_t must be finite and positive")
+    _require(cfg.rician_kappa > 0.0, "scenario.rician_kappa must be positive (inf for pure LoS)")
+    return cfg
 
-def load_config(path: str | None) -> ExperimentConfig:
+
+def load_config(path: str | None, flags: dict | None = None) -> ExperimentConfig:
+    """The config file at path (the defaults if None), with the flags merged over it."""
     if path is None:
-        return parse_config({})
+        return parse_config({}, flags)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -237,7 +227,7 @@ def load_config(path: str | None) -> ExperimentConfig:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    return parse_config(doc)
+    return parse_config(doc, flags)
 
 
 def _scenario(cfg: ExperimentConfig) -> ScenarioStats:
@@ -371,30 +361,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    updates = {}
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    elif args.fast:
-        updates["trials"] = 2000
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if not updates:
-        return cfg
-    cfg = replace(cfg, **updates)
-    if cfg.trials < 2:
-        raise ConfigError("trials must be >= 2")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    return cfg
+def _flags(args: argparse.Namespace) -> dict:
+    """The command-line flags that were given, as config entries to merge over the file."""
+    flags = {
+        "output": {"directory": args.out},
+        "run": {"trials": 2000 if args.fast and args.trials is None else args.trials},
+        "scenario": {"seed": args.seed},
+    }
+    return {name: {k: v for k, v in sec.items() if v is not None} for name, sec in flags.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = load_config(args.config, _flags(args))
         if args.command in ("convergence", "sweep", "tradeoff"):
             _require(
                 cfg.solver.tol <= UNCONVERGED_RESIDUAL,

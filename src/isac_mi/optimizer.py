@@ -66,6 +66,8 @@ class PgaOptions:
     def __post_init__(self):
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and positive")
+        if self.max_outer_iters < 0:
+            raise ValueError("max_outer_iters must be >= 0")
         if self.init_seed < 0:
             raise ValueError("init_seed must be >= 0")
 

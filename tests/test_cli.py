@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +119,20 @@ def test_config_defaults_follow_dimension_chain():
         ({"scenario": {"geometry": {"target_center": [float("nan"), 0.2]}}}, "invalid geometry"),
         ({"scenario": {"geometry": {"comm_departure": [0.1, 0.2, 0.3]}}}, "invalid geometry"),
         ({"scenario": {"geometry": {"comm_arrival": [float("inf"), 0.2]}}}, "invalid geometry"),
+        ({"run": {"pga": {"max_outer_iters": -3}}}, "max_outer_iters must be >= 0"),
+        # each value must have its default's JSON kind: true/false are not numbers,
+        # a numeric string is not a number or a list, and null only replaces null
+        ({"scenario": {"seed": True}}, "scenario.seed must be an integer"),
+        ({"run": {"solver": {"max_iter": False}}}, "run.solver.max_iter must be an integer"),
+        ({"output": {"directory": None}}, "output.directory must be a string"),
+        ({"output": {"directory": 5}}, "output.directory must be a string"),
+        ({"run": {"rho_grid": "10"}}, "run.rho_grid must be a list"),
+        (
+            {"scenario": {"geometry": {"comm_departure": "10"}}},
+            "scenario.geometry.comm_departure must be a list",
+        ),
+        ({"run": {"trials": "10"}}, "run.trials must be an integer"),
+        ({"noise": {"snr_db": "10"}}, "noise.snr_db must be a number"),
     ],
 )
 def test_config_validation_errors(doc, match):
@@ -263,7 +280,14 @@ def test_step_and_iteration_limits_are_config_errors(tmp_path, capsys, run, matc
 def test_negative_seed_override_exits_one(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, TINY)
     assert main(["scenario-gen", "--config", cfg_path, "--seed", "-1", "--out", str(tmp_path)]) == 1
-    assert "config error: seed must be >= 0" in capsys.readouterr().err
+    assert "config error: scenario.seed must be >= 0" in capsys.readouterr().err
+
+
+def test_trials_override_below_two_exits_one(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, TINY)
+    assert main(["verify", "--config", cfg_path, "--trials", "1", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: run.trials must be >= 2 for Monte Carlo experiments" in err
 
 
 def test_solver_failure_exits_two(tmp_path, capsys):
@@ -344,16 +368,23 @@ def test_tradeoff_endpoints_are_extremal(tmp_path):
     assert i_s[-1] == max(i_s)  # rho = 1 maximizes sensing
 
 
-def test_fast_flag_sets_trials(tmp_path):
-    from isac_mi.cli import _apply_overrides, _build_parser
+def test_fast_flag_sets_trials(tmp_path, monkeypatch):
+    # --out, --trials/--fast and --seed are the config entries output.directory,
+    # run.trials and scenario.seed, merged over the config file
+    from isac_mi import cli
 
-    cfg = parse_config({})
-    args = _build_parser().parse_args(["verify", "--fast"])
-    assert _apply_overrides(cfg, args).trials == 2000
-    args = _build_parser().parse_args(["verify", "--fast", "--trials", "123"])
-    assert _apply_overrides(cfg, args).trials == 123
-    args = _build_parser().parse_args(["verify", "--seed", "99"])
-    assert _apply_overrides(cfg, args).seed == 99
+    seen = []
+
+    def record(cfg):
+        seen.append(cfg)
+        return VERIFY_HEADER + "\n", True
+
+    monkeypatch.setattr(cli, "run_verify", record)
+    out = str(tmp_path / "out")
+    for flags in (["--fast"], ["--fast", "--trials", "123"], ["--seed", "99"]):
+        assert main(["verify", "--out", out, *flags]) == 0
+    assert [(cfg.trials, cfg.seed) for cfg in seen] == [(2000, 7), (123, 7), (10000, 99)]
+    assert all(cfg.out_dir == out for cfg in seen)
 
 
 def test_help_documents_csv_schemas(capsys):
@@ -470,3 +501,34 @@ def test_config_fuzz_runs_or_fails_by_name(tmp_path, capsys, monkeypatch):
                 elif code and not ("config error:" in err or "numerical failure" in err):
                     failures.append(f"{case}: exit {code} without a named failure: {err!r}")
     assert not failures, "\n".join(failures)
+
+
+def test_every_value_of_the_wrong_kind_is_rejected():
+    # Every node and leaf of the default config, set to a JSON value of another
+    # kind, is a config error: true and false are not numbers, "10" is not a
+    # number or a list, and null is taken only where the default is null.  New
+    # config keys are covered without editing this test.
+    from isac_mi.cli import _DEFAULT_CONFIG
+
+    accepted = []
+    for path in _config_paths(_DEFAULT_CONFIG):
+        default = functools.reduce(dict.__getitem__, path, _DEFAULT_CONFIG)
+        for value in (True, False, None, "x", "10"):
+            if (value is None and default is None) or (
+                isinstance(value, str) and isinstance(default, str)
+            ):
+                continue
+            try:
+                parse_config(_with({}, path, value))
+            except ConfigError:
+                continue
+            accepted.append(f"{'.'.join(path)}={value!r}")
+    assert not accepted, accepted
+
+
+def test_readme_config_block_is_the_default_config():
+    from isac_mi.cli import _DEFAULT_CONFIG
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1)
+    assert json.loads(block) == json.loads(json.dumps(_DEFAULT_CONFIG))

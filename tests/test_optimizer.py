@@ -156,6 +156,8 @@ def test_pga_options_validation(dims4):
     for epsilon in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="epsilon"):
             PgaOptions(epsilon=epsilon)
+    with pytest.raises(ValueError, match="max_outer_iters"):
+        PgaOptions(max_outer_iters=-3)
 
 
 @pytest.mark.parametrize("removed", ["step", "lambda0", "beta", "slope"])
