@@ -1,8 +1,8 @@
 """Hermitian linear algebra helpers shared by the solver and MI modules.
 
-All inverses go through an eigendecomposition so that the condition number
-is monitored on every solve; ill-conditioned systems raise instead of
-returning garbage.
+Every Hermitian inverse checks the exact condition number, from the
+eigenvalues alone, before it is taken by LU factorization; ill-conditioned
+systems raise instead of returning garbage.
 """
 
 from __future__ import annotations
@@ -41,13 +41,14 @@ def hermitize(a: np.ndarray, tol: float = 1e-8, context: str = "operator input")
 
 
 def inv_herm(a: np.ndarray, context: str) -> np.ndarray:
-    """Inverse of a Hermitian matrix via eigendecomposition with condition guard."""
-    evals, evecs = np.linalg.eigh(herm(a))
-    amax = np.abs(evals).max()
-    amin = np.abs(evals).min()
+    """LU inverse of the Hermitian part of `a`, guarded by its condition number
+    max|lambda| / min|lambda| from the eigenvalues (so indefinite matrices invert)."""
+    a = herm(a)
+    evals = np.abs(np.linalg.eigvalsh(a))
+    amax, amin = evals.max(), evals.min()
     if amin == 0.0 or amax / amin > COND_LIMIT:
         raise SingularMatrixError(context, np.inf if amin == 0.0 else amax / amin)
-    return (evecs / evals) @ evecs.conj().T
+    return np.linalg.inv(a)
 
 
 def logdet_phased(a: np.ndarray) -> complex:

@@ -156,7 +156,10 @@ def _convert(value, default, key: str):
             return int(value)
         kind = "an integer"
     elif number:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            kind = "a number within the float range"
     else:
         kind = "a number"
     raise ConfigError(f"invalid config value: {key} must be {kind}, got {value!r}")
@@ -225,7 +228,7 @@ def load_config(path: str | None, flags: dict | None = None) -> ExperimentConfig
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     return parse_config(doc, flags)
 

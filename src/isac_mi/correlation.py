@@ -25,6 +25,16 @@ from ._linalg import hermitize
 from .model import Beamformer, ScenarioStats, WeichselbergerStats
 
 
+def rotated_diag(basis: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Real diagonal of B' C B for Hermitian C; batched over leading axes."""
+    return np.einsum("...ij,...ij->...j", basis.conj(), c @ basis).real
+
+
+def assemble(left: np.ndarray, diag: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left diag(d) right'; batched over leading axes."""
+    return (left * diag[..., None, :]) @ right.conj().swapaxes(-1, -2)
+
+
 class CorrelationOps:
     """Correlation operators bound to one scenario's statistics (stateless)."""
 
@@ -96,23 +106,17 @@ class CorrelationOps:
         """E[X' C X] for the random part X of channel s, (n_rx x n_rx) -> (n_t x n_t)."""
         c = hermitize(np.asarray(c), context=f"{name} input")
         self._check_shape(c, s.left_unitary.shape[0], name)
-        d = self._rotated_diag(s.left_unitary, c)  # length n_rx
-        return self._assemble(s.right_unitary, (s.variance_profile**2).T @ d)
+        d = rotated_diag(s.left_unitary, c)  # length n_rx
+        u = s.right_unitary
+        return assemble(u, (s.variance_profile**2).T @ d / self.dims.n_t, u)
 
     def _to_rx(self, s: WeichselbergerStats, c: np.ndarray, name: str) -> np.ndarray:
         """E[X C X'] for the random part X of channel s, (n_t x n_t) -> (n_rx x n_rx)."""
         c = hermitize(np.asarray(c), context=f"{name} input")
         self._check_shape(c, self.dims.n_t, name)
-        d = self._rotated_diag(s.right_unitary, c)  # length n_t
-        return self._assemble(s.left_unitary, (s.variance_profile**2) @ d)
-
-    @staticmethod
-    def _rotated_diag(unitary: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Real diagonal of U' C U for Hermitian C."""
-        return np.einsum("ji,jk,ki->i", unitary.conj(), c, unitary).real
-
-    def _assemble(self, unitary: np.ndarray, diag: np.ndarray) -> np.ndarray:
-        return (unitary * (diag / self.dims.n_t)) @ unitary.conj().T
+        d = rotated_diag(s.right_unitary, c)  # length n_t
+        u = s.left_unitary
+        return assemble(u, (s.variance_profile**2) @ d / self.dims.n_t, u)
 
     @staticmethod
     def _check_shape(a: np.ndarray, n: int, context: str) -> None:

@@ -55,12 +55,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from ._linalg import herm, inv_herm, min_eigval, rel_residual
-from .correlation import CorrelationOps
+from .correlation import assemble, rotated_diag
 from .model import Beamformer, ScenarioStats, effective_los
 
 SIGN_EIG_FLOOR = -1e-8
@@ -296,34 +295,52 @@ def _resolvent_pair(a_blocks, b: np.ndarray, h: np.ndarray, contexts):
 class _System:
     """Right-hand sides of one deterministic-equivalent system at fixed (W, w).
 
-    `maps` holds, per channel X_l, its beamformed receive-side map
-    g -> E[X_l W g W' X_l'] and its transmit-side map c -> E[X_l' c X_l];
-    `h_raw` stacks the LoS means of the channels and h_eff = h_raw W.
-    `contexts` names the inverses of pi, of the g_tilde equation, of a
-    psi_tilde block and of the g equation.
+    `channels` holds the statistics of each channel X_l, `h_raw` stacks their
+    LoS means and h_eff = h_raw W.  `contexts` names the inverses of pi, of the
+    g_tilde equation, of a psi_tilde block and of the g equation.  The
+    correlation maps of the channels are set up once per system: with the
+    receive unitary U_l, the squared profile P_l = profile_l^2 / n_t and the
+    beamformed transmit basis W'V_l of each channel,
+
+        E[X_l W g W' X_l'] = U_l diag(P_l diag(V_l' W g W' V_l)) U_l',
+        W' E[X_l' c X_l] W = W'V_l diag(P_l' diag(U_l' c U_l)) V_l' W,
+
+    so each map costs one product for the rotated diagonal and one for the
+    assembly.  The bases of the L channels sit side by side, so the sum over
+    l in psi is one product too.
     """
 
-    def __init__(self, branch, contexts, maps, h_raw, h_eff, n_s, w_bf, w):
-        self.branch, self.contexts, self.maps = branch, contexts, maps
+    def __init__(self, branch, contexts, channels, h_raw, h_eff, n_s, w_bf, w):
+        self.branch, self.contexts = branch, contexts
         self.h_raw, self.h_eff, self.n_s = h_raw, h_eff, n_s
         self.w_bf, self.w = w_bf, w
         self.m = h_eff.shape[1]
-        self.n_rx = h_raw.shape[0] // len(maps)
+        self.num_channels = len(channels)
+        self.n_rx = h_raw.shape[0] // self.num_channels
+        n_t = w_bf.w.shape[0]
+        self.receive = np.stack([c.left_unitary for c in channels])  # (L, n_rx, n_rx)
+        self.profile = np.stack([c.variance_profile**2 for c in channels]) / n_t  # (L, n_rx, n_t)
+        self.transmit = np.hstack([c.right_unitary for c in channels])  # [V_1 ... V_L]
+        self.beamformed = w_bf.w.conj().T @ self.transmit  # [W'V_1 ... W'V_L]
         self.packing = _Packing((self.m, h_raw.shape[0]), (1.0, -w))
 
-    def psi_tilde_blocks(self, g: np.ndarray) -> list[np.ndarray]:
-        eye = np.eye(self.n_rx)
-        return [self.w * eye - rx(g) for rx, _ in self.maps]
+    def psi_tilde_blocks(self, g: np.ndarray) -> np.ndarray:
+        """wI - E[X_l W g W' X_l'] of every channel, stacked (L, n_rx, n_rx)."""
+        d = rotated_diag(self.beamformed, g).reshape(self.num_channels, -1)
+        rx = assemble(self.receive, np.einsum("lij,lj->li", self.profile, d), self.receive)
+        return self.w * np.eye(self.n_rx) - rx
 
-    def psi_raw(self, g_tilde: np.ndarray) -> np.ndarray:
-        """Transmit-side self-energy before beamforming, -sum_l E[X_l' g_tilde_l X_l]."""
-        return -sum(
-            tx(_diag_block(g_tilde, l, self.n_rx)) for l, (_, tx) in enumerate(self.maps)
-        )
+    def _transmit_diag(self, g_tilde: np.ndarray) -> np.ndarray:
+        """P_l' diag(U_l' g_tilde_l U_l) of every diagonal block g_tilde_l, end to end."""
+        num, n = self.num_channels, self.n_rx
+        channel = np.arange(num)
+        blocks = g_tilde.reshape(num, n, num, n)[channel, :, channel, :]
+        d = rotated_diag(self.receive, blocks)
+        return np.einsum("lij,li->lj", self.profile, d).ravel()
 
     def psi(self, g_tilde: np.ndarray) -> np.ndarray:
-        w = self.w_bf.w
-        return w.conj().T @ self.psi_raw(g_tilde) @ w
+        """-W' (sum_l E[X_l' g_tilde_l X_l]) W."""
+        return -assemble(self.beamformed, self._transmit_diag(g_tilde), self.beamformed)
 
     def phi(self, g: np.ndarray) -> float:
         """Positive root of phi = 1 - Tr(g_dd)/n_s with g_dd = -phi I + phi^2 g
@@ -369,32 +386,28 @@ class _System:
         return max(rel_residual(a, b) for a, b in pairs)
 
     def gradient_term(self, g, g_tilde, psi_t_blocks) -> np.ndarray:
-        """(psi_raw(g_tilde) - LoS(h_raw, psi_tilde)) W g at a converged state."""
+        """(psi_raw(g_tilde) - LoS(h_raw, psi_tilde)) W g at a converged state, where
+        psi_raw W = -sum_l E[X_l' g_tilde_l X_l] W is the transmit-side self-energy
+        before its left beamformer."""
+        psi_raw_w = -assemble(self.transmit, self._transmit_diag(g_tilde), self.beamformed)
         los = _los_term(self.h_raw, psi_t_blocks, self.contexts[2])
-        return ((self.psi_raw(g_tilde) - los) @ self.w_bf.w) @ g
+        return (psi_raw_w - los @ self.w_bf.w) @ g
 
 
 def _sensing_system(stats: ScenarioStats, w_bf: Beamformer, w: float) -> _System:
     """The L scatter channels behind the n_s-sample symbol block."""
-    ops = CorrelationOps(stats)
     g_eff, _, g_raw = effective_los(stats, w_bf)
-    maps = [
-        (partial(ops.eta_tilde_w, l, w_bf=w_bf), partial(ops.eta, l))
-        for l in range(stats.dims.num_scatter)
-    ]
     contexts = ("sensing pi inverse", "sensing g_c_tilde equation",
                 "sensing psi_tilde block inverse", "sensing g_c equation")
-    return _System("sensing", contexts, maps, g_raw, g_eff, stats.dims.n_s, w_bf, w)
+    return _System("sensing", contexts, stats.sensing, g_raw, g_eff, stats.dims.n_s, w_bf, w)
 
 
 def _comm_system(stats: ScenarioStats, w_bf: Beamformer, w: float) -> _System:
     """The uplink channel with no symbol block: n_s = inf, so phi = 1."""
-    ops = CorrelationOps(stats)
     _, h_eff, _ = effective_los(stats, w_bf)
-    maps = [(partial(ops.tau_tilde_w, w_bf=w_bf), ops.tau)]
     contexts = ("comm omega inverse", "comm g_e_tilde equation",
                 "comm omega_tilde inverse", "comm g_e equation")
-    return _System("comm", contexts, maps, stats.comm.mean, h_eff, math.inf, w_bf, w)
+    return _System("comm", contexts, (stats.comm,), stats.comm.mean, h_eff, math.inf, w_bf, w)
 
 
 def _solve(system: _System, initial, opts: SolverOptions):

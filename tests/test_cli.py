@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,18 @@ def test_integral_floats_are_accepted_as_integers():
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
+    with pytest.raises(ConfigError, match="valid JSON"):
+        load_config(str(path))
+
+
+def test_load_config_rejects_an_integer_literal_too_long_to_read(tmp_path):
+    # json raises ValueError, not JSONDecodeError, for an integer literal longer
+    # than the interpreter's integer string conversion limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integer literals of any length")
+    path = tmp_path / "long.json"
+    path.write_text('{"noise": {"snr_db": 1' + "0" * limit + "}}")
     with pytest.raises(ConfigError, match="valid JSON"):
         load_config(str(path))
 
@@ -532,3 +545,32 @@ def test_readme_config_block_is_the_default_config():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1)
     assert json.loads(block) == json.loads(json.dumps(_DEFAULT_CONFIG))
+
+
+def test_integer_literals_beyond_the_float_range_are_config_errors(tmp_path, capsys):
+    # JSON reads 1e400 as inf, which fails as non-finite, but reads a 401-digit
+    # integer literal as a Python int that float() cannot convert.  Every float
+    # leaf of the default config (p_t's default is null) is covered.
+    from isac_mi.cli import _DEFAULT_CONFIG
+
+    huge = 10**400
+    leaves = [(("run", "p_t"), huge)]
+    for path in _config_paths(_DEFAULT_CONFIG):
+        default = functools.reduce(dict.__getitem__, path, _DEFAULT_CONFIG)
+        if isinstance(default, float):
+            leaves.append((path, huge))
+        elif isinstance(default, (list, tuple)) and isinstance(default[0], float):
+            leaves.append((path, [huge]))
+    assert (("noise", "snr_db"), huge) in leaves
+    assert (("scenario", "geometry", "target_center"), [huge]) in leaves
+    for path, value in leaves:
+        match = re.escape(".".join(path)) + " must be a number within the float range"
+        with pytest.raises(ConfigError, match=match):
+            parse_config(_with({}, path, value))
+
+    cfg_path = _write_config(tmp_path, _with(TINY, ("noise", "snr_db"), huge))
+    for command in ("scenario-gen", "verify"):
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: invalid config value: noise.snr_db" in err
+        assert "Traceback" not in err

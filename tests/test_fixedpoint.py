@@ -418,3 +418,40 @@ def test_sensing_without_symbol_block_is_the_comm_system():
     assert np.abs(fp_s.g_c - fp_c.g_e).max() <= 1e-6
     assert np.abs(fp_s.g_c_tilde - fp_c.g_e_tilde).max() <= 1e-5
     assert 0.0 <= fp_s.phi_scalar - 1.0 <= 1e-5
+
+
+@pytest.mark.parametrize("num_scatter", [1, 4])
+def test_system_maps_are_the_correlation_operators(num_scatter):
+    # the system's precomputed maps against the public operators, on random
+    # Hermitian arguments and a random beamformer
+    from isac_mi import CorrelationOps
+    from isac_mi.fixedpoint import _comm_system, _sensing_system
+    from helpers import random_hermitian
+
+    dims = SystemDims(n_t=32, n_r=16, n_u=8, num_scatter=num_scatter, m=8, n_s=16)
+    stats = generate_scenario(dims, 1.0, seed=5)
+    rng = np.random.default_rng(num_scatter)
+    w = rng.standard_normal((32, 8)) + 1j * rng.standard_normal((32, 8))
+    bf = Beamformer(w / np.linalg.norm(w) * 4.0, 32.0)
+    ops, w_arg = CorrelationOps(stats), -0.3
+
+    def close(a, b):
+        return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    g = random_hermitian(8, rng)
+    sensing = _sensing_system(stats, bf, w_arg)
+    g_tilde = random_hermitian(num_scatter * 16, rng)
+    blocks = sensing.psi_tilde_blocks(g)
+    assert len(blocks) == num_scatter
+    for l, block in enumerate(blocks):
+        assert close(block, w_arg * np.eye(16) - ops.eta_tilde_w(l, g, bf))
+    raw = sum(
+        ops.eta(l, g_tilde[16 * l : 16 * (l + 1), 16 * l : 16 * (l + 1)]) for l in range(num_scatter)
+    )
+    assert close(sensing.psi(g_tilde), -bf.w.conj().T @ raw @ bf.w)
+
+    comm = _comm_system(stats, bf, w_arg)
+    e_tilde = random_hermitian(8, rng)
+    (block,) = comm.psi_tilde_blocks(g)
+    assert close(block, w_arg * np.eye(8) - ops.tau_tilde_w(g, bf))
+    assert close(comm.psi(e_tilde), -bf.w.conj().T @ ops.tau(e_tilde) @ bf.w)

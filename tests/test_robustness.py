@@ -6,7 +6,8 @@
 point must converge to a fixed point with the resolvent sign structure and
 self-consistent stored equations.  A few of these points also check that the
 MIs are stationary in the solver residual, the derivative identity and the
-closed form against Monte Carlo.
+closed form against Monte Carlo, and that the solved state meets its equations
+evaluated in extended precision.
 """
 
 import itertools
@@ -28,6 +29,7 @@ from isac_mi import (
     residual_sensing,
     weighted_mi,
 )
+from isac_mi.fixedpoint import _comm_system, _sensing_system
 
 _SHAPES = ((16, 16, 16, 16), (32, 16, 8, 8), (16, 8, 12, 6))  # (n_t, n_r, n_u, m)
 
@@ -119,3 +121,61 @@ def test_closed_form_matches_monte_carlo_at_hard_points(
     mc_s, mc_c = mi_curves(stats, bf, [noise], trials=2000)
     assert abs(report.i_s - mc_s[0].mean) / mc_s[0].mean < 0.02
     assert abs(report.i_c - mc_c[0].mean) / mc_c[0].mean < 0.02
+
+
+# the solve-highsnr bench points, and the pure-LoS 40 dB point of each grid shape
+_EXACT = [
+    _point((16, 16, 16, 16), 2, 16, 1.0, 20.0),
+    _point((16, 16, 16, 16), 2, 16, 1.0, 30.0),
+    *_HARD,
+    *(_point(shape, 1, shape[3], math.inf, 40.0) for shape in _SHAPES),
+]
+
+
+def _refined_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of the clongdouble matrix a: the double LU inverse refined by two
+    Newton steps X <- X + X (I - A X) in extended precision."""
+    eye = np.eye(len(a), dtype=np.clongdouble)
+    x = np.linalg.inv(a.astype(complex)).astype(np.clongdouble)
+    for _ in range(2):
+        x = x + x @ (eye - a @ x)
+    return x
+
+
+def _exact_rhs(system, g, g_tilde):
+    """(rhs_g, rhs_g_tilde) of the system evaluated in clongdouble, with the resolvent
+    pair ((blockdiag A - h B^-1 h')^-1, (B - sum_l h_l' A_l^-1 h_l)^-1) written out."""
+    g, g_tilde = (np.asarray(a, dtype=np.clongdouble) for a in (g, g_tilde))
+    psi_t, _, pi, _ = system.self_energies(g, g_tilde)
+    h = system.h_eff.astype(np.clongdouble)
+    n = psi_t[0].shape[0]
+    a = np.zeros((len(psi_t) * n,) * 2, dtype=np.clongdouble)
+    los = np.zeros_like(pi)
+    for l, block in enumerate(psi_t):
+        a[l * n : (l + 1) * n, l * n : (l + 1) * n] = block
+        h_l = h[l * n : (l + 1) * n]
+        los += h_l.conj().T @ _refined_inverse(block) @ h_l
+    g_tilde_rhs = _refined_inverse(a - h @ _refined_inverse(pi) @ h.conj().T)
+    return _refined_inverse(pi - los), g_tilde_rhs
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double here"
+)
+@pytest.mark.parametrize(_PARAMS, _EXACT)
+def test_solution_meets_its_equations_in_extended_precision(
+    shape, num_scatter, n_s, kappa, snr_db
+):
+    # the solver's own residual re-evaluates the right-hand side with its own
+    # inverses, so it cannot see their rounding error; this check can
+    stats, bf, noise = _setup(shape, num_scatter, n_s, kappa, snr_db)
+    _, fp_s, fp_c = weighted_mi(stats, bf, noise, 0.8, return_fixed_points=True)
+    systems = (
+        (_sensing_system(stats, bf, -noise.sigma_s2), fp_s),
+        (_comm_system(stats, bf, -noise.sigma_c2), fp_c),
+    )
+    for system, fp in systems:
+        g, g_tilde = fp._variables[:2]
+        for solved, exact in zip((g, g_tilde), _exact_rhs(system, g, g_tilde)):
+            error = np.linalg.norm((solved - exact).astype(complex))
+            assert error / (1.0 + np.linalg.norm(exact.astype(complex))) <= 1e-10, system.branch
