@@ -1,8 +1,11 @@
 """Hermitian linear algebra helpers shared by the solver and MI modules.
 
-Every Hermitian inverse checks the exact condition number, from the
-eigenvalues alone, before it is taken by LU factorization; ill-conditioned
-systems raise instead of returning garbage.
+`inv_herm` checks the exact condition number, from the eigenvalues alone,
+before it takes the LU inverse; ill-conditioned systems raise instead of
+returning garbage.  The guard runs wherever an inverse is behind a returned
+number: once per fixed-point solve, on every inverse of one evaluation at the
+returned state, and in the Shannon transform, the PGA gradient and the
+residual checks.  The iterates in between use plain LU inverses.
 """
 
 from __future__ import annotations

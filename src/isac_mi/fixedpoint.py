@@ -43,6 +43,13 @@ Boyd (SIAM J. Optim. 2020):
 * on convergence the undamped polish step x <- f(x) is kept only when it does
   not raise the residual.
 
+The iterates evaluate the right-hand side through plain LU inverses, which
+raise `SingularMatrixError` only on an exactly singular matrix; a non-finite
+residual ends the iteration at once with a `ConvergenceError`.  The 1e14
+condition guard of `inv_herm` runs once per solve, on every inverse of one
+evaluation at the returned state, and again in the Shannon transform
+(`_los_term`) and the PGA gradient (`gradient_term`).
+
 Sign structure at w < 0 (enforced on return): g_tilde is a negative definite
 resolvent-type block and g a positive definite E[SS']-type block.  That cone
 needs nothing of phi beyond phi > 0, which the closed form gives whenever
@@ -58,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import herm, inv_herm, min_eigval, rel_residual
+from ._linalg import SingularMatrixError, herm, inv_herm, min_eigval, rel_residual
 from .correlation import assemble, rotated_diag
 from .model import Beamformer, ScenarioStats, effective_los
 
@@ -204,18 +211,30 @@ class _Packing:
         ]
 
     def residual(self, x: np.ndarray, gx: np.ndarray) -> float:
-        """Max over blocks of rel_residual(block, rhs block), in unscaled units."""
-        return max(
-            float(np.linalg.norm(x[a:b] - gx[a:b]) / (s + np.linalg.norm(gx[a:b])))
+        """Max over blocks of rel_residual(block, rhs block), in unscaled units;
+        NaN when any block's is."""
+        return float(np.max([
+            np.linalg.norm(x[a:b] - gx[a:b]) / (s + np.linalg.norm(gx[a:b]))
             for a, b, s in zip(self.bounds, self.bounds[1:], self.scales)
-        )
+        ]))
+
+
+def _lu_inverse(a: np.ndarray, context: str) -> np.ndarray:
+    """LU inverse of the Hermitian part of `a` with no condition guard: the
+    iterates' inverse.  Only an exactly singular matrix raises, by name."""
+    try:
+        return np.linalg.inv(herm(a))
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(context, math.inf) from None
 
 
 def _iterate(system, start, opts: SolverOptions):
     """Safeguarded Anderson iteration of `system.rhs` from the blocks `start`.
 
     Returns (blocks, residual, iterations, history) at the first iterate whose
-    residual meets opts.tol, after the conditional polish step.
+    residual meets opts.tol, after the conditional polish step.  The right-hand
+    side is evaluated through unguarded LU inverses (`_solve` guards the
+    returned state); a non-finite residual ends the iteration at once.
     """
     packing = system.packing
     x = packing.pack(start)
@@ -230,12 +249,15 @@ def _iterate(system, start, opts: SolverOptions):
 
     def evaluate(x):
         blocks = packing.unpack(x)
-        gx = packing.pack(system.rhs(*blocks))
+        gx = packing.pack(system.rhs(*blocks, inverse=_lu_inverse))
         return blocks, gx, packing.residual(x, gx)
 
     for it in range(opts.max_iter + 1):
         blocks, gx, residual = evaluate(x)
         history.append(residual)
+        if not math.isfinite(residual):
+            reason = "produced a non-finite evaluation"
+            raise ConvergenceError(system.branch, it, residual, reason, history)
         if residual <= opts.tol:
             polished = evaluate(gx)
             if polished[2] <= residual:
@@ -272,23 +294,27 @@ def _iterate(system, start, opts: SolverOptions):
     raise ConvergenceError(system.branch, opts.max_iter, residual, history=history)
 
 
-def _los_term(h: np.ndarray, a_blocks, context: str) -> np.ndarray:
-    """sum_l h_l' A_l^-1 h_l over the row blocks h_l of h, each as tall as A_l."""
+def _los_term(h: np.ndarray, a_blocks, context: str, inverse=None) -> np.ndarray:
+    """sum_l h_l' A_l^-1 h_l over the row blocks h_l of h, each as tall as A_l.
+    `inverse(a, context)` defaults to the guarded `inv_herm`."""
+    inverse = inverse or inv_herm
     rows = np.cumsum([0] + [a.shape[0] for a in a_blocks])
     return sum(
-        h[i:j].conj().T @ inv_herm(a, context) @ h[i:j]
+        h[i:j].conj().T @ inverse(a, context) @ h[i:j]
         for i, j, a in zip(rows, rows[1:], a_blocks)
     )
 
 
-def _resolvent_pair(a_blocks, b: np.ndarray, h: np.ndarray, contexts):
+def _resolvent_pair(a_blocks, b: np.ndarray, h: np.ndarray, contexts, inverse=None):
     """Receive- and transmit-side resolvents around the LoS mean h:
     ((blockdiag A - h B^-1 h')^-1, (B - h' A^-1 h)^-1).  `contexts` names the
-    inverses of B, of the receive side, of the A blocks and of the transmit side."""
+    inverses of B, of the receive side, of the A blocks and of the transmit side;
+    `inverse(a, context)` defaults to the guarded `inv_herm`."""
+    inverse = inverse or inv_herm
     b_inverse, receive, a_inverse, transmit = contexts
-    h_b_h = h @ inv_herm(b, b_inverse) @ h.conj().T
-    rx = herm(inv_herm(_block_diag(a_blocks) - h_b_h, receive))
-    tx = herm(inv_herm(b - _los_term(h, a_blocks, a_inverse), transmit))
+    h_b_h = h @ inverse(b, b_inverse) @ h.conj().T
+    rx = herm(inverse(_block_diag(a_blocks) - h_b_h, receive))
+    tx = herm(inverse(b - _los_term(h, a_blocks, a_inverse, inverse), transmit))
     return rx, tx
 
 
@@ -351,9 +377,9 @@ class _System:
     def in_cone(self, g, g_tilde) -> bool:
         return _is_pd(g) and _is_pd(-g_tilde)
 
-    def resolvents(self, psi_t_blocks, pi: np.ndarray):
-        """(g_tilde, g) from (psi_tilde blocks, pi)."""
-        return _resolvent_pair(psi_t_blocks, pi, self.h_eff, self.contexts)
+    def resolvents(self, psi_t_blocks, pi: np.ndarray, inverse=None):
+        """(g_tilde, g) from (psi_tilde blocks, pi), through `inverse` (default guarded)."""
+        return _resolvent_pair(psi_t_blocks, pi, self.h_eff, self.contexts, inverse)
 
     def self_energies(self, g, g_tilde):
         """(psi_tilde blocks, psi, pi, phi) at the state (g, g_tilde), phi taken
@@ -362,10 +388,10 @@ class _System:
         psi = self.psi(g_tilde)
         return self.psi_tilde_blocks(g), psi, psi + phi * np.eye(self.m), phi
 
-    def rhs(self, g, g_tilde):
-        """One Picard evaluation: (rhs_g, rhs_g_tilde)."""
+    def rhs(self, g, g_tilde, inverse=None):
+        """One Picard evaluation: (rhs_g, rhs_g_tilde), through `inverse` (default guarded)."""
         psi_t, _, pi, _ = self.self_energies(g, g_tilde)
-        rhs_g_tilde, rhs_g = self.resolvents(psi_t, pi)
+        rhs_g_tilde, rhs_g = self.resolvents(psi_t, pi, inverse)
         return rhs_g, rhs_g_tilde
 
     def residual(self, g, g_tilde, psi_t_blocks, pi, phi, psi=None) -> float:
@@ -412,7 +438,8 @@ def _comm_system(stats: ScenarioStats, w_bf: Beamformer, w: float) -> _System:
 
 def _solve(system: _System, initial, opts: SolverOptions):
     """Iterate `system` from the state of the record `initial` (None: the
-    zero-channel solution) and check the sign structure.  Returns (g, g_tilde,
+    zero-channel solution), guard every inverse of one evaluation at the returned
+    state and check the sign structure.  Returns (g, g_tilde,
     (psi_tilde blocks, psi, pi, phi), residual, iterations, history)."""
     n = system.h_raw.shape[0]
     if initial is None:
@@ -424,10 +451,12 @@ def _solve(system: _System, initial, opts: SolverOptions):
         branch = system.branch
         raise ValueError(f"{branch} warm start has (g, g_tilde) shapes {shapes}, expected {expected}")
     (g, g_tilde), residual, it, history = _iterate(system, start, opts)
+    energies = system.self_energies(g, g_tilde)
+    system.resolvents(energies[0], energies[2])  # guarded: an ill-conditioned inverse raises
     if min_eigval(-g_tilde) < SIGN_EIG_FLOOR or min_eigval(g) < SIGN_EIG_FLOOR:
         reason = "violated the resolvent sign structure"
         raise ConvergenceError(system.branch, it, residual, reason, history)
-    return g, g_tilde, system.self_energies(g, g_tilde), residual, it, history
+    return g, g_tilde, energies, residual, it, history
 
 
 def solve_sensing(

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -304,6 +305,117 @@ def test_convergence_error_carries_residual_history(scenario4, beamformer4):
     )
 
 
+_CONTEXTS = {
+    "sensing": ("sensing pi inverse", "sensing g_c_tilde equation",
+                "sensing psi_tilde block inverse", "sensing g_c equation"),
+    "comm": ("comm omega inverse", "comm g_e_tilde equation",
+             "comm omega_tilde inverse", "comm g_e equation"),
+}
+
+
+def _nan_pi(psi_t, psi, pi, phi):
+    return psi_t, psi, np.full_like(pi, np.nan), phi
+
+
+def _zero_pi(psi_t, psi, pi, phi):
+    return psi_t, psi, np.zeros_like(pi), phi  # exactly singular
+
+
+def _break_evaluations(monkeypatch, broken, first, last=math.inf):
+    """Route the self-energies of each branch's first..last-th evaluation (counted
+    from 1; `first` may map branch to count) through `broken`; returns the
+    per-branch evaluation counts."""
+    from isac_mi import fixedpoint
+
+    original = fixedpoint._System.self_energies
+    calls = {}
+
+    def patched(self, g, g_tilde):
+        calls[self.branch] = n = calls.get(self.branch, 0) + 1
+        start = first[self.branch] if isinstance(first, dict) else first
+        energies = original(self, g, g_tilde)
+        return broken(*energies) if start <= n <= last else energies
+
+    monkeypatch.setattr(fixedpoint._System, "self_energies", patched)
+    return calls
+
+
+@pytest.mark.parametrize("branch", ["sensing", "comm"])
+def test_non_finite_evaluation_ends_the_solve_by_name(branch, scenario4, beamformer4, monkeypatch):
+    # NaN compares false in every residual test, so it must stop the iteration itself
+    k = 3
+    _break_evaluations(monkeypatch, _nan_pi, first=k)
+    with pytest.raises(ConvergenceError) as info:
+        _BRANCHES[branch][0](scenario4, beamformer4, SpectralPoint(-0.1))
+    err = info.value
+    assert err.branch == branch and err.iterations == k - 1
+    assert f"{branch} fixed point produced a non-finite evaluation" in str(err)
+    assert len(err.history) == k and math.isnan(err.history[-1])
+    assert all(np.isfinite(r) for r in err.history[:-1])
+
+
+@pytest.mark.parametrize("branch", ["sensing", "comm"])
+def test_singular_iterate_raises_by_name(branch, scenario4, beamformer4, monkeypatch):
+    from isac_mi import SingularMatrixError
+
+    _break_evaluations(monkeypatch, _zero_pi, first=3)
+    with pytest.raises(SingularMatrixError) as info:
+        _BRANCHES[branch][0](scenario4, beamformer4, SpectralPoint(-0.1))
+    assert info.value.context == _CONTEXTS[branch][0]  # pi is the first inverse
+    assert info.value.cond == math.inf
+
+
+@pytest.mark.parametrize("broken", [_nan_pi, _zero_pi], ids=["non-finite", "singular"])
+def test_failed_warm_solve_falls_back_to_cold(broken, scenario4, beamformer4, monkeypatch):
+    from isac_mi import weighted_mi
+
+    noise = NoiseConfig(10.0)
+    cold, fp_s, fp_c = weighted_mi(scenario4, beamformer4, noise, 0.8, return_fixed_points=True)
+    calls = _break_evaluations(monkeypatch, broken, first=1, last=1)
+    report = weighted_mi(scenario4, beamformer4, noise, 0.8, initial=(fp_s, fp_c))
+    assert report == cold  # each branch's warm solve failed at once and was re-solved cold
+    assert calls["sensing"] > 1 and calls["comm"] > 1
+
+
+@pytest.mark.parametrize(
+    "broken, cause",
+    [(_nan_pi, ConvergenceError), (_zero_pi, np.linalg.LinAlgError)],
+    ids=["non-finite", "singular"],
+)
+def test_failed_solves_inside_pga_abort(broken, cause, scenario4, dims4, monkeypatch):
+    from isac_mi import PgaAbort, PgaOptions, pga, weighted_mi
+
+    noise, opts = NoiseConfig(10.0), PgaOptions(init=default_beamformer(dims4, 4.0))
+    with monkeypatch.context() as patch:  # count the evaluations of the cold start solve
+        calls = _break_evaluations(patch, broken, first=math.inf)
+        weighted_mi(scenario4, opts.init, noise, 0.8)
+    _break_evaluations(monkeypatch, broken, first={b: n + 1 for b, n in calls.items()})
+    with pytest.raises(PgaAbort, match="fixed-point solve failed") as info:
+        pga(scenario4, noise, 0.8, 4.0, opts)
+    assert isinstance(info.value.__cause__, cause)
+    assert [row.iteration for row in info.value.trace.rows] == [0]
+
+
+@pytest.mark.parametrize("branch", ["sensing", "comm"])
+def test_condition_guard_checks_the_returned_state(branch, scenario4, beamformer4, monkeypatch):
+    # the iterates' inverses are unguarded; the guard at the returned state must
+    # still reject it.  A zero beamformer column leaves pi = phi I + psi(g_tilde)
+    # with the eigenvalue phi along that column, g_tilde = -1e20 I the others near 1e20.
+    from isac_mi import SingularMatrixError, fixedpoint
+    from isac_mi._linalg import COND_LIMIT
+
+    w = beamformer4.w.copy()
+    w[:, -1] = 0.0
+    bf = Beamformer(w, beamformer4.p_t)
+    n = {"sensing": 8, "comm": 4}[branch]
+    crafted = (np.eye(4), -1e20 * np.eye(n))
+    monkeypatch.setattr(fixedpoint, "_iterate", lambda *args: (crafted, 0.0, 0, (0.0,)))
+    with pytest.raises(SingularMatrixError) as info:
+        _BRANCHES[branch][0](scenario4, bf, SpectralPoint(-0.1))
+    assert info.value.context in _CONTEXTS[branch]
+    assert COND_LIMIT < info.value.cond < math.inf
+
+
 _HEADLINE = dict(n_t=16, n_r=16, n_u=16, num_scatter=2, m=16, n_s=16)
 _RAYLEIGH_LIKE = dict(_HEADLINE, num_scatter=4, n_s=64)
 _NON_SQUARE = dict(n_t=32, n_r=16, n_u=8, num_scatter=2, m=8, n_s=64)
@@ -313,15 +425,17 @@ _NARROW = dict(n_t=16, n_r=8, n_u=12, num_scatter=2, m=6, n_s=6)
 @pytest.mark.parametrize(
     "shape, kappa, snr_db, expected",
     [
-        # expected (i_s, i_c) in nats: the damped Picard solution, where that converges
+        # expected (i_s, i_c) in nats; the first two and non-square were pinned by the
+        # damped Picard solver, the others by the Anderson solver with every iterate's
+        # inverse behind the condition guard
         (_HEADLINE, 1.0, 20.0, (44.6575322041364, 105.3110563127183)),
         (_HEADLINE, 1.0, 30.0, (76.8855967925141, 141.61004621836318)),
-        (_HEADLINE, 1.0, 40.0, None),
-        (_RAYLEIGH_LIKE, 0.05, 30.0, None),
-        (_RAYLEIGH_LIKE, 0.05, 40.0, None),
+        (_HEADLINE, 1.0, 40.0, (112.12151143746739, 178.2787840176005)),
+        (_RAYLEIGH_LIKE, 0.05, 30.0, (147.37879719706262, 186.96646079242728)),
+        (_RAYLEIGH_LIKE, 0.05, 40.0, (184.2181759151973, 223.76839392165274)),
         (_NON_SQUARE, 1.0, 30.0, (58.306593822666294, 77.19509736417898)),
-        (_NARROW, 1.0, 30.0, None),
-        (_HEADLINE, 1.0, -20.0, None),
+        (_NARROW, 1.0, 30.0, (31.906257547386456, 62.229090837779715)),
+        (_HEADLINE, 1.0, -20.0, (0.10060392615352493, 3.328385834000424)),
     ],
     ids=[
         "headline-20dB",
@@ -351,9 +465,8 @@ def test_hard_points_converge_to_a_consistent_fixed_point(shape, kappa, snr_db, 
     point_c = SpectralPoint.from_noise_power(noise.sigma_c2)
     assert residual_sensing(fp_s, stats, bf, point_s) <= 1e-10
     assert residual_comm(fp_c, stats, bf, point_c) <= 1e-10
-    if expected is not None:
-        assert report.i_s == pytest.approx(expected[0], rel=1e-8)
-        assert report.i_c == pytest.approx(expected[1], rel=1e-8)
+    assert report.i_s == pytest.approx(expected[0], rel=1e-8)
+    assert report.i_c == pytest.approx(expected[1], rel=1e-8)
 
 
 def test_packing_round_trip_and_frobenius_distance():
@@ -379,6 +492,10 @@ def test_packing_round_trip_and_frobenius_distance():
         sum((s * np.linalg.norm(np.atleast_2d(x - y))) ** 2 for s, x, y in zip(scales, a, b))
     )
     assert distance == pytest.approx(expected, rel=1e-12)
+    # a NaN block is not hidden by the finite residuals of the others
+    x, gx = packing.pack(a), packing.pack(a)
+    gx[packing.bounds[1]] = np.nan
+    assert packing.residual(x, packing.pack(b)) > 0.0 and math.isnan(packing.residual(x, gx))
 
 
 def test_stall_fallback_reaches_the_same_fixed_point(scenario4, beamformer4, monkeypatch):
