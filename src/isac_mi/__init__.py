@@ -10,9 +10,8 @@ form against a finite-size Monte Carlo oracle.
 from ._linalg import SingularMatrixError
 from .correlation import CorrelationOps
 from .fixedpoint import (
-    CommFixedPoint,
     ConvergenceError,
-    SensingFixedPoint,
+    FixedPoint,
     SolverOptions,
     SpectralPoint,
     residual_comm,
@@ -62,10 +61,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Beamformer",
-    "CommFixedPoint",
     "ConvergenceError",
     "CorrelationOps",
     "DimensionError",
+    "FixedPoint",
     "GeometryConfig",
     "McEstimate",
     "MiReport",
@@ -75,7 +74,6 @@ __all__ = [
     "PgaOptions",
     "PgaTrace",
     "ScenarioStats",
-    "SensingFixedPoint",
     "SingularMatrixError",
     "SolverOptions",
     "SpectralPoint",

@@ -21,10 +21,11 @@ of both branches and the PGA gradient).  The symbol-block variables are closed-f
 functions of phi and g: g_d = 1/phi, phi_tilde = -1/phi and g_dd = -phi I + phi^2 g,
 so the scalar chain phi = 1 - Tr(g_dd)/n_s has the closed form
 phi = 2 / (b + sqrt(b^2 + 4 Tr g / n_s)), b = 1 - m/n_s, its positive root, which is
-exactly 1 for communication.  A record stores the state (g, g_tilde) and the
-self-energies at it, nothing derived from them; its `_variables` property is the one
-map of its fields onto the system's (g, g_tilde, psi_tilde blocks, pi, phi) (for
-communication: g_e, g_e_tilde, (omega_tilde,), omega and phi = 1).
+exactly 1 for communication.  Both solvers return one record, `FixedPoint`:
+the state (g, g_tilde) and the self-energies at it (psi_tilde blocks, pi, phi),
+nothing derived from them (psi = pi - phi I).  In the paper's names its fields
+are G_c, G~_c, Psi~_l, Pi and phi for sensing and G_e, G~_e, Omega~, Omega and
+phi = 1 for communication.
 
 The system is solved by one driver, `_iterate`, from the exact zero-channel
 solution (or a warm start).  The driver runs type-II Anderson acceleration
@@ -129,42 +130,26 @@ class SolverOptions:
 
 
 @dataclass(frozen=True)
-class SensingFixedPoint:
-    """Converged sensing system: the state (g_c, g_c_tilde) and the self-energies
-    at it.  The record holds phi = phi_scalar * I_{n_s} as a scalar; the other
-    symbol-block variables are functions of phi and g_c and are not stored:
-    g_d = (1/phi) I_{n_s}, phi_tilde = (-1/phi) I_m and g_dd = -phi I + phi^2 g_c."""
+class FixedPoint:
+    """Converged system of either branch: the state (g, g_tilde) and the
+    self-energies at it, nothing derived from them.
 
-    g_c_tilde: np.ndarray  # (L n_r, L n_r) Hermitian, negative definite
-    g_c: np.ndarray  # (m, m) Hermitian, positive definite
-    psi_tilde_blocks: tuple[np.ndarray, ...]  # L blocks (n_r, n_r)
-    psi: np.ndarray  # (m, m)
-    phi_scalar: float
+    Sensing: g = G_c (m, m), g_tilde = G~_c (L n_r, L n_r), psi_tilde_blocks the
+    L blocks Psi~_l (n_r, n_r), pi = Pi and phi = phi (phi I_{n_s} as a scalar).
+    The other symbol-block variables are functions of phi and g and are not
+    stored: g_d = (1/phi) I_{n_s}, phi_tilde = (-1/phi) I_m, g_dd = -phi I + phi^2 g
+    and psi = pi - phi I.  Communication: g = G_e (m, m), g_tilde = G~_e
+    (n_u, n_u), psi_tilde_blocks = (Omega~,), pi = Omega and phi = 1 (n_s = inf).
+    """
+
+    g: np.ndarray  # (m, m) Hermitian, positive definite
+    g_tilde: np.ndarray  # Hermitian, negative definite
+    psi_tilde_blocks: tuple[np.ndarray, ...]  # one (n_rx, n_rx) block per channel
     pi: np.ndarray  # (m, m)
+    phi: float
     residual: float
     iterations: int
     history: tuple[float, ...]  # residual of every iteration, in order
-
-    @property
-    def _variables(self):
-        """(g, g_tilde, psi_tilde blocks, pi, phi) of `_System`."""
-        return self.g_c, self.g_c_tilde, self.psi_tilde_blocks, self.pi, self.phi_scalar
-
-
-@dataclass(frozen=True)
-class CommFixedPoint:
-    g_e_tilde: np.ndarray  # (n_u, n_u) Hermitian, negative definite
-    g_e: np.ndarray  # (m, m) Hermitian, positive definite
-    omega_tilde: np.ndarray  # (n_u, n_u)
-    omega: np.ndarray  # (m, m)
-    residual: float
-    iterations: int
-    history: tuple[float, ...]  # residual of every iteration, in order
-
-    @property
-    def _variables(self):
-        """(g, g_tilde, psi_tilde blocks, pi, phi) of `_System`; phi = 1 for n_s = inf."""
-        return self.g_e, self.g_e_tilde, (self.omega_tilde,), self.omega, 1.0
 
 
 def _diag_block(a: np.ndarray, l: int, n: int) -> np.ndarray:
@@ -370,9 +355,14 @@ class _System:
 
     def phi(self, g: np.ndarray) -> float:
         """Positive root of phi = 1 - Tr(g_dd)/n_s with g_dd = -phi I + phi^2 g
-        (Woodbury on g_dd = (phi_tilde - (psi - LoS)^-1)^-1, phi_tilde = -(1/phi) I)."""
+        (Woodbury on g_dd = (phi_tilde - (psi - LoS)^-1)^-1, phi_tilde = -(1/phi) I).
+        NaN when the root is not real (an iterate far outside the sign cone), so that
+        the solve ends on its non-finite residual."""
         b = 1.0 - self.m / self.n_s
-        return 2.0 / (b + math.sqrt(b * b + 4.0 * float(np.trace(g).real) / self.n_s))
+        discriminant = b * b + 4.0 * float(np.trace(g).real) / self.n_s
+        if discriminant < 0.0:
+            return math.nan
+        return 2.0 / (b + math.sqrt(discriminant))
 
     def in_cone(self, g, g_tilde) -> bool:
         return _is_pd(g) and _is_pd(-g_tilde)
@@ -394,30 +384,28 @@ class _System:
         rhs_g_tilde, rhs_g = self.resolvents(psi_t, pi, inverse)
         return rhs_g, rhs_g_tilde
 
-    def residual(self, g, g_tilde, psi_t_blocks, pi, phi, psi=None) -> float:
+    def residual(self, fp: FixedPoint) -> float:
         """Max relative residual of a stored state: the psi_tilde blocks, pi, g_tilde,
-        g, the phi chain phi = 1 - Tr(g_dd)/n_s with g_dd = -phi I + phi^2 g taken at
-        the resolvent g, and a stored psi, each against its equation."""
-        psi_rhs = self.psi(g_tilde)
-        pi_rhs = psi_rhs + phi * np.eye(self.m)
-        g_tilde_rhs, g_rhs = self.resolvents(psi_t_blocks, pi_rhs)
+        g and the phi chain phi = 1 - Tr(g_dd)/n_s with g_dd = -phi I + phi^2 g taken
+        at the resolvent g, each against its equation."""
+        phi = fp.phi
+        pi_rhs = self.psi(fp.g_tilde) + phi * np.eye(self.m)
+        g_tilde_rhs, g_rhs = self.resolvents(fp.psi_tilde_blocks, pi_rhs)
         tr_g_dd = phi * (phi * float(np.trace(g_rhs).real) - self.m)
         pairs = [
-            *zip(psi_t_blocks, self.psi_tilde_blocks(g)),
-            (pi, pi_rhs), (g_tilde, g_tilde_rhs), (g, g_rhs),
+            *zip(fp.psi_tilde_blocks, self.psi_tilde_blocks(fp.g)),
+            (fp.pi, pi_rhs), (fp.g_tilde, g_tilde_rhs), (fp.g, g_rhs),
             (phi, 1.0 - tr_g_dd / self.n_s),
         ]
-        if psi is not None:
-            pairs.append((psi, psi_rhs))
         return max(rel_residual(a, b) for a, b in pairs)
 
-    def gradient_term(self, g, g_tilde, psi_t_blocks) -> np.ndarray:
+    def gradient_term(self, fp: FixedPoint) -> np.ndarray:
         """(psi_raw(g_tilde) - LoS(h_raw, psi_tilde)) W g at a converged state, where
         psi_raw W = -sum_l E[X_l' g_tilde_l X_l] W is the transmit-side self-energy
         before its left beamformer."""
-        psi_raw_w = -assemble(self.transmit, self._transmit_diag(g_tilde), self.beamformed)
-        los = _los_term(self.h_raw, psi_t_blocks, self.contexts[2])
-        return (psi_raw_w - los @ self.w_bf.w) @ g
+        psi_raw_w = -assemble(self.transmit, self._transmit_diag(fp.g_tilde), self.beamformed)
+        los = _los_term(self.h_raw, fp.psi_tilde_blocks, self.contexts[2])
+        return (psi_raw_w - los @ self.w_bf.w) @ fp.g
 
 
 def _sensing_system(stats: ScenarioStats, w_bf: Beamformer, w: float) -> _System:
@@ -436,27 +424,26 @@ def _comm_system(stats: ScenarioStats, w_bf: Beamformer, w: float) -> _System:
     return _System("comm", contexts, (stats.comm,), stats.comm.mean, h_eff, math.inf, w_bf, w)
 
 
-def _solve(system: _System, initial, opts: SolverOptions):
-    """Iterate `system` from the state of the record `initial` (None: the
-    zero-channel solution), guard every inverse of one evaluation at the returned
-    state and check the sign structure.  Returns (g, g_tilde,
-    (psi_tilde blocks, psi, pi, phi), residual, iterations, history)."""
+def _solve(system: _System, initial: FixedPoint | None, opts: SolverOptions) -> FixedPoint:
+    """Iterate `system` from the state of `initial` (None: the zero-channel
+    solution), guard every inverse of one evaluation at the returned state and
+    check the sign structure."""
     n = system.h_raw.shape[0]
     if initial is None:
         start = (np.eye(system.m), np.eye(n) / system.w)
     else:
-        start = initial._variables[:2]
+        start = (initial.g, initial.g_tilde)
     shapes, expected = tuple(np.shape(b) for b in start), ((system.m, system.m), (n, n))
     if shapes != expected:
         branch = system.branch
         raise ValueError(f"{branch} warm start has (g, g_tilde) shapes {shapes}, expected {expected}")
     (g, g_tilde), residual, it, history = _iterate(system, start, opts)
-    energies = system.self_energies(g, g_tilde)
-    system.resolvents(energies[0], energies[2])  # guarded: an ill-conditioned inverse raises
+    psi_t, _, pi, phi = system.self_energies(g, g_tilde)
+    system.resolvents(psi_t, pi)  # guarded: an ill-conditioned inverse raises
     if min_eigval(-g_tilde) < SIGN_EIG_FLOOR or min_eigval(g) < SIGN_EIG_FLOOR:
         reason = "violated the resolvent sign structure"
         raise ConvergenceError(system.branch, it, residual, reason, history)
-    return g, g_tilde, energies, residual, it, history
+    return FixedPoint(g, g_tilde, tuple(psi_t), pi, phi, residual, it, history)
 
 
 def solve_sensing(
@@ -464,33 +451,21 @@ def solve_sensing(
     w_bf: Beamformer,
     point: SpectralPoint,
     opts: SolverOptions = SolverOptions(),
-    initial: SensingFixedPoint | None = None,
-) -> SensingFixedPoint:
+    initial: FixedPoint | None = None,
+) -> FixedPoint:
     """Solve the sensing deterministic-equivalent system at w = point.w < 0.
 
     Starts from the exact zero-channel solution, or warm-starts from the
     state of a previous solve when `initial` is given.
     """
-    system = _sensing_system(stats, w_bf, point.w)
-    g_c, g_c_tilde, (psi_t, psi, pi, phi), residual, it, history = _solve(system, initial, opts)
-    return SensingFixedPoint(
-        g_c_tilde=g_c_tilde,
-        g_c=g_c,
-        psi_tilde_blocks=tuple(psi_t),
-        psi=psi,
-        phi_scalar=phi,
-        pi=pi,
-        residual=residual,
-        iterations=it,
-        history=history,
-    )
+    return _solve(_sensing_system(stats, w_bf, point.w), initial, opts)
 
 
 def residual_sensing(
-    fp: SensingFixedPoint, stats: ScenarioStats, w_bf: Beamformer, point: SpectralPoint
+    fp: FixedPoint, stats: ScenarioStats, w_bf: Beamformer, point: SpectralPoint
 ) -> float:
     """Max relative residual of every stored sensing equation at the stored state."""
-    return _sensing_system(stats, w_bf, point.w).residual(*fp._variables, psi=fp.psi)
+    return _sensing_system(stats, w_bf, point.w).residual(fp)
 
 
 def solve_comm(
@@ -498,24 +473,14 @@ def solve_comm(
     w_bf: Beamformer,
     point: SpectralPoint,
     opts: SolverOptions = SolverOptions(),
-    initial: CommFixedPoint | None = None,
-) -> CommFixedPoint:
+    initial: FixedPoint | None = None,
+) -> FixedPoint:
     """Solve the communication deterministic-equivalent system at w = point.w < 0."""
-    system = _comm_system(stats, w_bf, point.w)
-    g_e, g_e_tilde, (psi_t, _, pi, _), residual, it, history = _solve(system, initial, opts)
-    return CommFixedPoint(
-        g_e_tilde=g_e_tilde,
-        g_e=g_e,
-        omega_tilde=psi_t[0],
-        omega=pi,
-        residual=residual,
-        iterations=it,
-        history=history,
-    )
+    return _solve(_comm_system(stats, w_bf, point.w), initial, opts)
 
 
 def residual_comm(
-    fp: CommFixedPoint, stats: ScenarioStats, w_bf: Beamformer, point: SpectralPoint
+    fp: FixedPoint, stats: ScenarioStats, w_bf: Beamformer, point: SpectralPoint
 ) -> float:
     """Max relative residual of the stored communication equations (phi = 1)."""
-    return _comm_system(stats, w_bf, point.w).residual(*fp._variables)
+    return _comm_system(stats, w_bf, point.w).residual(fp)

@@ -19,9 +19,8 @@ import numpy as np
 # inv_herm is unused here but stays bound: bench/tracer.py wraps isac_mi.mi.inv_herm by name
 from ._linalg import SingularMatrixError, inv_herm, logdet_phased  # noqa: F401
 from .fixedpoint import (
-    CommFixedPoint,
     ConvergenceError,
-    SensingFixedPoint,
+    FixedPoint,
     SolverOptions,
     SpectralPoint,
     _diag_block,
@@ -78,21 +77,20 @@ def _symbol_block_terms(phi: float, tr_g: complex, m: int, n_s: float) -> comple
     return (n_s - m) * math.log(phi) + phi * tr_g - m
 
 
-def _shannon(branch, fp, h, n_s, w, context) -> float:
+def _shannon(branch, fp: FixedPoint, h, n_s, w, context) -> float:
     """Per-dimension Shannon transform V / rows(h) of one system at the stored state
-    of the record `fp`; `context` names the psi_tilde block inverses of the LoS term."""
-    g, g_tilde, psi_t_blocks, pi, phi = fp._variables
-    n_rx = psi_t_blocks[0].shape[0]
-    total = logdet_phased(pi - _los_term(h, psi_t_blocks, context))
-    for l, block in enumerate(psi_t_blocks):
+    of `fp`; `context` names the psi_tilde block inverses of the LoS term."""
+    n_rx = fp.psi_tilde_blocks[0].shape[0]
+    total = logdet_phased(fp.pi - _los_term(h, fp.psi_tilde_blocks, context))
+    for l, block in enumerate(fp.psi_tilde_blocks):
         total += logdet_phased(block / w)
-        total += np.trace(_diag_block(g_tilde, l, n_rx) @ (w * np.eye(n_rx) - block))
-    total += _symbol_block_terms(phi, np.trace(g), pi.shape[0], n_s)
+        total += np.trace(_diag_block(fp.g_tilde, l, n_rx) @ (w * np.eye(n_rx) - block))
+    total += _symbol_block_terms(fp.phi, np.trace(fp.g), fp.pi.shape[0], n_s)
     return _assert_real(total, branch) / h.shape[0]
 
 
 def shannon_sensing(
-    fp: SensingFixedPoint, point: SpectralPoint, dims: SystemDims, g_eff: np.ndarray
+    fp: FixedPoint, point: SpectralPoint, dims: SystemDims, g_eff: np.ndarray
 ) -> float:
     """Per-dimension Shannon transform of the sensing Gram matrix at w = point.w."""
     if g_eff.shape != (dims.num_scatter * dims.n_r, dims.m):
@@ -101,7 +99,7 @@ def shannon_sensing(
 
 
 def shannon_comm(
-    fp: CommFixedPoint, point: SpectralPoint, dims: SystemDims, h_eff: np.ndarray
+    fp: FixedPoint, point: SpectralPoint, dims: SystemDims, h_eff: np.ndarray
 ) -> float:
     """Per-dimension Shannon transform of the communication Gram matrix (n_s = inf)."""
     if h_eff.shape != (dims.n_u, dims.m):
@@ -109,11 +107,10 @@ def shannon_comm(
     return _shannon("comm", fp, h_eff, math.inf, point.w, "comm omega_tilde inverse")
 
 
-def _cauchy(fp: SensingFixedPoint | CommFixedPoint) -> float:
-    """Normalized trace of the resolvent block g_tilde: (1/Ln_r) Tr(g_c_tilde) for
-    sensing, (1/n_u) Tr(g_e_tilde) for communication."""
-    g_tilde = fp._variables[1]
-    return float(np.trace(g_tilde).real) / g_tilde.shape[0]
+def _cauchy(fp: FixedPoint) -> float:
+    """Normalized trace of the resolvent block g_tilde: (1/Ln_r) Tr(G~_c) for
+    sensing, (1/n_u) Tr(G~_e) for communication."""
+    return float(np.trace(fp.g_tilde).real) / fp.g_tilde.shape[0]
 
 
 cauchy_sensing = cauchy_comm = _cauchy
@@ -137,7 +134,7 @@ def weighted_mi(
     rho: float,
     opts: SolverOptions = SolverOptions(),
     return_fixed_points: bool = False,
-    initial: tuple[SensingFixedPoint, CommFixedPoint] | None = None,
+    initial: tuple[FixedPoint, FixedPoint] | None = None,
 ):
     """Solve both branches and combine: rho * i_s + (1 - rho) * i_c, in nats.
 

@@ -54,6 +54,17 @@ def validate(dims: SystemDims) -> None:
         raise DimensionError(f"M exceeds N_t (m={dims.m} > n_t={dims.n_t})")
 
 
+def _integral_seed(seed, name: str = "seed") -> int:
+    """`seed` as an int; a non-integral value raises instead of being truncated."""
+    try:
+        value = int(seed)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value != seed:
+        raise ValueError(f"{name} must be an integer, got {seed!r}")
+    return value
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -161,7 +172,7 @@ class Beamformer:
         if not np.isfinite(w).all():
             raise ValueError("beamformer entries must be finite")
         power = float(np.linalg.norm(w) ** 2)
-        if power > self.p_t + 1e-9:
+        if power > self.p_t + 1e-9 * max(1.0, self.p_t):  # relative to p_t at large budgets
             raise ValueError(
                 f"beamformer infeasible: ||W||_F^2 = {power:.12g} > p_t = {self.p_t:.12g}"
             )
@@ -260,7 +271,8 @@ def generate_scenario(
     if not (rician_kappa > 0.0) and not math.isinf(rician_kappa):
         raise ValueError(f"rician_kappa must be positive or inf, got {rician_kappa!r}")
     geometry = geometry or GeometryConfig()
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    seed = _integral_seed(seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
 
     # Draw order is pinned: comm channel first, then scatterers in index order.
     h_mean = np.outer(
@@ -293,7 +305,7 @@ def generate_scenario(
         )
         sensing.append(WeichselbergerStats(g_mean, r_l, t_l, n_profile))
 
-    return ScenarioStats(dims, comm, tuple(sensing), rician_kappa, int(seed))
+    return ScenarioStats(dims, comm, tuple(sensing), rician_kappa, seed)
 
 
 def default_beamformer(dims: SystemDims, p_t: float) -> Beamformer:
@@ -378,5 +390,5 @@ def scenario_from_json(text: str) -> ScenarioStats:
         comm=_stats_from_json(doc["comm"]),
         sensing=tuple(_stats_from_json(d) for d in doc["sensing"]),
         rician_kappa=float(doc["rician_kappa"]),
-        seed=int(doc["seed"]),
+        seed=_integral_seed(doc["seed"]),
     )

@@ -17,6 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .model import Beamformer, NoiseConfig, ScenarioStats, SystemDims, WeichselbergerStats
+from .model import _integral_seed
 
 _CHANNEL_STREAM = 0
 _SYMBOL_STREAM = 1
@@ -36,7 +37,7 @@ class McEstimate:
 
 
 def _trial_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(trial), stream]))
+    return np.random.default_rng(np.random.SeedSequence([_integral_seed(seed), int(trial), stream]))
 
 
 def _draw_weichselberger(s: WeichselbergerStats, n_t: int, rng: np.random.Generator) -> np.ndarray:

@@ -29,10 +29,10 @@ import numpy as np
 
 # inv_herm is unused here but stays bound: bench/tracer.py wraps isac_mi.optimizer.inv_herm by name
 from ._linalg import SingularMatrixError, inv_herm  # noqa: F401
-from .fixedpoint import CommFixedPoint, ConvergenceError, SensingFixedPoint, SolverOptions
+from .fixedpoint import ConvergenceError, FixedPoint, SolverOptions
 from .fixedpoint import _comm_system, _sensing_system
 from .mi import MiReport, NonRealShannonError, weighted_mi
-from .model import Beamformer, NoiseConfig, ScenarioStats
+from .model import Beamformer, NoiseConfig, ScenarioStats, _integral_seed
 
 UNCONVERGED_RESIDUAL = 1e-6
 
@@ -68,7 +68,7 @@ class PgaOptions:
             raise ValueError("epsilon must be finite and positive")
         if self.max_outer_iters < 0:
             raise ValueError("max_outer_iters must be >= 0")
-        if self.init_seed < 0:
+        if _integral_seed(self.init_seed, "init_seed") < 0:
             raise ValueError("init_seed must be >= 0")
 
 
@@ -100,8 +100,8 @@ def gradient(
     w_bf: Beamformer,
     noise: NoiseConfig,
     rho: float,
-    fp_s: SensingFixedPoint,
-    fp_c: CommFixedPoint,
+    fp_s: FixedPoint,
+    fp_c: FixedPoint,
 ) -> np.ndarray:
     """Closed-form gradient of the weighted MI with respect to conj(W).
 
@@ -115,8 +115,8 @@ def gradient(
 
     where psi_raw = -sum_l E[X_l' g_tilde_l X_l] is the transmit-side
     self-energy before beamforming and LoS(h, A) = sum_l h_l' A_l^-1 h_l is
-    taken over the raw LoS means.  For communication psi_raw is -tau(g_e_tilde)
-    and psi_tilde is omega_tilde.  The self-energy terms enter because the
+    taken over the raw LoS means.  For communication psi_raw is -tau(G~_e)
+    and psi_tilde is Omega~.  The self-energy terms enter because the
     one-sided correlation operators of the beamformed channel carry W;
     dropping them breaks the finite-difference check.
     """
@@ -129,9 +129,7 @@ def gradient(
         raise ValueError(f"beamformer shape {w_bf.w.shape} != {(dims.n_t, dims.m)}")
     sensing = _sensing_system(stats, w_bf, -noise.sigma_s2)
     comm = _comm_system(stats, w_bf, -noise.sigma_c2)
-    grad_s = sensing.gradient_term(*fp_s._variables[:3])
-    grad_c = comm.gradient_term(*fp_c._variables[:3])
-    return rho * grad_s + (1.0 - rho) * grad_c
+    return rho * sensing.gradient_term(fp_s) + (1.0 - rho) * comm.gradient_term(fp_c)
 
 
 def project(w: np.ndarray, p_t: float) -> np.ndarray:

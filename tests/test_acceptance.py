@@ -129,9 +129,9 @@ def test_criterion_3_scalar_bisection_oracle():
 
         worst = max(
             worst,
-            abs(fp.phi_scalar - oracle["phi"]),
-            abs(complex(fp.g_c[0, 0]) - oracle["g_c"]),
-            abs(complex(fp.g_c_tilde[0, 0]) - oracle["g_c_tilde"]),
+            abs(fp.phi - oracle["phi"]),
+            abs(complex(fp.g[0, 0]) - oracle["g_c"]),
+            abs(complex(fp.g_tilde[0, 0]) - oracle["g_c_tilde"]),
             abs(cauchy_sensing(fp) - oracle["cauchy"].real),
             abs(shannon_sensing(fp, point, stats.dims, g_eff) - oracle["shannon"]),
         )
@@ -153,12 +153,12 @@ def test_criterion_4_self_consistency(scenario4, beamformer4, scenario16, beamfo
                 residual_sensing(fs, stats, bf, p_s),
                 residual_comm(fc, stats, bf, p_c),
             )
-            for a in (fs.g_c_tilde, fs.g_c, fs.psi, fs.pi, fc.g_e_tilde, fc.g_e):
+            for a in (fs.g_tilde, fs.g, fs.pi, fc.g_tilde, fc.g):
                 worst_herm = max(worst_herm, float(np.linalg.norm(a - a.conj().T)))
-            sign_ok = sign_ok and np.linalg.eigvalsh(-fs.g_c_tilde).min() > -1e-8
-            sign_ok = sign_ok and np.linalg.eigvalsh(fs.g_c).min() > -1e-8
-            sign_ok = sign_ok and np.linalg.eigvalsh(-fc.g_e_tilde).min() > -1e-8
-            sign_ok = sign_ok and np.linalg.eigvalsh(fc.g_e).min() > -1e-8
+            sign_ok = sign_ok and np.linalg.eigvalsh(-fs.g_tilde).min() > -1e-8
+            sign_ok = sign_ok and np.linalg.eigvalsh(fs.g).min() > -1e-8
+            sign_ok = sign_ok and np.linalg.eigvalsh(-fc.g_tilde).min() > -1e-8
+            sign_ok = sign_ok and np.linalg.eigvalsh(fc.g).min() > -1e-8
     _gate("4 residual <= 1e-10 on every converged solve", worst_res <= 1e-10, f"max residual {worst_res:.2e}")
     _gate("4b Hermiticity <= 1e-10", worst_herm <= 1e-10, f"max asymmetry {worst_herm:.2e}")
     _gate("4c resolvent sign invariants", sign_ok)

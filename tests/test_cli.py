@@ -484,6 +484,21 @@ def _with(doc: dict, path: tuple, value) -> dict:
     return out
 
 
+def _failure(command: str, cfg_path: str, capsys) -> str | None:
+    """None when `command` runs (exit 0), fails as a config error (1) or fails
+    numerically by name (2); else what went wrong."""
+    try:
+        code = main([command, "--config", cfg_path])
+    except Exception as exc:  # an uncaught exception is the finding
+        return f"raised {type(exc).__name__}: {exc}"
+    err = capsys.readouterr().err
+    if code not in (0, 1, 2):
+        return f"exit {code}"
+    if code and not ("config error:" in err or "numerical failure" in err):
+        return f"exit {code} without a named failure: {err!r}"
+    return None
+
+
 def test_config_fuzz_runs_or_fails_by_name(tmp_path, capsys, monkeypatch):
     # Every node and leaf of the default config, set to each hostile value, must
     # run (exit 0), fail as a config error (1) or fail numerically by name (2):
@@ -502,17 +517,9 @@ def test_config_fuzz_runs_or_fails_by_name(tmp_path, capsys, monkeypatch):
             doc = _with(_FUZZ_BASE, path, value)
             cfg_path = _write_config(tmp_path, doc, name=f"fuzz-{i}-{j}.json")
             for command in ("verify", "tradeoff"):
-                case = f"{command} {'.'.join(path)}={value!r}"
-                try:
-                    code = main([command, "--config", cfg_path])
-                except Exception as exc:  # an uncaught exception is the finding
-                    failures.append(f"{case}: raised {type(exc).__name__}: {exc}")
-                    continue
-                err = capsys.readouterr().err
-                if code not in (0, 1, 2):
-                    failures.append(f"{case}: exit {code}")
-                elif code and not ("config error:" in err or "numerical failure" in err):
-                    failures.append(f"{case}: exit {code} without a named failure: {err!r}")
+                failure = _failure(command, cfg_path, capsys)
+                if failure:
+                    failures.append(f"{command} {'.'.join(path)}={value!r}: {failure}")
     assert not failures, "\n".join(failures)
 
 
@@ -574,3 +581,38 @@ def test_integer_literals_beyond_the_float_range_are_config_errors(tmp_path, cap
         err = capsys.readouterr().err
         assert "config error: invalid config value: noise.snr_db" in err
         assert "Traceback" not in err
+
+
+_EXTREME_BASE = {
+    "scenario": {"n_t": 4, "n_r": 4, "n_u": 4, "seed": 11},
+    "noise": {"snr_db_grid": [10.0], "snr_db": 10.0},
+    "run": {
+        "trials": 20,
+        "rho_grid": [0.5],
+        "pga": {"max_outer_iters": 2},
+        "solver": {"max_iter": 200},  # a solver crawl ends quickly
+    },
+}
+_EXTREME_CASES = (  # each a list of (config path, value)
+    *[[(("noise", "snr_db"), snr), (("noise", "snr_db_grid"), [snr])] for snr in (-300.0, 300.0)],
+    *[[(("noise", "sensing_offset_db"), offset)] for offset in (-300.0, 300.0)],
+    *[[(("run", "p_t"), p_t)] for p_t in (1e-300, 1e-12, 3e7, 1e300)],
+    *[[(("scenario", "rician_kappa"), kappa)] for kappa in (1e-300, 1e300)],
+)
+
+
+def test_extreme_finite_magnitudes_run_or_fail_by_name(tmp_path, capsys, monkeypatch):
+    # The config fuzz above skips huge finite values; these reach the numerics:
+    # a budget whose ||W||^2 rounds above it, a sensing noise power of 1e-31,
+    # SNRs whose noise powers underflow or overflow.  Each must run, fail as a
+    # config error or fail numerically by name: never raise.
+    monkeypatch.chdir(tmp_path)
+    failures = []
+    for i, case in enumerate(_EXTREME_CASES):
+        doc = functools.reduce(lambda d, entry: _with(d, *entry), case, _EXTREME_BASE)
+        cfg_path = _write_config(tmp_path, doc, name=f"extreme-{i}.json")
+        for command in ("verify", "tradeoff"):
+            failure = _failure(command, cfg_path, capsys)
+            if failure:
+                failures.append(f"{command} {case}: {failure}")
+    assert not failures, "\n".join(failures)

@@ -28,14 +28,13 @@ from helpers import scalar_los_oracle, scalar_los_scenario, zero_scenario
 def test_public_names_and_record_fields_are_pinned():
     # a removal from the public surface has to edit this test in plain view
     import isac_mi
-    from isac_mi import CommFixedPoint, SensingFixedPoint
+    from isac_mi import FixedPoint
 
     assert isac_mi.__all__ == [
-        "Beamformer", "CommFixedPoint", "ConvergenceError", "CorrelationOps", "DimensionError",
+        "Beamformer", "ConvergenceError", "CorrelationOps", "DimensionError", "FixedPoint",
         "GeometryConfig", "McEstimate", "MiReport", "NoiseConfig", "NonRealShannonError",
-        "PgaAbort", "PgaOptions", "PgaTrace", "ScenarioStats", "SensingFixedPoint",
-        "SingularMatrixError", "SolverOptions", "SpectralPoint", "SystemDims",
-        "WeichselbergerStats", "cauchy_comm", "cauchy_sensing", "default_beamformer",
+        "PgaAbort", "PgaOptions", "PgaTrace", "ScenarioStats", "SingularMatrixError",
+        "SolverOptions", "SpectralPoint", "SystemDims", "WeichselbergerStats", "cauchy_comm", "cauchy_sensing", "default_beamformer",
         "derivative_identity_check", "effective_los", "eigen_ecdf", "estimate",
         "finite_mi_comm", "finite_mi_sensing", "generate_scenario", "gradient", "mi_curves",
         "pga", "project", "residual_comm", "residual_sensing", "sample_channels",
@@ -43,12 +42,8 @@ def test_public_names_and_record_fields_are_pinned():
         "shannon_sensing", "solve_comm", "solve_sensing", "upa_steering", "validate",
         "weighted_mi",
     ]
-    assert [f.name for f in dataclasses.fields(SensingFixedPoint)] == [
-        "g_c_tilde", "g_c", "psi_tilde_blocks", "psi", "phi_scalar", "pi",
-        "residual", "iterations", "history",
-    ]
-    assert [f.name for f in dataclasses.fields(CommFixedPoint)] == [
-        "g_e_tilde", "g_e", "omega_tilde", "omega", "residual", "iterations", "history",
+    assert [f.name for f in dataclasses.fields(FixedPoint)] == [
+        "g", "g_tilde", "psi_tilde_blocks", "pi", "phi", "residual", "iterations", "history",
     ]
 
 
@@ -73,10 +68,10 @@ def test_zero_channel_sensing_solution():
     point = SpectralPoint(-0.7)
     fp = solve_sensing(stats, bf, point)
     assert fp.iterations == 0
-    assert np.allclose(fp.g_c_tilde, np.eye(6) / -0.7, atol=1e-13)
-    assert np.allclose(fp.g_c, np.eye(4), atol=1e-13)
-    assert np.all(fp.psi == 0.0)
-    assert abs(fp.phi_scalar - 1.0) < 1e-13
+    assert np.allclose(fp.g_tilde, np.eye(6) / -0.7, atol=1e-13)
+    assert np.allclose(fp.g, np.eye(4), atol=1e-13)
+    assert np.all(fp.pi - fp.phi * np.eye(4) == 0.0)  # psi = pi - phi I
+    assert abs(fp.phi - 1.0) < 1e-13
     assert abs(cauchy_sensing(fp) - 1.0 / -0.7) < 1e-13
     assert residual_sensing(fp, stats, bf, point) < 1e-12
 
@@ -87,7 +82,7 @@ def test_zero_channel_comm_solution():
     bf = default_beamformer(dims, 4.0)
     point = SpectralPoint(-1.3)
     fp = solve_comm(stats, bf, point)
-    assert np.allclose(fp.g_e_tilde, np.eye(4) / -1.3, atol=1e-13)
+    assert np.allclose(fp.g_tilde, np.eye(4) / -1.3, atol=1e-13)
     assert abs(cauchy_comm(fp) - 1.0 / -1.3) < 1e-13
     assert residual_comm(fp, stats, bf, point) < 1e-12
 
@@ -101,10 +96,10 @@ def test_scalar_pure_los_matches_bisection_oracle(sigma2):
     point = SpectralPoint(-sigma2)
     fp = solve_sensing(stats, bf, point, SolverOptions(tol=1e-13))
     oracle = scalar_los_oracle(g * w_entry, sigma2)
-    assert abs(fp.phi_scalar - oracle["phi"]) < 1e-10
-    assert abs(complex(fp.g_c[0, 0]) - oracle["g_c"]) < 1e-10
-    assert abs(complex(fp.g_c_tilde[0, 0]) - oracle["g_c_tilde"]) < 1e-10
-    g_dd = -fp.phi_scalar + fp.phi_scalar**2 * complex(fp.g_c[0, 0])  # -phi I + phi^2 g_c
+    assert abs(fp.phi - oracle["phi"]) < 1e-10
+    assert abs(complex(fp.g[0, 0]) - oracle["g_c"]) < 1e-10
+    assert abs(complex(fp.g_tilde[0, 0]) - oracle["g_c_tilde"]) < 1e-10
+    g_dd = -fp.phi + fp.phi**2 * complex(fp.g[0, 0])  # -phi I + phi^2 g_c
     assert abs(g_dd - oracle["g_d"]) < 1e-10
     assert abs(cauchy_sensing(fp) - oracle["cauchy"].real) < 1e-10
 
@@ -121,9 +116,9 @@ def test_scalar_with_scatter_feedback_matches_oracle(sigma2):
     point = SpectralPoint(-sigma2)
     fp = solve_sensing(stats, bf, point, SolverOptions(tol=1e-13))
     oracle = scalar_general_oracle(g * w_entry, (w_entry * profile) ** 2, sigma2)
-    assert abs(fp.phi_scalar - oracle["phi"]) < 1e-9
-    assert abs(complex(fp.g_c[0, 0]) - oracle["g_c"]) < 1e-9
-    assert abs(complex(fp.g_c_tilde[0, 0]) - oracle["g_c_tilde"]) < 1e-9
+    assert abs(fp.phi - oracle["phi"]) < 1e-9
+    assert abs(complex(fp.g[0, 0]) - oracle["g_c"]) < 1e-9
+    assert abs(complex(fp.g_tilde[0, 0]) - oracle["g_c_tilde"]) < 1e-9
     g_eff, _, _ = effective_los(stats, bf)
     value = shannon_sensing(fp, point, stats.dims, g_eff)
     assert abs(value - oracle["shannon"]) < 1e-9
@@ -139,9 +134,9 @@ def test_pure_los_comm_is_exact(dims4):
     fp = solve_comm(stats, bf, point)
     _, h_eff, _ = effective_los(stats, bf)
     expected = np.linalg.inv(np.eye(4) + h_eff.conj().T @ h_eff / sigma2)
-    assert np.allclose(fp.g_e, expected, atol=1e-12)
-    assert np.allclose(fp.omega_tilde, -sigma2 * np.eye(4), atol=1e-13)
-    assert np.allclose(fp.omega, np.eye(4), atol=1e-13)
+    assert np.allclose(fp.g, expected, atol=1e-12)
+    assert np.allclose(fp.psi_tilde_blocks[0], -sigma2 * np.eye(4), atol=1e-13)
+    assert np.allclose(fp.pi, np.eye(4), atol=1e-13)
 
 
 def test_headline_scenario_matches_mc_resolvent(scenario16, beamformer16):
@@ -177,16 +172,16 @@ def _nudge(value):
 @pytest.mark.parametrize(
     "branch, field",
     [
-        ("sensing", "g_c"),
-        ("sensing", "g_c_tilde"),
+        ("sensing", "g"),
+        ("sensing", "g_tilde"),
         ("sensing", "psi_tilde_blocks"),
-        ("sensing", "psi"),
         ("sensing", "pi"),
-        ("sensing", "phi_scalar"),
-        ("comm", "g_e"),
-        ("comm", "g_e_tilde"),
-        ("comm", "omega_tilde"),
-        ("comm", "omega"),
+        ("sensing", "phi"),
+        ("comm", "g"),
+        ("comm", "g_tilde"),
+        ("comm", "psi_tilde_blocks"),
+        ("comm", "pi"),
+        ("comm", "phi"),
     ],
 )
 def test_perturbed_state_has_large_residual(scenario4, beamformer4, branch, field):
@@ -207,36 +202,35 @@ def test_record_is_a_function_of_its_state(scenario4, beamformer4, branch):
     make_system = {"sensing": _sensing_system, "comm": _comm_system}[branch]
     point = SpectralPoint(-0.1)
     fp = _BRANCHES[branch][0](scenario4, beamformer4, point)
-    g, g_tilde, psi_t_blocks, pi, phi = fp._variables
-    psi_t_rhs, psi_rhs, pi_rhs, phi_rhs = make_system(scenario4, beamformer4, point.w).self_energies(
-        g, g_tilde
+    psi_t_rhs, _, pi_rhs, phi_rhs = make_system(scenario4, beamformer4, point.w).self_energies(
+        fp.g, fp.g_tilde
     )
-    assert len(psi_t_blocks) == len(psi_t_rhs)
-    for stored, rhs in zip(psi_t_blocks, psi_t_rhs):
+    assert len(fp.psi_tilde_blocks) == len(psi_t_rhs)
+    for stored, rhs in zip(fp.psi_tilde_blocks, psi_t_rhs):
         assert np.array_equal(stored, rhs)
-    assert np.array_equal(pi, pi_rhs)
-    assert phi == phi_rhs
-    if branch == "sensing":
-        assert np.array_equal(fp.psi, psi_rhs)
+    assert np.array_equal(fp.pi, pi_rhs)
+    assert fp.phi == phi_rhs
+    if branch == "comm":
+        assert fp.phi == 1.0
 
 
 def test_stored_matrices_are_hermitian(scenario4, beamformer4):
     fp = solve_sensing(scenario4, beamformer4, SpectralPoint(-0.2))
-    for a in (fp.g_c_tilde, fp.g_c, fp.psi, fp.pi, *fp.psi_tilde_blocks):
+    for a in (fp.g_tilde, fp.g, fp.pi, *fp.psi_tilde_blocks):
         assert np.linalg.norm(a - a.conj().T) < 1e-10
     fc = solve_comm(scenario4, beamformer4, SpectralPoint(-0.2))
-    for a in (fc.g_e_tilde, fc.g_e, fc.omega_tilde, fc.omega):
+    for a in (fc.g_tilde, fc.g, fc.psi_tilde_blocks[0], fc.pi):
         assert np.linalg.norm(a - a.conj().T) < 1e-10
 
 
 def test_resolvent_sign_structure(scenario4, beamformer4):
     fp = solve_sensing(scenario4, beamformer4, SpectralPoint(-0.2))
-    assert np.linalg.eigvalsh(-fp.g_c_tilde).min() > -1e-8
-    assert np.linalg.eigvalsh(fp.g_c).min() > -1e-8
-    assert fp.phi_scalar >= 1.0 - 1e-12
+    assert np.linalg.eigvalsh(-fp.g_tilde).min() > -1e-8
+    assert np.linalg.eigvalsh(fp.g).min() > -1e-8
+    assert fp.phi >= 1.0 - 1e-12
     fc = solve_comm(scenario4, beamformer4, SpectralPoint(-0.2))
-    assert np.linalg.eigvalsh(-fc.g_e_tilde).min() > -1e-8
-    assert np.linalg.eigvalsh(fc.g_e).min() > -1e-8
+    assert np.linalg.eigvalsh(-fc.g_tilde).min() > -1e-8
+    assert np.linalg.eigvalsh(fc.g).min() > -1e-8
 
 
 def test_resolvent_trace_decays_with_spectral_argument(scenario4, beamformer4):
@@ -260,12 +254,12 @@ def test_two_initializations_agree(scenario4, beamformer4):
     cold = solve_sensing(scenario4, beamformer4, point)
     other = solve_sensing(scenario4, beamformer4, SpectralPoint(-2.0))
     warm = solve_sensing(scenario4, beamformer4, point, initial=other)
-    assert np.allclose(cold.g_c, warm.g_c, atol=1e-8)
-    assert np.allclose(cold.g_c_tilde, warm.g_c_tilde, atol=1e-8)
+    assert np.allclose(cold.g, warm.g, atol=1e-8)
+    assert np.allclose(cold.g_tilde, warm.g_tilde, atol=1e-8)
     cold_c = solve_comm(scenario4, beamformer4, point)
     other_c = solve_comm(scenario4, beamformer4, SpectralPoint(-2.0))
     warm_c = solve_comm(scenario4, beamformer4, point, initial=other_c)
-    assert np.allclose(cold_c.g_e, warm_c.g_e, atol=1e-8)
+    assert np.allclose(cold_c.g, warm_c.g, atol=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -311,6 +305,19 @@ _CONTEXTS = {
     "comm": ("comm omega inverse", "comm g_e_tilde equation",
              "comm omega_tilde inverse", "comm g_e equation"),
 }
+
+
+def test_phi_without_a_real_root_ends_the_solve_by_name(scenario4, beamformer4):
+    # far outside the sign cone b^2 + 4 Tr g / n_s < 0: phi is NaN, not a math domain error
+    from isac_mi.fixedpoint import _sensing_system
+
+    point = SpectralPoint(-0.1)
+    system = _sensing_system(scenario4, beamformer4, point.w)
+    assert math.isnan(system.phi(-1e3 * np.eye(system.m)))
+    fp = solve_sensing(scenario4, beamformer4, point)
+    far = dataclasses.replace(fp, g=-1e3 * np.eye(system.m))
+    with pytest.raises(ConvergenceError, match="sensing fixed point produced a non-finite evaluation"):
+        solve_sensing(scenario4, beamformer4, point, initial=far)
 
 
 def _nan_pi(psi_t, psi, pi, phi):
@@ -456,11 +463,11 @@ def test_hard_points_converge_to_a_consistent_fixed_point(shape, kappa, snr_db, 
     bf = default_beamformer(dims, float(dims.n_t))
     noise = NoiseConfig(snr_db)
     report, fp_s, fp_c = weighted_mi(stats, bf, noise, 0.8, return_fixed_points=True)
-    assert np.linalg.eigvalsh(-fp_s.g_c_tilde).min() > -1e-8
-    assert np.linalg.eigvalsh(fp_s.g_c).min() > -1e-8
-    assert fp_s.phi_scalar >= 1.0 - 1e-12
-    assert np.linalg.eigvalsh(-fp_c.g_e_tilde).min() > -1e-8
-    assert np.linalg.eigvalsh(fp_c.g_e).min() > -1e-8
+    assert np.linalg.eigvalsh(-fp_s.g_tilde).min() > -1e-8
+    assert np.linalg.eigvalsh(fp_s.g).min() > -1e-8
+    assert fp_s.phi >= 1.0 - 1e-12
+    assert np.linalg.eigvalsh(-fp_c.g_tilde).min() > -1e-8
+    assert np.linalg.eigvalsh(fp_c.g).min() > -1e-8
     point_s = SpectralPoint.from_noise_power(noise.sigma_s2)
     point_c = SpectralPoint.from_noise_power(noise.sigma_c2)
     assert residual_sensing(fp_s, stats, bf, point_s) <= 1e-10
@@ -532,9 +539,9 @@ def test_sensing_without_symbol_block_is_the_comm_system():
     noise = NoiseConfig(10.0, sensing_offset_db=0.0)
     report, fp_s, fp_c = weighted_mi(stats, bf, noise, 0.5, return_fixed_points=True)
     assert abs(report.i_s - report.i_c) / report.i_c <= 1e-6
-    assert np.abs(fp_s.g_c - fp_c.g_e).max() <= 1e-6
-    assert np.abs(fp_s.g_c_tilde - fp_c.g_e_tilde).max() <= 1e-5
-    assert 0.0 <= fp_s.phi_scalar - 1.0 <= 1e-5
+    assert np.abs(fp_s.g - fp_c.g).max() <= 1e-6
+    assert np.abs(fp_s.g_tilde - fp_c.g_tilde).max() <= 1e-5
+    assert 0.0 <= fp_s.phi - 1.0 <= 1e-5
 
 
 @pytest.mark.parametrize("num_scatter", [1, 4])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -197,6 +198,52 @@ def test_beamformer_power_budget_is_enforced():
             default_beamformer(dims, p_t)  # sqrt(inf / m) * 0 would put NaN off the diagonal
         with pytest.raises(ValueError, match="finite and positive"):
             project(np.eye(2), p_t)
+
+
+def test_power_budget_tolerance_scales_with_the_budget():
+    # at large p_t the rounding of ||W||_F^2 exceeds any absolute tolerance, so the
+    # library's own points (default beamformer, projection) must stay feasible
+    rejected = []
+    for m in range(1, 17):
+        dims = SystemDims(n_t=16, n_r=1, n_u=1, num_scatter=1, m=m, n_s=m)
+        for k in range(81):  # p_t = 1e6 ... 1e14 in 0.1-decade steps
+            try:
+                default_beamformer(dims, 10.0 ** (6 + k / 10))
+            except ValueError:
+                rejected.append((m, k))
+    rng = np.random.default_rng(5)
+    for i in range(2000):
+        z = 1e6 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        try:
+            Beamformer(project(z, 1e8), 1e8)
+        except ValueError:
+            rejected.append(i)
+    assert not rejected, rejected
+    for p_t in (1.0, 1e8, 1e300):
+        with pytest.raises(ValueError, match="infeasible"):
+            Beamformer(np.array([[math.sqrt(p_t * (1.0 + 1e-6))]]), p_t)
+    with pytest.raises(ValueError, match="infeasible"):
+        Beamformer(np.array([[math.sqrt(1e-3 + 2e-9)]]), 1e-3)  # no looser than 1e-9 below p_t = 1
+
+
+@pytest.mark.parametrize("seed", [7.9, 0.5, math.nan, math.inf, "7"])
+def test_generate_scenario_rejects_a_non_integral_seed(dims4, seed):
+    with pytest.raises(ValueError, match=r"seed must be an integer, got"):
+        generate_scenario(dims4, 1.0, seed=seed)
+
+
+def test_scenario_json_rejects_a_non_integral_seed(scenario4):
+    doc = json.loads(scenario_to_json(scenario4))
+    doc["seed"] = 7.9
+    with pytest.raises(ValueError, match=r"seed must be an integer, got 7\.9"):
+        scenario_from_json(json.dumps(doc))
+
+
+def test_generate_scenario_takes_integral_seeds_of_any_type(dims4):
+    reference = scenario_to_json(generate_scenario(dims4, 1.0, seed=7))
+    for seed in (7.0, np.int64(7)):
+        stats = generate_scenario(dims4, 1.0, seed=seed)
+        assert type(stats.seed) is int and scenario_to_json(stats) == reference
 
 
 def test_noise_config_snr_mapping():

@@ -88,6 +88,13 @@ def test_symbols_are_deterministic():
     assert np.array_equal(sample_symbols(dims, 5, seed=9), sample_symbols(dims, 5, seed=9))
 
 
+def test_symbols_reject_a_non_integral_seed():
+    dims = SystemDims(n_t=2, n_r=2, n_u=2, num_scatter=1, m=2, n_s=3)
+    with pytest.raises(ValueError, match=r"seed must be an integer, got 7\.9"):
+        sample_symbols(dims, 0, seed=7.9)
+    assert np.array_equal(sample_symbols(dims, 5, seed=9.0), sample_symbols(dims, 5, seed=9))
+
+
 def test_finite_mi_sensing_trivials():
     bf = Beamformer(np.zeros((2, 2)), 1.0)
     s = np.eye(2, dtype=complex)

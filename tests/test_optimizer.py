@@ -158,6 +158,9 @@ def test_pga_options_validation(dims4):
             PgaOptions(epsilon=epsilon)
     with pytest.raises(ValueError, match="max_outer_iters"):
         PgaOptions(max_outer_iters=-3)
+    for seed in (0.5, 1.2, float("nan")):
+        with pytest.raises(ValueError, match=r"init_seed must be an integer, got"):
+            PgaOptions(init_seed=seed)
 
 
 @pytest.mark.parametrize("removed", ["step", "lambda0", "beta", "slope"])

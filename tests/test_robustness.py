@@ -78,11 +78,11 @@ def test_grid_point_converges_to_a_consistent_fixed_point(
 ):
     stats, bf, noise = _setup(shape, num_scatter, n_s, kappa, snr_db)
     _, fp_s, fp_c = weighted_mi(stats, bf, noise, 0.8, return_fixed_points=True)
-    assert np.linalg.eigvalsh(-fp_s.g_c_tilde).min() > -1e-8
-    assert np.linalg.eigvalsh(fp_s.g_c).min() > -1e-8
-    assert fp_s.phi_scalar >= 1.0 - 1e-12
-    assert np.linalg.eigvalsh(-fp_c.g_e_tilde).min() > -1e-8
-    assert np.linalg.eigvalsh(fp_c.g_e).min() > -1e-8
+    assert np.linalg.eigvalsh(-fp_s.g_tilde).min() > -1e-8
+    assert np.linalg.eigvalsh(fp_s.g).min() > -1e-8
+    assert fp_s.phi >= 1.0 - 1e-12
+    assert np.linalg.eigvalsh(-fp_c.g_tilde).min() > -1e-8
+    assert np.linalg.eigvalsh(fp_c.g).min() > -1e-8
     point_s = SpectralPoint.from_noise_power(noise.sigma_s2)
     point_c = SpectralPoint.from_noise_power(noise.sigma_c2)
     assert residual_sensing(fp_s, stats, bf, point_s) <= 1e-10
@@ -175,7 +175,6 @@ def test_solution_meets_its_equations_in_extended_precision(
         (_comm_system(stats, bf, -noise.sigma_c2), fp_c),
     )
     for system, fp in systems:
-        g, g_tilde = fp._variables[:2]
-        for solved, exact in zip((g, g_tilde), _exact_rhs(system, g, g_tilde)):
+        for solved, exact in zip((fp.g, fp.g_tilde), _exact_rhs(system, fp.g, fp.g_tilde)):
             error = np.linalg.norm((solved - exact).astype(complex))
             assert error / (1.0 + np.linalg.norm(exact.astype(complex))) <= 1e-10, system.branch
