@@ -91,8 +91,7 @@ _CSV_DOC = f"""CSV schemas (column order is stable):
   convergence: {CONVERGENCE_HEADER}
   sweep:       {SWEEP_HEADER}
   tradeoff:    {TRADEOFF_HEADER}
-All MI columns are in bits; rel_gap columns are |closed - mc| / |mc|.
-Runs are serial; the ISAC_MI_THREADS environment variable is no longer read."""
+All MI columns are in bits; rel_gap columns are |closed - mc| / |mc|."""
 
 
 def _merge(defaults: dict, user: dict, path: str = "") -> dict:
@@ -414,10 +413,8 @@ def main(argv: list[str] | None = None) -> int:
             path = _write_csv(cfg, "convergence", run_convergence(cfg))
         elif args.command == "sweep":
             path = _write_csv(cfg, "sweep", run_sweep(cfg))
-        elif args.command == "tradeoff":
+        else:
             path = _write_csv(cfg, "tradeoff", run_tradeoff(cfg))
-        else:  # unreachable with required=True
-            return 1
         print(f"wrote {path}")
         return 0
     except ConfigError as exc:

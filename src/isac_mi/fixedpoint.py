@@ -13,11 +13,13 @@ two-sided Rician form of Hachem, Loubaton & Najim (Ann. Appl. Probab. 2007):
     psi_tilde_l = wI - E[X_l W g W' X_l']           (one block per channel)
     psi         = -W' (sum_l E[X_l' g_tilde_l X_l]) W
     pi          = psi + phi I
-    g_tilde, g  = (blockdiag psi_tilde - h pi^-1 h')^-1, (pi - h' psi_tilde^-1 h)^-1
+    g, g_tilde  = (pi - h' psi_tilde^-1 h)^-1, (blockdiag psi_tilde - h pi^-1 h')^-1
 
-around the beamformed LoS mean h (`_resolvent_pair`; its LoS term
-sum_l h_l' A_l^-1 h_l is `_los_term`, which also serves the Shannon transform
-of both branches and the PGA gradient).  The symbol-block variables are closed-form
+around the beamformed LoS mean h (`_System.resolvents`).  The L channels have
+equal receive sizes n_rx: h is L row blocks h_l and g_tilde is L x L blocks of
+n_rx x n_rx, whose diagonal blocks g_tilde_l are `_diagonal_blocks`.  The LoS
+term sum_l h_l' psi_tilde_l^-1 h_l is `_los_term`, which also serves the Shannon
+transform of both branches and the PGA gradient.  The symbol-block variables are closed-form
 functions of phi and g: g_d = 1/phi, phi_tilde = -1/phi and g_dd = -phi I + phi^2 g,
 so the scalar chain phi = 1 - Tr(g_dd)/n_s has the closed form
 phi = 2 / (b + sqrt(b^2 + 4 Tr g / n_s)), b = 1 - m/n_s, its positive root, which is
@@ -29,10 +31,10 @@ phi = 1 for communication.
 
 The system is solved by one driver, `_iterate`, from the exact zero-channel
 solution (or a warm start).  The driver runs type-II Anderson acceleration
-(Walker & Ni, SIAM J. Numer. Anal. 2011) on the system's state packed into
-one real vector (the real view of each complex block), in which the
-resolvent-type block is stored times sigma^2 so that every block starts from
-(minus) the identity.  It is safeguarded in the manner of Zhang, O'Donoghue &
+(Walker & Ni, SIAM J. Numer. Anal. 2011) on the state (g, g_tilde) packed into
+one real vector (`_Packing`: the real view of both complex blocks), in which
+g_tilde is stored times sigma^2 so that both blocks start from (minus) the
+identity.  It is safeguarded in the manner of Zhang, O'Donoghue &
 Boyd (SIAM J. Optim. 2020):
 
 * an extrapolated iterate is used only if it lies in the sign cone below and
@@ -63,12 +65,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._linalg import SingularMatrixError, herm, inv_herm, min_eigval, rel_residual
 from .correlation import assemble, rotated_diag
-from .model import Beamformer, ScenarioStats, effective_los
+from .model import Beamformer, ScenarioStats, _check_count, effective_los
 
 SIGN_EIG_FLOOR = -1e-8
 
@@ -125,8 +128,7 @@ class SolverOptions:
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be finite and positive")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
+        _check_count(self.max_iter, "max_iter", 0)
 
 
 @dataclass(frozen=True)
@@ -152,18 +154,27 @@ class FixedPoint:
     history: tuple[float, ...]  # residual of every iteration, in order
 
 
-def _diag_block(a: np.ndarray, l: int, n: int) -> np.ndarray:
-    return a[l * n : (l + 1) * n, l * n : (l + 1) * n]
+class _Contexts(NamedTuple):
+    """Names of one branch's inverses, as `SingularMatrixError.context` reports them."""
+
+    pi: str
+    g_tilde: str  # the g_tilde equation
+    psi_tilde: str  # each psi_tilde block
+    g: str  # the g equation
 
 
-def _block_diag(blocks) -> np.ndarray:
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n), dtype=complex)
-    i = 0
-    for b in blocks:
-        out[i : i + b.shape[0], i : i + b.shape[0]] = b
-        i += b.shape[0]
-    return out
+_CONTEXTS = {
+    "sensing": _Contexts("sensing pi inverse", "sensing g_c_tilde equation",
+                         "sensing psi_tilde block inverse", "sensing g_c equation"),
+    "comm": _Contexts("comm omega inverse", "comm g_e_tilde equation",
+                      "comm omega_tilde inverse", "comm g_e equation"),
+}
+
+
+def _diagonal_blocks(a: np.ndarray, num: int) -> np.ndarray:
+    """Writable (num, n, n) view of the num equal diagonal blocks of the square `a`."""
+    n = a.shape[0] // num
+    return np.einsum("kikj->kij", a.reshape(num, n, num, n))
 
 
 def _is_pd(a: np.ndarray) -> bool:
@@ -175,32 +186,31 @@ def _is_pd(a: np.ndarray) -> bool:
 
 
 class _Packing:
-    """A system's state as one real vector: the real view of the complex
-    entries of square blocks of the given sizes (a real scalar is a block of
-    size 1), block b multiplied by scales[b].  The vector norm of a block is
-    therefore its Frobenius norm."""
+    """The state (g, g_tilde), g (m, m) and g_tilde (n, n), as one real vector:
+    the real view of the complex entries of g and of sigma^2 g_tilde
+    (sigma^2 = -w).  The vector norm of a block is therefore its Frobenius
+    norm, g_tilde's weighted by sigma^2."""
 
-    def __init__(self, sizes, scales):
-        self.sizes = sizes
-        self.scales = scales
-        self.bounds = np.cumsum([0] + [2 * n * n for n in sizes])
+    def __init__(self, m: int, n: int, w: float):
+        self.m, self.n, self.scale = m, n, -w
+        self.split = 2 * m * m  # reals of g
 
-    def pack(self, blocks) -> np.ndarray:
-        parts = [(s * np.asarray(b, dtype=complex)).ravel() for b, s in zip(blocks, self.scales)]
-        return np.concatenate(parts).view(float)
+    def pack(self, g, g_tilde) -> np.ndarray:
+        parts = (np.asarray(g, dtype=complex), self.scale * np.asarray(g_tilde, dtype=complex))
+        return np.concatenate([a.ravel() for a in parts]).view(float)
 
-    def unpack(self, x: np.ndarray) -> list[np.ndarray]:
-        return [
-            x[a:b].view(complex).reshape(n, n) / s
-            for a, b, n, s in zip(self.bounds, self.bounds[1:], self.sizes, self.scales)
-        ]
+    def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(g, g_tilde) of `x`; g is a view of x."""
+        g = x[: self.split].view(complex).reshape(self.m, self.m)
+        return g, x[self.split :].view(complex).reshape(self.n, self.n) / self.scale
 
     def residual(self, x: np.ndarray, gx: np.ndarray) -> float:
-        """Max over blocks of rel_residual(block, rhs block), in unscaled units;
-        NaN when any block's is."""
+        """Max of rel_residual(g, rhs_g) and rel_residual(g_tilde, rhs_g_tilde), in
+        unscaled units; NaN when either is."""
+        k = self.split
         return float(np.max([
-            np.linalg.norm(x[a:b] - gx[a:b]) / (s + np.linalg.norm(gx[a:b]))
-            for a, b, s in zip(self.bounds, self.bounds[1:], self.scales)
+            np.linalg.norm(x[:k] - gx[:k]) / (1.0 + np.linalg.norm(gx[:k])),
+            np.linalg.norm(x[k:] - gx[k:]) / (self.scale + np.linalg.norm(gx[k:])),
         ]))
 
 
@@ -214,15 +224,15 @@ def _lu_inverse(a: np.ndarray, context: str) -> np.ndarray:
 
 
 def _iterate(system, start, opts: SolverOptions):
-    """Safeguarded Anderson iteration of `system.rhs` from the blocks `start`.
+    """Safeguarded Anderson iteration of `system.rhs` from the state `start`.
 
-    Returns (blocks, residual, iterations, history) at the first iterate whose
+    Returns (state, residual, iterations, history) at the first iterate whose
     residual meets opts.tol, after the conditional polish step.  The right-hand
     side is evaluated through unguarded LU inverses (`_solve` guards the
     returned state); a non-finite residual ends the iteration at once.
     """
     packing = system.packing
-    x = packing.pack(start)
+    x = packing.pack(*start)
     # ring buffers of the differences of f(x) - x and of f(x) between accepted iterates
     d_f = np.empty((_MEMORY, x.size))
     d_g = np.empty((_MEMORY, x.size))
@@ -233,12 +243,12 @@ def _iterate(system, start, opts: SolverOptions):
     extrapolated = picard = False
 
     def evaluate(x):
-        blocks = packing.unpack(x)
-        gx = packing.pack(system.rhs(*blocks, inverse=_lu_inverse))
-        return blocks, gx, packing.residual(x, gx)
+        state = packing.unpack(x)
+        gx = packing.pack(*system.rhs(*state, inverse=_lu_inverse))
+        return state, gx, packing.residual(x, gx)
 
     for it in range(opts.max_iter + 1):
-        blocks, gx, residual = evaluate(x)
+        state, gx, residual = evaluate(x)
         history.append(residual)
         if not math.isfinite(residual):
             reason = "produced a non-finite evaluation"
@@ -246,8 +256,8 @@ def _iterate(system, start, opts: SolverOptions):
         if residual <= opts.tol:
             polished = evaluate(gx)
             if polished[2] <= residual:
-                blocks, _, residual = polished
-            return blocks, residual, it, tuple(history)
+                state, _, residual = polished
+            return state, residual, it, tuple(history)
         if it == opts.max_iter:
             break
         if extrapolated and residual > _SAFEGUARD * last[2]:
@@ -280,35 +290,18 @@ def _iterate(system, start, opts: SolverOptions):
 
 
 def _los_term(h: np.ndarray, a_blocks, context: str, inverse=None) -> np.ndarray:
-    """sum_l h_l' A_l^-1 h_l over the row blocks h_l of h, each as tall as A_l.
+    """sum_l h_l' A_l^-1 h_l over the L equal row blocks h_l of h, L = len(a_blocks).
     `inverse(a, context)` defaults to the guarded `inv_herm`."""
     inverse = inverse or inv_herm
-    rows = np.cumsum([0] + [a.shape[0] for a in a_blocks])
-    return sum(
-        h[i:j].conj().T @ inverse(a, context) @ h[i:j]
-        for i, j, a in zip(rows, rows[1:], a_blocks)
-    )
-
-
-def _resolvent_pair(a_blocks, b: np.ndarray, h: np.ndarray, contexts, inverse=None):
-    """Receive- and transmit-side resolvents around the LoS mean h:
-    ((blockdiag A - h B^-1 h')^-1, (B - h' A^-1 h)^-1).  `contexts` names the
-    inverses of B, of the receive side, of the A blocks and of the transmit side;
-    `inverse(a, context)` defaults to the guarded `inv_herm`."""
-    inverse = inverse or inv_herm
-    b_inverse, receive, a_inverse, transmit = contexts
-    h_b_h = h @ inverse(b, b_inverse) @ h.conj().T
-    rx = herm(inverse(_block_diag(a_blocks) - h_b_h, receive))
-    tx = herm(inverse(b - _los_term(h, a_blocks, a_inverse, inverse), transmit))
-    return rx, tx
+    rows = h.reshape(len(a_blocks), -1, h.shape[1])
+    return sum(h_l.conj().T @ inverse(a, context) @ h_l for h_l, a in zip(rows, a_blocks))
 
 
 class _System:
     """Right-hand sides of one deterministic-equivalent system at fixed (W, w).
 
     `channels` holds the statistics of each channel X_l, `h_raw` stacks their
-    LoS means and h_eff = h_raw W.  `contexts` names the inverses of pi, of the
-    g_tilde equation, of a psi_tilde block and of the g equation.  The
+    LoS means and h_eff = h_raw W; `_CONTEXTS[branch]` names its inverses.  The
     correlation maps of the channels are set up once per system: with the
     receive unitary U_l, the squared profile P_l = profile_l^2 / n_t and the
     beamformed transmit basis W'V_l of each channel,
@@ -321,8 +314,8 @@ class _System:
     l in psi is one product too.
     """
 
-    def __init__(self, branch, contexts, channels, h_raw, h_eff, n_s, w_bf, w):
-        self.branch, self.contexts = branch, contexts
+    def __init__(self, branch, channels, h_raw, h_eff, n_s, w_bf, w):
+        self.branch, self.contexts = branch, _CONTEXTS[branch]
         self.h_raw, self.h_eff, self.n_s = h_raw, h_eff, n_s
         self.w_bf, self.w = w_bf, w
         self.m = h_eff.shape[1]
@@ -333,7 +326,7 @@ class _System:
         self.profile = np.stack([c.variance_profile**2 for c in channels]) / n_t  # (L, n_rx, n_t)
         self.transmit = np.hstack([c.right_unitary for c in channels])  # [V_1 ... V_L]
         self.beamformed = w_bf.w.conj().T @ self.transmit  # [W'V_1 ... W'V_L]
-        self.packing = _Packing((self.m, h_raw.shape[0]), (1.0, -w))
+        self.packing = _Packing(self.m, h_raw.shape[0], w)
 
     def psi_tilde_blocks(self, g: np.ndarray) -> np.ndarray:
         """wI - E[X_l W g W' X_l'] of every channel, stacked (L, n_rx, n_rx)."""
@@ -343,10 +336,7 @@ class _System:
 
     def _transmit_diag(self, g_tilde: np.ndarray) -> np.ndarray:
         """P_l' diag(U_l' g_tilde_l U_l) of every diagonal block g_tilde_l, end to end."""
-        num, n = self.num_channels, self.n_rx
-        channel = np.arange(num)
-        blocks = g_tilde.reshape(num, n, num, n)[channel, :, channel, :]
-        d = rotated_diag(self.receive, blocks)
+        d = rotated_diag(self.receive, _diagonal_blocks(g_tilde, self.num_channels))
         return np.einsum("lij,li->lj", self.profile, d).ravel()
 
     def psi(self, g_tilde: np.ndarray) -> np.ndarray:
@@ -368,8 +358,16 @@ class _System:
         return _is_pd(g) and _is_pd(-g_tilde)
 
     def resolvents(self, psi_t_blocks, pi: np.ndarray, inverse=None):
-        """(g_tilde, g) from (psi_tilde blocks, pi), through `inverse` (default guarded)."""
-        return _resolvent_pair(psi_t_blocks, pi, self.h_eff, self.contexts, inverse)
+        """(g, g_tilde) = ((pi - LoS(h, psi_tilde))^-1, (blockdiag psi_tilde - h pi^-1 h')^-1)
+        around h = h_eff, through `inverse(a, context)` (default the guarded `inv_herm`)."""
+        inverse = inverse or inv_herm
+        h, contexts = self.h_eff, self.contexts
+        receive = -(h @ inverse(pi, contexts.pi) @ h.conj().T)
+        blocks = _diagonal_blocks(receive, self.num_channels)
+        blocks += psi_t_blocks
+        g_tilde = herm(inverse(receive, contexts.g_tilde))
+        los = _los_term(h, psi_t_blocks, contexts.psi_tilde, inverse)
+        return herm(inverse(pi - los, contexts.g)), g_tilde
 
     def self_energies(self, g, g_tilde):
         """(psi_tilde blocks, psi, pi, phi) at the state (g, g_tilde), phi taken
@@ -381,8 +379,7 @@ class _System:
     def rhs(self, g, g_tilde, inverse=None):
         """One Picard evaluation: (rhs_g, rhs_g_tilde), through `inverse` (default guarded)."""
         psi_t, _, pi, _ = self.self_energies(g, g_tilde)
-        rhs_g_tilde, rhs_g = self.resolvents(psi_t, pi, inverse)
-        return rhs_g, rhs_g_tilde
+        return self.resolvents(psi_t, pi, inverse)
 
     def residual(self, fp: FixedPoint) -> float:
         """Max relative residual of a stored state: the psi_tilde blocks, pi, g_tilde,
@@ -390,7 +387,7 @@ class _System:
         at the resolvent g, each against its equation."""
         phi = fp.phi
         pi_rhs = self.psi(fp.g_tilde) + phi * np.eye(self.m)
-        g_tilde_rhs, g_rhs = self.resolvents(fp.psi_tilde_blocks, pi_rhs)
+        g_rhs, g_tilde_rhs = self.resolvents(fp.psi_tilde_blocks, pi_rhs)
         tr_g_dd = phi * (phi * float(np.trace(g_rhs).real) - self.m)
         pairs = [
             *zip(fp.psi_tilde_blocks, self.psi_tilde_blocks(fp.g)),
@@ -404,24 +401,20 @@ class _System:
         psi_raw W = -sum_l E[X_l' g_tilde_l X_l] W is the transmit-side self-energy
         before its left beamformer."""
         psi_raw_w = -assemble(self.transmit, self._transmit_diag(fp.g_tilde), self.beamformed)
-        los = _los_term(self.h_raw, fp.psi_tilde_blocks, self.contexts[2])
+        los = _los_term(self.h_raw, fp.psi_tilde_blocks, self.contexts.psi_tilde)
         return (psi_raw_w - los @ self.w_bf.w) @ fp.g
 
 
 def _sensing_system(stats: ScenarioStats, w_bf: Beamformer, w: float) -> _System:
     """The L scatter channels behind the n_s-sample symbol block."""
     g_eff, _, g_raw = effective_los(stats, w_bf)
-    contexts = ("sensing pi inverse", "sensing g_c_tilde equation",
-                "sensing psi_tilde block inverse", "sensing g_c equation")
-    return _System("sensing", contexts, stats.sensing, g_raw, g_eff, stats.dims.n_s, w_bf, w)
+    return _System("sensing", stats.sensing, g_raw, g_eff, stats.dims.n_s, w_bf, w)
 
 
 def _comm_system(stats: ScenarioStats, w_bf: Beamformer, w: float) -> _System:
     """The uplink channel with no symbol block: n_s = inf, so phi = 1."""
     _, h_eff, _ = effective_los(stats, w_bf)
-    contexts = ("comm omega inverse", "comm g_e_tilde equation",
-                "comm omega_tilde inverse", "comm g_e equation")
-    return _System("comm", contexts, (stats.comm,), stats.comm.mean, h_eff, math.inf, w_bf, w)
+    return _System("comm", (stats.comm,), stats.comm.mean, h_eff, math.inf, w_bf, w)
 
 
 def _solve(system: _System, initial: FixedPoint | None, opts: SolverOptions) -> FixedPoint:

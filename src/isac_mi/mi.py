@@ -23,7 +23,8 @@ from .fixedpoint import (
     FixedPoint,
     SolverOptions,
     SpectralPoint,
-    _diag_block,
+    _CONTEXTS,
+    _diagonal_blocks,
     _los_term,
     solve_comm,
     solve_sensing,
@@ -77,14 +78,13 @@ def _symbol_block_terms(phi: float, tr_g: complex, m: int, n_s: float) -> comple
     return (n_s - m) * math.log(phi) + phi * tr_g - m
 
 
-def _shannon(branch, fp: FixedPoint, h, n_s, w, context) -> float:
-    """Per-dimension Shannon transform V / rows(h) of one system at the stored state
-    of `fp`; `context` names the psi_tilde block inverses of the LoS term."""
-    n_rx = fp.psi_tilde_blocks[0].shape[0]
-    total = logdet_phased(fp.pi - _los_term(h, fp.psi_tilde_blocks, context))
-    for l, block in enumerate(fp.psi_tilde_blocks):
+def _shannon(branch, fp: FixedPoint, h, n_s, w) -> float:
+    """Per-dimension Shannon transform V / rows(h) of one system at the stored state of `fp`."""
+    blocks = fp.psi_tilde_blocks
+    total = logdet_phased(fp.pi - _los_term(h, blocks, _CONTEXTS[branch].psi_tilde))
+    for g_tilde_l, block in zip(_diagonal_blocks(fp.g_tilde, len(blocks)), blocks):
         total += logdet_phased(block / w)
-        total += np.trace(_diag_block(fp.g_tilde, l, n_rx) @ (w * np.eye(n_rx) - block))
+        total += np.trace(g_tilde_l @ (w * np.eye(len(block)) - block))
     total += _symbol_block_terms(fp.phi, np.trace(fp.g), fp.pi.shape[0], n_s)
     return _assert_real(total, branch) / h.shape[0]
 
@@ -95,7 +95,7 @@ def shannon_sensing(
     """Per-dimension Shannon transform of the sensing Gram matrix at w = point.w."""
     if g_eff.shape != (dims.num_scatter * dims.n_r, dims.m):
         raise ValueError(f"g_eff shape {g_eff.shape} != {(dims.num_scatter * dims.n_r, dims.m)}")
-    return _shannon("sensing", fp, g_eff, dims.n_s, point.w, "sensing psi_tilde block inverse")
+    return _shannon("sensing", fp, g_eff, dims.n_s, point.w)
 
 
 def shannon_comm(
@@ -104,7 +104,7 @@ def shannon_comm(
     """Per-dimension Shannon transform of the communication Gram matrix (n_s = inf)."""
     if h_eff.shape != (dims.n_u, dims.m):
         raise ValueError(f"h_eff shape {h_eff.shape} != {(dims.n_u, dims.m)}")
-    return _shannon("comm", fp, h_eff, math.inf, point.w, "comm omega_tilde inverse")
+    return _shannon("comm", fp, h_eff, math.inf, point.w)
 
 
 def _cauchy(fp: FixedPoint) -> float:

@@ -65,6 +65,15 @@ def _integral_seed(seed, name: str = "seed") -> int:
     return value
 
 
+def _check_count(value, name: str, minimum: int) -> None:
+    """Raise ValueError naming `name` unless `value` is an integer >= minimum.  Like
+    the SystemDims counts, a float is refused even when integral."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)

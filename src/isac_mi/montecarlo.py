@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .model import Beamformer, NoiseConfig, ScenarioStats, SystemDims, WeichselbergerStats
-from .model import _integral_seed
+from .model import _check_count, _integral_seed
 
 _CHANNEL_STREAM = 0
 _SYMBOL_STREAM = 1
@@ -30,14 +30,14 @@ class McEstimate:
     trials: int
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _check_count(self.trials, "trials", 1)
         if self.std_error < 0.0:
             raise ValueError("std_error must be nonnegative")
 
 
 def _trial_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([_integral_seed(seed), int(trial), stream]))
+    entropy = [_integral_seed(seed), _integral_seed(trial, "trial"), stream]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def _draw_weichselberger(s: WeichselbergerStats, n_t: int, rng: np.random.Generator) -> np.ndarray:
@@ -142,8 +142,7 @@ def estimate(
     resolvent_s, resolvent_c (normalized resolvent traces at w = -sigma2).
     Trials run serially in index order.
     """
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
+    _check_count(trials, "trials", 2)
     if quantity not in _QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}, expected one of {tuple(_QUANTITIES)}")
     branch, is_mi = _QUANTITIES[quantity]
@@ -169,8 +168,7 @@ def mi_curves(
     `estimate`, so the means agree exactly with per-SNR calls.  Each branch
     draws its trial's channels itself, so every trial draws them twice.
     """
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
+    _check_count(trials, "trials", 2)
     evals_s = _branch_eigvals(stats, w_bf, trials, "sensing")
     evals_c = _branch_eigvals(stats, w_bf, trials, "comm")
     sensing = [_reduce(_logdet_from_eigvals(evals_s, n.sigma_s2)) for n in noise_grid]
@@ -194,8 +192,7 @@ def eigen_ecdf(
     stats: ScenarioStats, w_bf: Beamformer, noise: NoiseConfig, branch: str, trials: int
 ) -> EigenEcdf:
     """ECDF of the eigenvalues of the sensing or comm Gram matrix, pooled over trials."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_count(trials, "trials", 1)
     if branch not in ("sensing", "comm"):
         raise ValueError("branch must be 'sensing' or 'comm'")
     evals = _branch_eigvals(stats, w_bf, trials, branch)

@@ -32,7 +32,7 @@ from ._linalg import SingularMatrixError, inv_herm  # noqa: F401
 from .fixedpoint import ConvergenceError, FixedPoint, SolverOptions
 from .fixedpoint import _comm_system, _sensing_system
 from .mi import MiReport, NonRealShannonError, weighted_mi
-from .model import Beamformer, NoiseConfig, ScenarioStats, _integral_seed
+from .model import Beamformer, NoiseConfig, ScenarioStats, _check_count, _integral_seed
 
 UNCONVERGED_RESIDUAL = 1e-6
 
@@ -66,8 +66,7 @@ class PgaOptions:
     def __post_init__(self):
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and positive")
-        if self.max_outer_iters < 0:
-            raise ValueError("max_outer_iters must be >= 0")
+        _check_count(self.max_outer_iters, "max_outer_iters", 0)
         if _integral_seed(self.init_seed, "init_seed") < 0:
             raise ValueError("init_seed must be >= 0")
 

@@ -406,7 +406,6 @@ def test_help_documents_csv_schemas(capsys):
     out = capsys.readouterr().out
     for header in (VERIFY_HEADER, CONVERGENCE_HEADER, SWEEP_HEADER, TRADEOFF_HEADER):
         assert header in out
-    assert "ISAC_MI_THREADS" in out
 
 
 def test_unusable_output_path_is_a_config_error(tmp_path, capsys):

@@ -59,6 +59,13 @@ def test_solver_options_validation():
             SolverOptions(tol=tol)
     with pytest.raises(TypeError):
         SolverOptions(damping=0.5)  # the Picard damping is the constant fixedpoint._DAMPING
+    with pytest.raises(ValueError, match=r"max_iter must be >= 0"):
+        SolverOptions(max_iter=-1)
+    # a float count is refused up front, not left to fail inside range() mid-solve
+    for count in (2.5, 300.0, "300"):
+        with pytest.raises(ValueError, match=r"max_iter must be an integer, got"):
+            SolverOptions(max_iter=count)
+    assert SolverOptions(max_iter=np.int64(300)).max_iter == 300
 
 
 def test_zero_channel_sensing_solution():
@@ -372,6 +379,39 @@ def test_singular_iterate_raises_by_name(branch, scenario4, beamformer4, monkeyp
     assert info.value.cond == math.inf
 
 
+@pytest.mark.parametrize("branch", ["sensing", "comm"])
+def test_shannon_transform_and_gradient_guard_the_psi_tilde_inverses(
+    branch, scenario4, beamformer4
+):
+    # both invert the stored psi_tilde blocks through the 1e14 condition guard
+    from isac_mi import SingularMatrixError, shannon_comm, shannon_sensing, weighted_mi
+    from isac_mi.optimizer import gradient
+
+    noise = NoiseConfig(10.0)
+    _, fp_s, fp_c = weighted_mi(scenario4, beamformer4, noise, 0.5, return_fixed_points=True)
+    fps = {"sensing": fp_s, "comm": fp_c}
+    blocks = fps[branch].psi_tilde_blocks
+    zeroed = (np.zeros_like(blocks[0]), *blocks[1:])
+    fps[branch] = dataclasses.replace(fps[branch], psi_tilde_blocks=zeroed)
+    g_eff, h_eff, _ = effective_los(scenario4, beamformer4)
+    shannon = {
+        "sensing": lambda: shannon_sensing(
+            fps["sensing"], SpectralPoint.from_noise_power(noise.sigma_s2), scenario4.dims, g_eff
+        ),
+        "comm": lambda: shannon_comm(
+            fps["comm"], SpectralPoint.from_noise_power(noise.sigma_c2), scenario4.dims, h_eff
+        ),
+    }[branch]
+    for call in (
+        shannon,
+        lambda: gradient(scenario4, beamformer4, noise, 0.5, fps["sensing"], fps["comm"]),
+    ):
+        with pytest.raises(SingularMatrixError) as info:
+            call()
+        assert info.value.context == _CONTEXTS[branch][2]
+        assert info.value.cond == math.inf
+
+
 @pytest.mark.parametrize("broken", [_nan_pi, _zero_pi], ids=["non-finite", "singular"])
 def test_failed_warm_solve_falls_back_to_cold(broken, scenario4, beamformer4, monkeypatch):
     from isac_mi import weighted_mi
@@ -477,32 +517,35 @@ def test_hard_points_converge_to_a_consistent_fixed_point(shape, kappa, snr_db, 
 
 
 def test_packing_round_trip_and_frobenius_distance():
+    from isac_mi._linalg import rel_residual
     from isac_mi.fixedpoint import _Packing
+    from helpers import random_hermitian
 
     rng = np.random.default_rng(3)
-    sizes, scales = (3, 5, 1), (1.0, 0.3, 1.0)
-    packing = _Packing(sizes, scales)
+    m, n, w = 3, 5, -0.3
+    packing = _Packing(m, n, w)
 
     def state():
-        blocks = []
-        for n in sizes[:-1]:
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            blocks.append(a + a.conj().T)
-        return blocks + [float(rng.uniform(1.0, 2.0))]  # a real scalar block
+        return random_hermitian(m, rng), random_hermitian(n, rng)
 
     a, b = state(), state()
     for blocks in (a, b):
-        for got, want in zip(packing.unpack(packing.pack(blocks)), blocks):
-            np.testing.assert_allclose(got, np.atleast_2d(want), rtol=1e-14, atol=0.0)
-    distance = np.linalg.norm(packing.pack(a) - packing.pack(b))
-    expected = np.sqrt(
-        sum((s * np.linalg.norm(np.atleast_2d(x - y))) ** 2 for s, x, y in zip(scales, a, b))
-    )
+        for got, want in zip(packing.unpack(packing.pack(*blocks)), blocks):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    # g as it is, g_tilde weighted by sigma^2 = -w
+    distance = np.linalg.norm(packing.pack(*a) - packing.pack(*b))
+    expected = np.hypot(np.linalg.norm(a[0] - b[0]), -w * np.linalg.norm(a[1] - b[1]))
     assert distance == pytest.approx(expected, rel=1e-12)
-    # a NaN block is not hidden by the finite residuals of the others
-    x, gx = packing.pack(a), packing.pack(a)
-    gx[packing.bounds[1]] = np.nan
-    assert packing.residual(x, packing.pack(b)) > 0.0 and math.isnan(packing.residual(x, gx))
+    # the residual is each block's rel_residual in unscaled units
+    x, gx = packing.pack(*a), packing.pack(*b)
+    expected = max(rel_residual(a[0], b[0]), rel_residual(a[1], b[1]))
+    assert packing.residual(x, gx) == pytest.approx(expected, rel=1e-12)
+    # a NaN in either block is not hidden by the finite residual of the other
+    for block in range(2):
+        broken = list(a)
+        broken[block] = broken[block].copy()
+        broken[block][0, 0] = np.nan
+        assert math.isnan(packing.residual(packing.pack(*broken), gx)), block
 
 
 def test_stall_fallback_reaches_the_same_fixed_point(scenario4, beamformer4, monkeypatch):

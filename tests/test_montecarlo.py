@@ -95,6 +95,35 @@ def test_symbols_reject_a_non_integral_seed():
     assert np.array_equal(sample_symbols(dims, 5, seed=9.0), sample_symbols(dims, 5, seed=9))
 
 
+def test_a_non_integral_trial_index_is_refused():
+    # a fractional trial index is refused, not truncated to the trial below it
+    dims = SystemDims(n_t=2, n_r=2, n_u=2, num_scatter=1, m=2, n_s=3)
+    stats = generate_scenario(dims, 1.0, seed=3)
+    with pytest.raises(ValueError, match=r"trial must be an integer, got 2\.5"):
+        sample_symbols(dims, 2.5, seed=1)
+    with pytest.raises(ValueError, match=r"trial must be an integer, got 2\.5"):
+        sample_channels(stats, 2.5)
+    assert np.array_equal(sample_symbols(dims, 2.0, seed=1), sample_symbols(dims, 2, seed=1))
+    (h_float, g_float), (h_int, g_int) = sample_channels(stats, 2.0), sample_channels(stats, 2)
+    assert np.array_equal(h_float, h_int)
+    assert all(np.array_equal(x, y) for x, y in zip(g_float, g_int))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, bf, noise, trials: estimate(s, bf, noise, "mi_c", trials),
+        lambda s, bf, noise, trials: mi_curves(s, bf, [noise], trials),
+        lambda s, bf, noise, trials: eigen_ecdf(s, bf, noise, "comm", trials),
+    ],
+    ids=["estimate", "mi_curves", "eigen_ecdf"],
+)
+def test_a_non_integer_trial_count_is_refused(call, scenario4, beamformer4):
+    # a float count is refused up front, not left to fail inside range()
+    with pytest.raises(ValueError, match=r"trials must be an integer, got 3\.0"):
+        call(scenario4, beamformer4, NoiseConfig(10.0), 3.0)
+
+
 def test_finite_mi_sensing_trivials():
     bf = Beamformer(np.zeros((2, 2)), 1.0)
     s = np.eye(2, dtype=complex)

@@ -158,6 +158,10 @@ def test_pga_options_validation(dims4):
             PgaOptions(epsilon=epsilon)
     with pytest.raises(ValueError, match="max_outer_iters"):
         PgaOptions(max_outer_iters=-3)
+    # a float count is refused up front, not left to fail inside range() mid-ascent
+    for count in (1.5, 2.0):
+        with pytest.raises(ValueError, match=r"max_outer_iters must be an integer, got"):
+            PgaOptions(max_outer_iters=count)
     for seed in (0.5, 1.2, float("nan")):
         with pytest.raises(ValueError, match=r"init_seed must be an integer, got"):
             PgaOptions(init_seed=seed)
