@@ -70,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._linalg import SingularMatrixError, herm, inv_herm, min_eigval, rel_residual
-from .correlation import assemble, rotated_diag
+from .correlation import ChannelMaps, assemble
 from .model import Beamformer, ScenarioStats, _check_count, effective_los
 
 SIGN_EIG_FLOOR = -1e-8
@@ -302,16 +302,8 @@ class _System:
 
     `channels` holds the statistics of each channel X_l, `h_raw` stacks their
     LoS means and h_eff = h_raw W; `_CONTEXTS[branch]` names its inverses.  The
-    correlation maps of the channels are set up once per system: with the
-    receive unitary U_l, the squared profile P_l = profile_l^2 / n_t and the
-    beamformed transmit basis W'V_l of each channel,
-
-        E[X_l W g W' X_l'] = U_l diag(P_l diag(V_l' W g W' V_l)) U_l',
-        W' E[X_l' c X_l] W = W'V_l diag(P_l' diag(U_l' c U_l)) V_l' W,
-
-    so each map costs one product for the rotated diagonal and one for the
-    assembly.  The bases of the L channels sit side by side, so the sum over
-    l in psi is one product too.
+    correlation maps are the channels' `ChannelMaps`, taken in the beamformed
+    transmit basis W'[V_1 ... V_L].
     """
 
     def __init__(self, branch, channels, h_raw, h_eff, n_s, w_bf, w):
@@ -321,27 +313,18 @@ class _System:
         self.m = h_eff.shape[1]
         self.num_channels = len(channels)
         self.n_rx = h_raw.shape[0] // self.num_channels
-        n_t = w_bf.w.shape[0]
-        self.receive = np.stack([c.left_unitary for c in channels])  # (L, n_rx, n_rx)
-        self.profile = np.stack([c.variance_profile**2 for c in channels]) / n_t  # (L, n_rx, n_t)
-        self.transmit = np.hstack([c.right_unitary for c in channels])  # [V_1 ... V_L]
-        self.beamformed = w_bf.w.conj().T @ self.transmit  # [W'V_1 ... W'V_L]
+        self.maps = ChannelMaps(channels)
+        self.beamformed = w_bf.w.conj().T @ self.maps.transmit  # [W'V_1 ... W'V_L]
         self.packing = _Packing(self.m, h_raw.shape[0], w)
 
     def psi_tilde_blocks(self, g: np.ndarray) -> np.ndarray:
         """wI - E[X_l W g W' X_l'] of every channel, stacked (L, n_rx, n_rx)."""
-        d = rotated_diag(self.beamformed, g).reshape(self.num_channels, -1)
-        rx = assemble(self.receive, np.einsum("lij,lj->li", self.profile, d), self.receive)
-        return self.w * np.eye(self.n_rx) - rx
-
-    def _transmit_diag(self, g_tilde: np.ndarray) -> np.ndarray:
-        """P_l' diag(U_l' g_tilde_l U_l) of every diagonal block g_tilde_l, end to end."""
-        d = rotated_diag(self.receive, _diagonal_blocks(g_tilde, self.num_channels))
-        return np.einsum("lij,li->lj", self.profile, d).ravel()
+        return self.w * np.eye(self.n_rx) - self.maps.receive_side(self.beamformed, g)
 
     def psi(self, g_tilde: np.ndarray) -> np.ndarray:
         """-W' (sum_l E[X_l' g_tilde_l X_l]) W."""
-        return -assemble(self.beamformed, self._transmit_diag(g_tilde), self.beamformed)
+        t = self.maps.transmit_diag(_diagonal_blocks(g_tilde, self.num_channels))
+        return -assemble(self.beamformed, t, self.beamformed)
 
     def phi(self, g: np.ndarray) -> float:
         """Positive root of phi = 1 - Tr(g_dd)/n_s with g_dd = -phi I + phi^2 g
@@ -400,7 +383,8 @@ class _System:
         """(psi_raw(g_tilde) - LoS(h_raw, psi_tilde)) W g at a converged state, where
         psi_raw W = -sum_l E[X_l' g_tilde_l X_l] W is the transmit-side self-energy
         before its left beamformer."""
-        psi_raw_w = -assemble(self.transmit, self._transmit_diag(fp.g_tilde), self.beamformed)
+        t = self.maps.transmit_diag(_diagonal_blocks(fp.g_tilde, self.num_channels))
+        psi_raw_w = -assemble(self.maps.transmit, t, self.beamformed)
         los = _los_term(self.h_raw, fp.psi_tilde_blocks, self.contexts.psi_tilde)
         return (psi_raw_w - los @ self.w_bf.w) @ fp.g
 

@@ -48,27 +48,32 @@ def validate(dims: SystemDims) -> None:
     """Raise DimensionError unless all SystemDims constraints hold."""
     for name in ("n_t", "n_r", "n_u", "num_scatter", "m", "n_s"):
         value = getattr(dims, name)
-        if not isinstance(value, (int, np.integer)) or value < 1:
+        if _is_bool(value) or not isinstance(value, (int, np.integer)) or value < 1:
             raise DimensionError(f"{name} must be an integer >= 1, got {value!r}")
     if dims.m > dims.n_t:
         raise DimensionError(f"M exceeds N_t (m={dims.m} > n_t={dims.n_t})")
 
 
+def _is_bool(value) -> bool:
+    """A bool passes for an integer (bool subclasses int), but is no count or seed."""
+    return isinstance(value, (bool, np.bool_))
+
+
 def _integral_seed(seed, name: str = "seed") -> int:
-    """`seed` as an int; a non-integral value raises instead of being truncated."""
+    """`seed` as an int; a bool or a non-integral value raises instead of being converted."""
     try:
         value = int(seed)
     except (TypeError, ValueError, OverflowError):
         value = None
-    if value is None or value != seed:
+    if value is None or value != seed or _is_bool(seed):
         raise ValueError(f"{name} must be an integer, got {seed!r}")
     return value
 
 
 def _check_count(value, name: str, minimum: int) -> None:
     """Raise ValueError naming `name` unless `value` is an integer >= minimum.  Like
-    the SystemDims counts, a float is refused even when integral."""
-    if not isinstance(value, (int, np.integer)):
+    the SystemDims counts, a float or a bool is refused even when integral."""
+    if _is_bool(value) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")

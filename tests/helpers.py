@@ -3,19 +3,21 @@
 Everything here is deliberately independent of the library's solution paths:
 the scalar fixed point is solved by bisection on a hand-derived 1-D root
 problem, gradients are checked by central finite differences with a full
-re-solve per probe, and operator expectations are estimated by direct
-Monte Carlo sampling of the channel law.
+re-solve per probe, operator expectations are estimated by direct
+Monte Carlo sampling of the channel law, and the correlation maps are summed
+entry by entry from the channel statistics (`dense_correlation`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
 from isac_mi import Beamformer, NoiseConfig, ScenarioStats, SystemDims, WeichselbergerStats
-from isac_mi import weighted_mi
-from isac_mi.correlation import CorrelationOps
+from isac_mi import generate_scenario, weighted_mi
+from isac_mi.correlation import ChannelMaps, CorrelationOps, assemble
 
 
 def zero_scenario(dims: SystemDims) -> ScenarioStats:
@@ -201,19 +203,53 @@ def mc_matches(samples: np.ndarray, target: np.ndarray, n_sigma: float = 3.0) ->
     return bool(ok_re and ok_im)
 
 
+def dense_correlation(s: WeichselbergerStats) -> np.ndarray:
+    """K[a, b, c, d] = E[X_ac conj(X_bd)] for the random part X = U (M o Q) V' of
+    channel s, Q i.i.d. CN(0, 1/n_t): sum_ij U_ai conj(U_bi) (M_ij^2 / n_t)
+    conj(V_cj) V_dj.  Then E[X C X']_ab = sum_cd K_abcd C_cd and
+    E[X' C X]_cd = sum_ab conj(K_abcd) C_ab."""
+    u, v = s.left_unitary, s.right_unitary
+    rx = np.einsum("ai,bi->abi", u, u.conj())
+    tx = np.einsum("cj,dj->cdj", v.conj(), v)
+    return np.einsum("abi,ij,cdj->abcd", rx, s.variance_profile**2 / v.shape[0], tx, optimize=True)
+
+
 # --- operator property suite (shared with the acceptance gate) ---
+
+
+def _stacked_maps(ops: CorrelationOps, rng: np.random.Generator):
+    """The solver's stacked maps over L = 4 sensing channels of the shape of `ops`,
+    in a random beamformed basis W'[V_1 ... V_4]: the receive side
+    g (m x m) -> blockdiag_l E[X_l W g W' X_l'] and the transmit side
+    c (4 n_r x 4 n_r) -> W' (sum_l E[X_l' c_l X_l]) W of its diagonal blocks c_l."""
+    dims = dataclasses.replace(ops.dims, num_scatter=4)
+    maps = ChannelMaps(generate_scenario(dims, 1.0, seed=ops.stats.seed).sensing)
+    w = rng.standard_normal((dims.n_t, dims.m)) + 1j * rng.standard_normal((dims.n_t, dims.m))
+    basis, n = w.conj().T @ maps.transmit, dims.n_r
+    eye = np.eye(4)
+
+    def receive(g):
+        blocks = maps.receive_side(basis, g)
+        return np.einsum("kl,kij->kilj", eye, blocks).reshape(4 * n, 4 * n)
+
+    def transmit(c):
+        blocks = np.stack([c[k * n : (k + 1) * n, k * n : (k + 1) * n] for k in range(4)])
+        return assemble(basis, maps.transmit_diag(blocks), basis)
+
+    return receive, transmit, dims.m, 4 * n
 
 
 def check_operator_linearity(ops: CorrelationOps, rng: np.random.Generator, tol: float = 1e-12):
     d = ops.dims
     alpha, beta = rng.standard_normal(2)
+    receive, transmit, m, n_stack = _stacked_maps(ops, rng)
     cases = [
         (lambda x: ops.eta(0, x), d.n_r),
         (lambda x: ops.eta_tilde(0, x), d.n_t),
         (ops.tau, d.n_u),
         (ops.tau_tilde, d.n_t),
-        (ops.zeta, d.m),
-        (ops.zeta_tilde, d.n_s),
+        (receive, m),
+        (transmit, n_stack),
     ]
     for op, n in cases:
         a, b = random_hermitian(n, rng), random_hermitian(n, rng)
@@ -225,13 +261,14 @@ def check_operator_linearity(ops: CorrelationOps, rng: np.random.Generator, tol:
 
 def check_operator_positivity(ops: CorrelationOps, rng: np.random.Generator, floor: float = -1e-10):
     d = ops.dims
+    receive, transmit, m, n_stack = _stacked_maps(ops, rng)
     cases = [
         (lambda x: ops.eta(0, x), d.n_r),
         (lambda x: ops.eta_tilde(0, x), d.n_t),
         (ops.tau, d.n_u),
         (ops.tau_tilde, d.n_t),
-        (ops.zeta, d.m),
-        (ops.zeta_tilde, d.n_s),
+        (receive, m),
+        (transmit, n_stack),
     ]
     for op, n in cases:
         out = op(random_psd(n, rng))
@@ -241,10 +278,11 @@ def check_operator_positivity(ops: CorrelationOps, rng: np.random.Generator, flo
 
 def check_trace_duality(ops: CorrelationOps, rng: np.random.Generator, tol: float = 1e-10):
     d = ops.dims
+    receive, transmit, m, n_stack = _stacked_maps(ops, rng)
     pairs = [
         (lambda x: ops.eta(0, x), lambda x: ops.eta_tilde(0, x), d.n_r, d.n_t),
         (ops.tau, ops.tau_tilde, d.n_u, d.n_t),
-        (ops.zeta, ops.zeta_tilde, d.m, d.n_s),
+        (transmit, receive, n_stack, m),
     ]
     for fwd, bwd, n_in, n_out in pairs:
         b = random_hermitian(n_in, rng)
@@ -278,15 +316,3 @@ def check_operator_mc_consistency(
     e_t = random_hermitian(d.n_t, rng)
     samples = np.einsum("sij,jk,slk->sil", h_tilde, e_t, h_tilde.conj())
     assert mc_matches(samples, ops.tau_tilde(e_t)), "tau_tilde does not match E[H E H']"
-
-    s_shape = (draws, d.m, d.n_s)
-    s_draws = (rng.standard_normal(s_shape) + 1j * rng.standard_normal(s_shape)) / np.sqrt(
-        2.0 * d.n_s
-    )
-    d_m = random_hermitian(d.m, rng)
-    samples = np.einsum("sji,jk,skl->sil", s_draws.conj(), d_m, s_draws)
-    assert mc_matches(samples, ops.zeta(d_m)), "zeta does not match E[S' D S]"
-
-    d_ns = random_hermitian(d.n_s, rng)
-    samples = np.einsum("sij,jk,slk->sil", s_draws, d_ns, s_draws.conj())
-    assert mc_matches(samples, ops.zeta_tilde(d_ns)), "zeta_tilde does not match E[S D S']"

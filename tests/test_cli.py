@@ -232,17 +232,6 @@ def test_verify_tiny_run_passes_and_is_reproducible(tmp_path):
     assert len(lines) == 3  # header + one row per SNR
 
 
-def test_verify_reproducible_across_worker_counts(tmp_path, monkeypatch):
-    cfg_path = _write_config(tmp_path, TINY)
-    monkeypatch.setenv("ISAC_MI_THREADS", "1")
-    main(["verify", "--config", cfg_path, "--out", str(tmp_path / "w1")])
-    monkeypatch.setenv("ISAC_MI_THREADS", "3")
-    main(["verify", "--config", cfg_path, "--out", str(tmp_path / "w3")])
-    assert (tmp_path / "w1" / "verify.csv").read_bytes() == (
-        tmp_path / "w3" / "verify.csv"
-    ).read_bytes()
-
-
 def test_verify_gap_failure_exits_two(tmp_path, capsys):
     doc = dict(TINY)
     doc["run"] = dict(TINY["run"], gap_threshold=1e-9)

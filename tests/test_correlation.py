@@ -51,19 +51,6 @@ def test_eta_all_ones_profile_identity_bases():
     assert np.allclose(ops.tau_tilde(np.eye(4)), np.eye(5), atol=1e-14)
 
 
-def test_zeta_trivials():
-    dims = SystemDims(n_t=4, n_r=4, n_u=4, num_scatter=1, m=4, n_s=4)
-    ch = WeichselbergerStats(np.zeros((4, 4)), np.eye(4), np.eye(4), np.zeros((4, 4)))
-    ops = CorrelationOps(ScenarioStats(dims, ch, (ch,), 1.0, 0))
-    assert np.allclose(ops.zeta(np.eye(4)), np.eye(4))
-    assert np.all(ops.zeta(np.zeros((4, 4))) == 0.0)
-
-    dims2 = SystemDims(n_t=4, n_r=4, n_u=4, num_scatter=1, m=3, n_s=2)
-    ch2 = WeichselbergerStats(np.zeros((4, 4)), np.eye(4), np.eye(4), np.zeros((4, 4)))
-    ops2 = CorrelationOps(ScenarioStats(dims2, ch2, (ch2,), 1.0, 0))
-    assert np.allclose(ops2.zeta(np.diag([1.0, 2.0, 3.0])), 3.0 * np.eye(2))
-
-
 def test_eta_matches_monte_carlo(stats, ops):
     rng = np.random.default_rng(3)
     c = random_hermitian(DIMS.n_r, rng)
@@ -158,4 +145,4 @@ def test_shape_mismatch_is_rejected(ops):
     with pytest.raises(ValueError, match="expects"):
         ops.eta(0, np.eye(4))  # eta takes n_r x n_r = 3 x 3
     with pytest.raises(ValueError, match="expects"):
-        ops.zeta(np.eye(2))  # zeta takes m x m = 3 x 3
+        ops.eta_tilde_w(0, np.eye(4), Beamformer(np.eye(4, 3), 3.0))  # takes m x m = 3 x 3

@@ -62,7 +62,7 @@ def test_solver_options_validation():
     with pytest.raises(ValueError, match=r"max_iter must be >= 0"):
         SolverOptions(max_iter=-1)
     # a float count is refused up front, not left to fail inside range() mid-solve
-    for count in (2.5, 300.0, "300"):
+    for count in (2.5, 300.0, "300", True, False):
         with pytest.raises(ValueError, match=r"max_iter must be an integer, got"):
             SolverOptions(max_iter=count)
     assert SolverOptions(max_iter=np.int64(300)).max_iter == 300
@@ -588,37 +588,38 @@ def test_sensing_without_symbol_block_is_the_comm_system():
 
 
 @pytest.mark.parametrize("num_scatter", [1, 4])
-def test_system_maps_are_the_correlation_operators(num_scatter):
-    # the system's precomputed maps against the public operators, on random
-    # Hermitian arguments and a random beamformer
-    from isac_mi import CorrelationOps
-    from isac_mi.fixedpoint import _comm_system, _sensing_system
-    from helpers import random_hermitian
+def test_system_maps_match_the_dense_correlation_oracle(num_scatter):
+    # psi_tilde_blocks, psi and the raw transmit side of gradient_term, of both
+    # branches, against E[X C X'] and E[X' C X] summed entry by entry
+    from isac_mi.fixedpoint import FixedPoint, _comm_system, _los_term, _sensing_system
+    from helpers import dense_correlation, random_hermitian, random_psd
 
     dims = SystemDims(n_t=32, n_r=16, n_u=8, num_scatter=num_scatter, m=8, n_s=16)
     stats = generate_scenario(dims, 1.0, seed=5)
     rng = np.random.default_rng(num_scatter)
     w = rng.standard_normal((32, 8)) + 1j * rng.standard_normal((32, 8))
     bf = Beamformer(w / np.linalg.norm(w) * 4.0, 32.0)
-    ops, w_arg = CorrelationOps(stats), -0.3
+    w, w_arg = bf.w, -0.3
 
     def close(a, b):
         return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
-    g = random_hermitian(8, rng)
-    sensing = _sensing_system(stats, bf, w_arg)
-    g_tilde = random_hermitian(num_scatter * 16, rng)
-    blocks = sensing.psi_tilde_blocks(g)
-    assert len(blocks) == num_scatter
-    for l, block in enumerate(blocks):
-        assert close(block, w_arg * np.eye(16) - ops.eta_tilde_w(l, g, bf))
-    raw = sum(
-        ops.eta(l, g_tilde[16 * l : 16 * (l + 1), 16 * l : 16 * (l + 1)]) for l in range(num_scatter)
-    )
-    assert close(sensing.psi(g_tilde), -bf.w.conj().T @ raw @ bf.w)
-
-    comm = _comm_system(stats, bf, w_arg)
-    e_tilde = random_hermitian(8, rng)
-    (block,) = comm.psi_tilde_blocks(g)
-    assert close(block, w_arg * np.eye(8) - ops.tau_tilde_w(g, bf))
-    assert close(comm.psi(e_tilde), -bf.w.conj().T @ ops.tau(e_tilde) @ bf.w)
+    for system, channels in (
+        (_sensing_system(stats, bf, w_arg), stats.sensing),
+        (_comm_system(stats, bf, w_arg), (stats.comm,)),
+    ):
+        n = system.n_rx
+        dense = [dense_correlation(s) for s in channels]
+        g, g_tilde = random_psd(8, rng), random_hermitian(len(channels) * n, rng)
+        blocks = system.psi_tilde_blocks(g)
+        assert len(blocks) == len(channels)
+        for block, k in zip(blocks, dense):
+            assert close(block, w_arg * np.eye(n) - np.einsum("abcd,cd->ab", k, w @ g @ w.conj().T))
+        raw = sum(
+            np.einsum("abcd,ab->cd", k.conj(), g_tilde[n * l : n * (l + 1), n * l : n * (l + 1)])
+            for l, k in enumerate(dense)
+        )
+        assert close(system.psi(g_tilde), -w.conj().T @ raw @ w)
+        fp = FixedPoint(g, g_tilde, tuple(blocks), np.eye(8), 1.0, 0.0, 0, ())
+        los_w_g = _los_term(system.h_raw, fp.psi_tilde_blocks, "los") @ w @ g
+        assert close(system.gradient_term(fp) + los_w_g, -raw @ w @ g)

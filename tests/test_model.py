@@ -36,7 +36,7 @@ def test_validate_accepts_minimal_instance():
     validate(SystemDims(n_t=1, n_r=1, n_u=1, num_scatter=1, m=1, n_s=1))
 
 
-@pytest.mark.parametrize("bad", [0, -1])
+@pytest.mark.parametrize("bad", [0, -1, True, False])
 def test_validate_rejects_nonpositive_counts(bad):
     with pytest.raises(DimensionError):
         SystemDims(n_t=4, n_r=bad, n_u=4, num_scatter=1, m=2, n_s=4)
@@ -226,7 +226,7 @@ def test_power_budget_tolerance_scales_with_the_budget():
         Beamformer(np.array([[math.sqrt(1e-3 + 2e-9)]]), 1e-3)  # no looser than 1e-9 below p_t = 1
 
 
-@pytest.mark.parametrize("seed", [7.9, 0.5, math.nan, math.inf, "7"])
+@pytest.mark.parametrize("seed", [7.9, 0.5, math.nan, math.inf, "7", True, False, np.True_])
 def test_generate_scenario_rejects_a_non_integral_seed(dims4, seed):
     with pytest.raises(ValueError, match=r"seed must be an integer, got"):
         generate_scenario(dims4, 1.0, seed=seed)

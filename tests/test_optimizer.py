@@ -162,7 +162,7 @@ def test_pga_options_validation(dims4):
     for count in (1.5, 2.0):
         with pytest.raises(ValueError, match=r"max_outer_iters must be an integer, got"):
             PgaOptions(max_outer_iters=count)
-    for seed in (0.5, 1.2, float("nan")):
+    for seed in (0.5, 1.2, float("nan"), True, False):
         with pytest.raises(ValueError, match=r"init_seed must be an integer, got"):
             PgaOptions(init_seed=seed)
 
