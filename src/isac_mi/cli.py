@@ -309,10 +309,16 @@ def run_tradeoff(cfg: ExperimentConfig) -> str:
     stats = _scenario(cfg)
     noise = NoiseConfig(cfg.snr_db, cfg.sensing_offset_db)
 
+    # Each rho after the first starts from the previous rho's beamformer and its
+    # solved evaluation (report and both fixed points), so its start is not
+    # re-solved and its trace row 0 counts 0 evaluations.  At rho = 0 or 1 PGA
+    # solves only the weighted branch per candidate and the other branch once.
     pairs: list[MiReport] = []
     init: Beamformer | None = None
+    start = None
     for rho in cfg.rho_grid:
-        init, trace = pga(stats, noise, rho, cfg.p_t, replace(cfg.pga, init=init))
+        init, trace = pga(stats, noise, rho, cfg.p_t, replace(cfg.pga, init=init), start)
+        start = (trace.best, *trace.fixed_points)
         pairs.append(trace.best)
 
     # i_s and i_c do not depend on rho, so each candidate's pair is the one PGA

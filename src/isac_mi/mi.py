@@ -127,6 +127,36 @@ def _solve_from(solve, stats, w_bf, point, opts, initial):
     return solve(stats, w_bf, point, opts)
 
 
+def _branch_mi(branch, stats, w_bf, noise, opts, initial, means):
+    """One branch's MI in nats and its fixed point: the solve at its noise power,
+    warm-started from `initial` with a cold fallback, then the Shannon transform
+    of `means` = effective_los(stats, w_bf).  The solver and the transform are
+    looked up in this module at call time, so a patched or traced binding sees
+    every solve."""
+    if branch == "sensing":
+        solve, shannon, sigma2, mean = solve_sensing, shannon_sensing, noise.sigma_s2, means[0]
+    else:
+        solve, shannon, sigma2, mean = solve_comm, shannon_comm, noise.sigma_c2, means[1]
+    point = SpectralPoint.from_noise_power(sigma2)
+    fp = _solve_from(solve, stats, w_bf, point, opts, initial)
+    return mean.shape[0] * shannon(fp, point, stats.dims, mean), fp
+
+
+def _report(rho: float, i_s: float, fp_s, i_c: float, fp_c) -> MiReport:
+    """The MiReport of the two branches.  A branch left unsolved (fp None, MI
+    nan; only at zero weight) reads residual nan and 0 iterations, and the
+    weighted value is then the solved branch's MI."""
+    if fp_s is None:
+        weighted = i_c
+    elif fp_c is None:
+        weighted = i_s
+    else:
+        weighted = rho * i_s + (1.0 - rho) * i_c
+    res_s, it_s = (math.nan, 0) if fp_s is None else (fp_s.residual, fp_s.iterations)
+    res_c, it_c = (math.nan, 0) if fp_c is None else (fp_c.residual, fp_c.iterations)
+    return MiReport(i_s, i_c, weighted, rho, SolveDiagnostics(res_s, it_s, res_c, it_c))
+
+
 def weighted_mi(
     stats: ScenarioStats,
     w_bf: Beamformer,
@@ -146,22 +176,11 @@ def weighted_mi(
     """
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"rho must be in [0, 1], got {rho}")
-    dims = stats.dims
-    point_s = SpectralPoint.from_noise_power(noise.sigma_s2)
-    point_c = SpectralPoint.from_noise_power(noise.sigma_c2)
     init_s, init_c = (None, None) if initial is None else initial
-    fp_s = _solve_from(solve_sensing, stats, w_bf, point_s, opts, init_s)
-    fp_c = _solve_from(solve_comm, stats, w_bf, point_c, opts, init_c)
-    g_eff, h_eff, _ = effective_los(stats, w_bf)
-    i_s = dims.num_scatter * dims.n_r * shannon_sensing(fp_s, point_s, dims, g_eff)
-    i_c = dims.n_u * shannon_comm(fp_c, point_c, dims, h_eff)
-    report = MiReport(
-        i_s=i_s,
-        i_c=i_c,
-        weighted=rho * i_s + (1.0 - rho) * i_c,
-        rho=rho,
-        diagnostics=SolveDiagnostics(fp_s.residual, fp_s.iterations, fp_c.residual, fp_c.iterations),
-    )
+    means = effective_los(stats, w_bf)
+    i_s, fp_s = _branch_mi("sensing", stats, w_bf, noise, opts, init_s, means)
+    i_c, fp_c = _branch_mi("comm", stats, w_bf, noise, opts, init_c, means)
+    report = _report(rho, i_s, fp_s, i_c, fp_c)
     if return_fixed_points:
         return report, fp_s, fp_c
     return report

@@ -11,6 +11,15 @@ re-solve warm-started from the fixed points of the current accepted point;
 a branch whose warm solve fails is re-solved cold, and only a failed cold
 solve aborts the ascent.
 
+At rho = 0 or 1 one branch has weight zero.  Neither the gradient nor the
+Armijo test reads it, so the ascent solves only the weighted branch at each
+candidate (0 * x + y = y: the accepted path is bitwise that of solving
+both) and completes the returned point's report with one solve of the other
+branch, warm from the start's fixed point when it has one.  A caller that
+already solved the start, as the rho path of `cli.run_tradeoff` has, hands
+that evaluation to `pga` beside `PgaOptions.init` and the start is not
+re-solved.
+
 Backtracking uses the Armijo rule along the projection arc (Bertsekas,
 IEEE TAC 1976): with d = P(W + lambda * grad) - W, a step is accepted when
 f(W + d) >= f(W) + `_SLOPE` * Re<grad, d>.  Without projection d = lambda * grad
@@ -31,13 +40,16 @@ import numpy as np
 from ._linalg import SingularMatrixError, inv_herm  # noqa: F401
 from .fixedpoint import ConvergenceError, FixedPoint, SolverOptions
 from .fixedpoint import _comm_system, _sensing_system
-from .mi import MiReport, NonRealShannonError, weighted_mi
-from .model import Beamformer, NoiseConfig, ScenarioStats, _check_count, _integral_seed
+from .mi import MiReport, NonRealShannonError, _branch_mi, _report, weighted_mi
+from .model import (
+    Beamformer, NoiseConfig, ScenarioStats, _check_count, _integral_seed, effective_los,
+)
 
 UNCONVERGED_RESIDUAL = 1e-6
 
 _BETA = 0.5  # backtracking factor of the Armijo step
 _SLOPE = 1e-4  # Armijo fraction of the predicted gain Re<grad, d>, in (0, 1)
+_BRANCHES = ("sensing", "comm")  # the order of fixed points and MIs throughout
 
 
 class PgaAbort(RuntimeError):
@@ -73,11 +85,14 @@ class PgaOptions:
 
 @dataclass(frozen=True)
 class PgaTraceRow:
-    """One accepted point.  evaluations counts the weighted-MI solves spent on
+    """One accepted point.  evaluations counts the candidate evaluations spent on
     the step (rejected line-search candidates included), solver_iterations the
-    sensing plus comm iterations of the solves they returned.  Neither is in
-    the convergence CSV.  A final line search that accepts no step has no
-    row; its solves are counted in PgaTrace.final_search_evaluations."""
+    iterations of the solves they returned.  An evaluation solves both
+    branches, or at rho = 0 or 1 only the weighted one.  Row 0 counts the
+    start's evaluation, or 0 when the start was handed in already solved.
+    Neither count is in the convergence CSV.  A final line search that accepts
+    no step has no row; its evaluations are counted in
+    PgaTrace.final_search_evaluations."""
 
     iteration: int
     weighted_mi: float  # nats
@@ -89,9 +104,19 @@ class PgaTraceRow:
 
 @dataclass
 class PgaTrace:
+    """The accepted points of one ascent and the returned one's evaluation.
+
+    best and fixed_points (sensing, comm) belong to the returned (last
+    accepted) point, and can be handed to the next ascent as its solved start.
+    At rho = 0 or 1 the zero-weight branch of best is solved once, after the
+    ascent; that solve is in no row, and its iterations are only in
+    best.diagnostics.  In the trace of a PgaAbort at rho = 0 or 1 that branch
+    is unsolved: its MI is nan and its fixed point None."""
+
     rows: list[PgaTraceRow] = field(default_factory=list)
-    best: MiReport | None = None  # report of the returned (last accepted) point
-    final_search_evaluations: int = 0  # solves of a last line search that accepted no step
+    best: MiReport | None = None
+    final_search_evaluations: int = 0  # evaluations of a last line search that accepted no step
+    fixed_points: tuple[FixedPoint | None, FixedPoint | None] = (None, None)
 
 
 def gradient(
@@ -99,8 +124,8 @@ def gradient(
     w_bf: Beamformer,
     noise: NoiseConfig,
     rho: float,
-    fp_s: FixedPoint,
-    fp_c: FixedPoint,
+    fp_s: FixedPoint | None,
+    fp_c: FixedPoint | None,
 ) -> np.ndarray:
     """Closed-form gradient of the weighted MI with respect to conj(W).
 
@@ -117,18 +142,28 @@ def gradient(
     taken over the raw LoS means.  For communication psi_raw is -tau(G~_e)
     and psi_tilde is Omega~.  The self-energy terms enter because the
     one-sided correlation operators of the beamformed channel carry W;
-    dropping them breaks the finite-difference check.
+    dropping them breaks the finite-difference check.  A branch of weight
+    zero (rho = 0 or 1) is skipped, and its fixed point may be None.
     """
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"rho must be in [0, 1], got {rho}")
-    if max(fp_s.residual, fp_c.residual) > UNCONVERGED_RESIDUAL:
-        raise ValueError("gradient requires converged fixed points")
     dims = stats.dims
     if w_bf.w.shape != (dims.n_t, dims.m):
         raise ValueError(f"beamformer shape {w_bf.w.shape} != {(dims.n_t, dims.m)}")
-    sensing = _sensing_system(stats, w_bf, -noise.sigma_s2)
-    comm = _comm_system(stats, w_bf, -noise.sigma_c2)
-    return rho * sensing.gradient_term(fp_s) + (1.0 - rho) * comm.gradient_term(fp_c)
+    grad = None
+    for branch, weight, fp, system, sigma2 in (
+        ("sensing", rho, fp_s, _sensing_system, noise.sigma_s2),
+        ("comm", 1.0 - rho, fp_c, _comm_system, noise.sigma_c2),
+    ):
+        if weight == 0.0:
+            continue
+        if fp is None:
+            raise ValueError(f"gradient needs the {branch} fixed point at rho = {rho}")
+        if fp.residual > UNCONVERGED_RESIDUAL:
+            raise ValueError("gradient requires converged fixed points")
+        term = weight * system(stats, w_bf, -sigma2).gradient_term(fp)
+        grad = term if grad is None else grad + term
+    return grad
 
 
 def project(w: np.ndarray, p_t: float) -> np.ndarray:
@@ -152,17 +187,42 @@ def _initial_beamformer(
     return Beamformer(project(z, p_t), p_t)
 
 
+def _solve_branch(stats, w_bf, noise, rho, solver, k, initial, other):
+    """(report, fp_s, fp_c) of w_bf with branch k (0 sensing, 1 comm) solved warm
+    from `initial`, and other = (MI, fixed point) of the other branch, or
+    (nan, None) for a branch left unsolved."""
+    means = effective_los(stats, w_bf)
+    solved = _branch_mi(_BRANCHES[k], stats, w_bf, noise, solver, initial, means)
+    (i_s, fp_s), (i_c, fp_c) = (solved, other) if k == 0 else (other, solved)
+    return _report(rho, i_s, fp_s, i_c, fp_c), fp_s, fp_c
+
+
+def _evaluate(stats, w_bf, noise, rho, solver, initial):
+    """(report, fp_s, fp_c) of one candidate, warm from `initial` = (fp_s, fp_c) or
+    cold when it is None.  At rho = 0 or 1 only the branch of nonzero weight is
+    solved; the other reads MI nan and fixed point None."""
+    if 0.0 < rho < 1.0:
+        return weighted_mi(
+            stats, w_bf, noise, rho, solver, return_fixed_points=True, initial=initial
+        )
+    k = 0 if rho == 1.0 else 1
+    warm = None if initial is None else initial[k]
+    return _solve_branch(stats, w_bf, noise, rho, solver, k, warm, (math.nan, None))
+
+
 def pga(
     stats: ScenarioStats,
     noise: NoiseConfig,
     rho: float,
     p_t: float,
     opts: PgaOptions = PgaOptions(),
+    start: tuple[MiReport, FixedPoint, FixedPoint] | None = None,
 ) -> tuple[Beamformer, PgaTrace]:
     """Algorithm: step along the gradient, project, stop on a small MI change.
 
     Returns the last accepted beamformer and the per-iteration trace, whose
-    `best` is that beamformer's MiReport.  Each step first tries
+    `best` and `fixed_points` are that beamformer's MiReport and fixed
+    points.  Each step first tries
     lambda = sqrt(p_t) / (1 + ||grad||_F) and backtracks by `_BETA`, testing
     the Armijo condition against the projected step d = P(W + lambda * grad) - W
     (Bertsekas 1976), f(W + d) >= f(W) + `_SLOPE` * Re<grad, d>; the
@@ -170,33 +230,50 @@ def pga(
     below 1e-12 of its first trial, or without a solve when rounding leaves
     Re<grad, d> <= 0.  Every accepted step has Re<grad, d> > 0, so the
     trace is nondecreasing and the last accepted point is the best one.
-    Only the first solve is cold; every candidate is warm-started from the
-    fixed points of the current point.
+
+    `start` = (report, fp_s, fp_c) is the solved evaluation of `opts.init`
+    (as `weighted_mi(..., return_fixed_points=True)` or a previous trace's
+    `best` and `fixed_points` give it) at the same scenario, noise and solver
+    options; with it the start is not re-solved and row 0 counts 0
+    evaluations.  Otherwise only the start's solve is cold.  Every candidate
+    is warm-started from the fixed points of the current point.  At rho = 0
+    or 1 each evaluation solves only the branch of nonzero weight, and the
+    other branch of the returned point is solved once at the end, warm from
+    the start's fixed point when there is one; its failure raises PgaAbort.
     """
     trace = PgaTrace()
     current = _initial_beamformer(stats, p_t, opts)
     spent: list[MiReport] = []  # the evaluations since the last trace row
 
-    def evaluate(w_bf: Beamformer, initial):
+    def solved(evaluation, *args):
         try:
-            out = weighted_mi(
-                stats, w_bf, noise, rho, opts.solver, return_fixed_points=True, initial=initial
-            )
+            return evaluation(stats, *args)
         except (ConvergenceError, SingularMatrixError, NonRealShannonError) as exc:
             raise PgaAbort(f"fixed-point solve failed inside PGA: {exc}", trace) from exc
-        spent.append(out[0])
-        return out
+
+    def evaluate(w_bf: Beamformer, initial):
+        report, *fps = solved(_evaluate, w_bf, noise, rho, opts.solver, initial)
+        spent.append(report)
+        return report, tuple(fps)
 
     def record(it: int, lam: float, grad_norm: float) -> None:
         iters = sum(r.diagnostics.iterations_s + r.diagnostics.iterations_c for r in spent)
         trace.rows.append(PgaTraceRow(it, trace.best.weighted, lam, grad_norm, len(spent), iters))
         spent.clear()
 
-    trace.best, fp_s, fp_c = evaluate(current, None)
+    if start is None:
+        trace.best, trace.fixed_points = evaluate(current, None)
+    else:
+        report, fp_s, fp_c = start
+        if opts.init is None or fp_s is None or fp_c is None:
+            raise ValueError("start must be the solved (report, fp_s, fp_c) of opts.init")
+        trace.best = _report(rho, report.i_s, fp_s, report.i_c, fp_c)
+        trace.fixed_points = fp_s, fp_c
+    start_fps = trace.fixed_points
     record(0, 0.0, 0.0)
 
     for it in range(1, opts.max_outer_iters + 1):
-        grad = gradient(stats, current, noise, rho, fp_s, fp_c)
+        grad = gradient(stats, current, noise, rho, *trace.fixed_points)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm == 0.0:
             break
@@ -211,7 +288,7 @@ def pga(
             predicted = float(np.vdot(grad, candidate.w - current.w).real)
             if predicted <= 0.0:
                 break  # the projected step is lost in rounding, and stays so for smaller lam
-            report, cand_fs, cand_fc = evaluate(candidate, (fp_s, fp_c))
+            report, fps = evaluate(candidate, trace.fixed_points)
             if report.weighted >= previous + _SLOPE * predicted:
                 accepted = True
                 break
@@ -219,10 +296,18 @@ def pga(
         if not accepted:
             break  # no improving projected step: stationary to working precision
 
-        current, trace.best, fp_s, fp_c = candidate, report, cand_fs, cand_fc
+        current, trace.best, trace.fixed_points = candidate, report, fps
         record(it, lam, grad_norm)
         if trace.best.weighted - previous <= opts.epsilon:
             break
 
     trace.final_search_evaluations = len(spent)
+    fp_s, fp_c = trace.fixed_points
+    if fp_s is None or fp_c is None:  # rho = 0 or 1: the zero-weight branch of the returned point
+        k = 0 if fp_s is None else 1
+        other = (trace.best.i_c, fp_c) if k == 0 else (trace.best.i_s, fp_s)
+        trace.best, *fps = solved(
+            _solve_branch, current, noise, rho, opts.solver, k, start_fps[k], other
+        )
+        trace.fixed_points = tuple(fps)
     return current, trace

@@ -370,6 +370,52 @@ def test_tradeoff_endpoints_are_extremal(tmp_path):
     assert i_s[-1] == max(i_s)  # rho = 1 maximizes sensing
 
 
+def test_tradeoff_solves_each_start_once_and_only_weighted_branches(monkeypatch):
+    # Counts, not timings, on the pga-tradeoff scenario.  Each rho after the
+    # first starts from the previous rho's solved evaluation: no solve of it is
+    # cold and its row 0 counts no evaluation.  At rho = 0 and 1 each candidate
+    # solves the weighted branch only, and the other branch is solved once.
+    from isac_mi import cli
+    import isac_mi.mi as mi_module
+
+    log = []
+
+    def recording(branch):
+        solve = getattr(mi_module, f"solve_{branch}")
+
+        def patched(stats, w_bf, point, opts, initial=None):
+            log.append((branch, initial is not None))
+            return solve(stats, w_bf, point, opts, initial=initial)
+
+        return patched
+
+    runs = []
+
+    def recording_pga(stats, noise, rho, *args):
+        first = len(log)
+        best, trace = pga(stats, noise, rho, *args)
+        runs.append((rho, log[first:], trace))
+        return best, trace
+
+    for branch in ("sensing", "comm"):
+        monkeypatch.setattr(mi_module, f"solve_{branch}", recording(branch))
+    monkeypatch.setattr(cli, "pga", recording_pga)
+    scenario = {"n_t": 8, "n_r": 8, "n_u": 8, "num_scatter": 2, "m": 8, "n_s": 8, "seed": 7}
+    run_tradeoff(parse_config({"scenario": scenario, "run": {"rho_grid": [0.0, 0.5, 1.0]}}))
+
+    assert [rho for rho, _, _ in runs] == [0.0, 0.5, 1.0]
+    for k, (rho, solves, trace) in enumerate(runs):
+        evaluations = sum(row.evaluations for row in trace.rows) + trace.final_search_evaluations
+        if k > 0:
+            assert trace.rows[0].evaluations == 0
+            assert all(warm for _, warm in solves)
+        if rho == 0.5:
+            assert len(solves) == 2 * evaluations
+        else:
+            weighted, other = ("sensing", "comm") if rho == 1.0 else ("comm", "sensing")
+            assert [branch for branch, _ in solves] == [weighted] * evaluations + [other]
+
+
 def test_fast_flag_sets_trials(tmp_path, monkeypatch):
     # --out, --trials/--fast and --seed are the config entries output.directory,
     # run.trials and scenario.seed, merged over the config file

@@ -8,6 +8,7 @@ from isac_mi import (
     Beamformer,
     NoiseConfig,
     NonRealShannonError,
+    SolverOptions,
     SpectralPoint,
     SystemDims,
     default_beamformer,
@@ -172,3 +173,53 @@ def test_nonsquare_dims_agree_with_monte_carlo():
         sigma2 = noise.sigma_s2 if branch == "sensing" else noise.sigma_c2
         assert derivative_identity_check(stats, bf, noise, branch, 1e-4 * sigma2) < 1e-6
 
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 20.0])
+@pytest.mark.parametrize("n_t, n_r, n_u, m, n_s, num_scatter", [
+    (8, 6, 5, 4, 9, 3), (16, 16, 16, 16, 16, 4),
+])
+def test_reversing_the_scatter_channels_leaves_the_mis(n_t, n_r, n_u, m, n_s, num_scatter, snr_db):
+    # The sensing system is invariant under a permutation of its L channels;
+    # only the order of the floating-point sums changes.  Both solves stop at a
+    # residual <= tol and the Shannon transform is stationary, so the solver
+    # contributes O(tol^2); the rest is rounding of the L n_r-row sums.
+    # Communication does not read the scatter channels: bitwise equal.
+    dims = SystemDims(n_t=n_t, n_r=n_r, n_u=n_u, num_scatter=num_scatter, m=m, n_s=n_s)
+    stats = generate_scenario(dims, 1.0, seed=5)
+    reversed_stats = dataclasses.replace(stats, sensing=stats.sensing[::-1])
+    bf = default_beamformer(dims, float(n_t))
+    noise = NoiseConfig(snr_db)
+    report = weighted_mi(stats, bf, noise, 0.5)
+    permuted = weighted_mi(reversed_stats, bf, noise, 0.5)
+    bound = SolverOptions().tol ** 2 + 10 * num_scatter * n_r * np.finfo(float).eps
+    assert abs(permuted.i_s - report.i_s) <= bound * report.i_s
+    assert permuted.i_c == report.i_c
+
+
+def test_extreme_profile_magnitudes_never_give_a_negative_mi(dims4, beamformer4):
+    # At kappa = 1e-300 both solves converge, but the sensing Shannon total is
+    # about -2.1e116 (each Tr(g~_l (wI - psi~_l)) term about -1.06e116) with an
+    # imaginary part of 8.5e98: catastrophic cancellation, not an MI.  A reality
+    # check scaled by the size of the terms would pass it as a negative MI, so
+    # the point must fail by name or give a nonnegative value.
+    stats = generate_scenario(dims4, 1e-300, seed=11)
+    noise = NoiseConfig(10.0)
+    g_eff, h_eff, _ = effective_los(stats, beamformer4)
+    for solve, shannon, sigma2, mean in (
+        (solve_sensing, shannon_sensing, noise.sigma_s2, g_eff),
+        (solve_comm, shannon_comm, noise.sigma_c2, h_eff),
+    ):
+        point = SpectralPoint.from_noise_power(sigma2)
+        fp = solve(stats, beamformer4, point)
+        assert fp.residual <= SolverOptions().tol
+        try:
+            assert shannon(fp, point, dims4, mean) >= 0.0
+        except NonRealShannonError:
+            pass
+    for rho in (0.0, 0.5, 1.0):
+        try:
+            report = weighted_mi(stats, beamformer4, noise, rho)
+        except NonRealShannonError:
+            continue
+        assert min(report.i_s, report.i_c) >= 0.0

@@ -21,6 +21,7 @@ from isac_mi import (
     project,
     weighted_mi,
 )
+from isac_mi.fixedpoint import _comm_system, _sensing_system
 from isac_mi.optimizer import PgaTrace
 from helpers import fd_weighted_gradient, zero_scenario
 
@@ -330,7 +331,12 @@ def test_pga_tradeoff_boundary_search_accepts_the_projected_step(monkeypatch):
         start = len(log)
         init, trace = pga(stats, noise, rho, 8.0, PgaOptions(init=init))
         evaluations = sum(row.evaluations for row in trace.rows)
-        assert 2 * (evaluations + trace.final_search_evaluations) == len(log) - start
+        # one solve per weighted branch per evaluation; at rho = 0 or 1 the
+        # zero-weight branch is solved once more, at the returned point
+        weighted = 1 if rho in (0.0, 1.0) else 2
+        completion = 2 - weighted
+        solves = weighted * (evaluations + trace.final_search_evaluations) + completion
+        assert solves == len(log) - start
         assert trace.final_search_evaluations == 0  # every solve belongs to a row
         assert trace.best.weighted >= floor[rho]
         if rho == 0.5:
@@ -366,3 +372,96 @@ def test_pga_counts_a_final_search_that_accepts_nothing(radial, scenario4, dims4
     floor = math.ceil(math.log(1e-12) / math.log(optimizer_module._BETA))  # halvings to the floor
     assert trace.final_search_evaluations == (0 if radial else floor)
     assert 2 * (trace.rows[0].evaluations + trace.final_search_evaluations) == len(log)
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_gradient_skips_a_zero_weight_branch(rho, scenario4, interior_beamformer):
+    noise = NoiseConfig(10.0)
+    w_bf = interior_beamformer
+    _, fs, fc = weighted_mi(scenario4, w_bf, noise, rho, return_fixed_points=True)
+    sensing = _sensing_system(scenario4, w_bf, -noise.sigma_s2).gradient_term(fs)
+    comm = _comm_system(scenario4, w_bf, -noise.sigma_c2).gradient_term(fc)
+    two_branch = rho * sensing + (1.0 - rho) * comm
+    weighted_only = (fs, None) if rho == 1.0 else (None, fc)
+    assert np.array_equal(gradient(scenario4, w_bf, noise, rho, *weighted_only), two_branch)
+    unweighted_only = (None, fc) if rho == 1.0 else (fs, None)
+    for at, fps in ((rho, unweighted_only), (0.5, weighted_only)):
+        with pytest.raises(ValueError, match="gradient needs the .* fixed point"):
+            gradient(scenario4, w_bf, noise, at, *fps)
+
+
+@pytest.fixture(scope="module")
+def tradeoff_scenario():
+    # the pga-tradeoff benchmark scenario
+    dims = SystemDims(n_t=8, n_r=8, n_u=8, num_scatter=2, m=8, n_s=8)
+    return generate_scenario(dims, rician_kappa=1.0, seed=7)
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_endpoint_pga_solves_only_the_weighted_branch(rho, tradeoff_scenario, monkeypatch):
+    # Solving only the weighted branch of each candidate accepts bitwise the
+    # beamformers and rows of solving both (0 * x + y = y), and one solve of
+    # the other branch at the returned point completes trace.best.
+    noise = NoiseConfig(10.0)
+    runs = {}
+    for mode in ("one branch", "two branches"):
+        accepted, reports = [], []
+
+        def recording_gradient(stats, w_bf, *rest):
+            accepted.append(w_bf.w)
+            return gradient(stats, w_bf, *rest)
+
+        def two_branch(stats, w_bf, noise, rho, solver, initial):
+            out = weighted_mi(
+                stats, w_bf, noise, rho, solver, return_fixed_points=True, initial=initial
+            )
+            reports.append(out[0])
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer_module, "gradient", recording_gradient)
+            if mode == "two branches":
+                patch.setattr(optimizer_module, "_evaluate", two_branch)
+            best, trace = pga(tradeoff_scenario, noise, rho, 8.0)
+        runs[mode] = best, trace, accepted, reports
+
+    best, trace, accepted, _ = runs["one branch"]
+    ref_best, ref_trace, ref_accepted, reports = runs["two branches"]
+    assert np.array_equal(best.w, ref_best.w)
+    assert len(accepted) == len(ref_accepted) > 1
+    assert all(map(np.array_equal, accepted, ref_accepted))
+    # the same rows, whose solver_iterations count only the weighted branch
+    weighted = "iterations_s" if rho == 1.0 else "iterations_c"
+    solves = iter(reports)
+    expected = [
+        dataclasses.replace(row, solver_iterations=sum(
+            getattr(next(solves).diagnostics, weighted) for _ in range(row.evaluations)
+        ))
+        for row in ref_trace.rows
+    ]
+    assert trace.rows == expected
+    assert trace.final_search_evaluations == ref_trace.final_search_evaluations
+    assert trace.best.weighted == ref_trace.best.weighted
+    assert all(fp is not None for fp in trace.fixed_points)
+    zero_weight = "i_c" if rho == 1.0 else "i_s"
+    check = getattr(weighted_mi(tradeoff_scenario, best, noise, rho), zero_weight)
+    assert abs(getattr(trace.best, zero_weight) - check) <= 1e-10 * abs(check)
+
+
+def test_pga_hands_on_a_solved_start(tradeoff_scenario, monkeypatch):
+    # A start handed in with its evaluation is not re-solved: row 0 counts no
+    # evaluation, and the ascent is the one that solves the start itself.
+    noise = NoiseConfig(10.0)
+    init = default_beamformer(tradeoff_scenario.dims, 8.0)
+    solved = weighted_mi(tradeoff_scenario, init, noise, 0.0, return_fixed_points=True)
+    opts = PgaOptions(init=init)
+    best, trace = pga(tradeoff_scenario, noise, 0.5, 8.0, opts, start=solved)
+    ref_best, ref_trace = pga(tradeoff_scenario, noise, 0.5, 8.0, opts)
+    assert (trace.rows[0].evaluations, trace.rows[0].solver_iterations) == (0, 0)
+    assert trace.rows[0].weighted_mi == ref_trace.rows[0].weighted_mi
+    assert trace.rows[1:] == ref_trace.rows[1:]
+    assert np.array_equal(best.w, ref_best.w)
+    with pytest.raises(ValueError, match="start"):
+        pga(tradeoff_scenario, noise, 0.5, 8.0, PgaOptions(), start=solved)
+    with pytest.raises(ValueError, match="start"):
+        pga(tradeoff_scenario, noise, 0.5, 8.0, opts, start=(solved[0], solved[1], None))
