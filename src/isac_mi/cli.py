@@ -205,8 +205,11 @@ def parse_config(doc: dict, flags: dict | None = None) -> ExperimentConfig:
 
     _require(cfg.seed >= 0, "scenario.seed must be >= 0")
     _require(len(cfg.snr_db_grid) > 0, "noise.snr_db_grid must be nonempty")
-    noise = (*cfg.snr_db_grid, cfg.snr_db, cfg.sensing_offset_db)
-    _require(all(map(math.isfinite, noise)), "noise values must be finite")
+    try:
+        for snr in (*cfg.snr_db_grid, cfg.snr_db):
+            NoiseConfig(snr, cfg.sensing_offset_db)
+    except ValueError as exc:  # a non-finite value, or a noise power that under- or overflows
+        raise ConfigError(f"invalid noise: {exc}") from exc
     _require(cfg.gap_threshold > 0.0, "run.gap_threshold must be positive")
     _require(len(cfg.rho_grid) > 0, "run.rho_grid must be nonempty")
     for r in (cfg.rho, *cfg.rho_grid):

@@ -244,7 +244,7 @@ def _iterate(system, start, opts: SolverOptions):
 
     def evaluate(x):
         state = packing.unpack(x)
-        gx = packing.pack(*system.rhs(*state, inverse=_lu_inverse))
+        gx = packing.pack(*system.rhs(*state))
         return state, gx, packing.residual(x, gx)
 
     for it in range(opts.max_iter + 1):
@@ -353,16 +353,15 @@ class _System:
         return herm(inverse(pi - los, contexts.g)), g_tilde
 
     def self_energies(self, g, g_tilde):
-        """(psi_tilde blocks, psi, pi, phi) at the state (g, g_tilde), phi taken
-        from the closed form at g."""
+        """(psi_tilde blocks, pi, phi) at the state (g, g_tilde), phi taken from
+        the closed form at g."""
         phi = self.phi(g)
-        psi = self.psi(g_tilde)
-        return self.psi_tilde_blocks(g), psi, psi + phi * np.eye(self.m), phi
+        return self.psi_tilde_blocks(g), self.psi(g_tilde) + phi * np.eye(self.m), phi
 
-    def rhs(self, g, g_tilde, inverse=None):
-        """One Picard evaluation: (rhs_g, rhs_g_tilde), through `inverse` (default guarded)."""
-        psi_t, _, pi, _ = self.self_energies(g, g_tilde)
-        return self.resolvents(psi_t, pi, inverse)
+    def rhs(self, g, g_tilde):
+        """One Picard evaluation of an iterate, (rhs_g, rhs_g_tilde), through `_lu_inverse`."""
+        psi_t, pi, _ = self.self_energies(g, g_tilde)
+        return self.resolvents(psi_t, pi, _lu_inverse)
 
     def residual(self, fp: FixedPoint) -> float:
         """Max relative residual of a stored state: the psi_tilde blocks, pi, g_tilde,
@@ -415,7 +414,7 @@ def _solve(system: _System, initial: FixedPoint | None, opts: SolverOptions) -> 
         branch = system.branch
         raise ValueError(f"{branch} warm start has (g, g_tilde) shapes {shapes}, expected {expected}")
     (g, g_tilde), residual, it, history = _iterate(system, start, opts)
-    psi_t, _, pi, phi = system.self_energies(g, g_tilde)
+    psi_t, pi, phi = system.self_energies(g, g_tilde)
     system.resolvents(psi_t, pi)  # guarded: an ill-conditioned inverse raises
     if min_eigval(-g_tilde) < SIGN_EIG_FLOOR or min_eigval(g) < SIGN_EIG_FLOOR:
         reason = "violated the resolvent sign structure"

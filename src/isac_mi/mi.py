@@ -7,12 +7,17 @@ the solver residual:  V = log det(pi - LoS(h, psi_tilde)) + Phi
 symbol-block terms Phi = (n_s - m) log phi + phi Tr g - m vanish in the
 communication limit n_s -> inf.  Every log-det is of a positive definite matrix;
 the complex total is asserted real.  Values are in nats; CSV output converts to bits.
+
+`_branch` is the one map from a branch name to its solver, Shannon transform,
+spectral point, LoS mean and system; `_solve_branches` solves any subset of the
+branches, for `weighted_mi` (both) and the beamforming optimizer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,8 +29,10 @@ from .fixedpoint import (
     SolverOptions,
     SpectralPoint,
     _CONTEXTS,
+    _comm_system,
     _diagonal_blocks,
     _los_term,
+    _sensing_system,
     solve_comm,
     solve_sensing,
 )
@@ -127,19 +134,28 @@ def _solve_from(solve, stats, w_bf, point, opts, initial):
     return solve(stats, w_bf, point, opts)
 
 
-def _branch_mi(branch, stats, w_bf, noise, opts, initial, means):
-    """One branch's MI in nats and its fixed point: the solve at its noise power,
-    warm-started from `initial` with a cold fallback, then the Shannon transform
-    of `means` = effective_los(stats, w_bf).  The solver and the transform are
-    looked up in this module at call time, so a patched or traced binding sees
-    every solve."""
-    if branch == "sensing":
-        solve, shannon, sigma2, mean = solve_sensing, shannon_sensing, noise.sigma_s2, means[0]
-    else:
-        solve, shannon, sigma2, mean = solve_comm, shannon_comm, noise.sigma_c2, means[1]
-    point = SpectralPoint.from_noise_power(sigma2)
-    fp = _solve_from(solve, stats, w_bf, point, opts, initial)
-    return mean.shape[0] * shannon(fp, point, stats.dims, mean), fp
+_BRANCH_NAMES = ("sensing", "comm")  # the order of fixed points and MIs throughout
+
+
+class _Branch(NamedTuple):
+    solve: Callable  # solve_sensing or solve_comm
+    shannon: Callable  # shannon_sensing or shannon_comm
+    point: SpectralPoint  # w = -sigma2 at the branch's noise power
+    los: int  # index of the branch's LoS mean in effective_los(stats, w_bf)
+    system: Callable  # (stats, w_bf, w) -> the branch's fixedpoint._System
+
+
+def _branch(name: str, noise: NoiseConfig) -> _Branch:
+    """Everything that goes with one branch at the noise powers `noise`.  The
+    solver and the transform are this module's bindings at call time, so a
+    patched or traced binding sees every solve."""
+    if name == "sensing":
+        point = SpectralPoint.from_noise_power(noise.sigma_s2)
+        return _Branch(solve_sensing, shannon_sensing, point, 0, _sensing_system)
+    if name == "comm":
+        point = SpectralPoint.from_noise_power(noise.sigma_c2)
+        return _Branch(solve_comm, shannon_comm, point, 1, _comm_system)
+    raise ValueError("branch must be 'sensing' or 'comm'")
 
 
 def _report(rho: float, i_s: float, fp_s, i_c: float, fp_c) -> MiReport:
@@ -157,6 +173,25 @@ def _report(rho: float, i_s: float, fp_s, i_c: float, fp_c) -> MiReport:
     return MiReport(i_s, i_c, weighted, rho, SolveDiagnostics(res_s, it_s, res_c, it_c))
 
 
+def _solve_branches(stats, w_bf, noise, rho, opts, initial, known):
+    """(report, fp_s, fp_c) of w_bf.  Each branch k with known[k] None is solved,
+    warm from initial[k] (`initial` None: cold) with a cold fallback, and its MI
+    in nats taken at its LoS mean; every other branch is known[k] = (MI, fixed
+    point), which is (nan, None) for a branch left unsolved."""
+    means = effective_los(stats, w_bf)
+    results = []
+    for k, (name, given) in enumerate(zip(_BRANCH_NAMES, known)):
+        if given is None:
+            branch = _branch(name, noise)
+            warm = None if initial is None else initial[k]
+            fp = _solve_from(branch.solve, stats, w_bf, branch.point, opts, warm)
+            mean = means[branch.los]
+            given = mean.shape[0] * branch.shannon(fp, branch.point, stats.dims, mean), fp
+        results.append(given)
+    (i_s, fp_s), (i_c, fp_c) = results
+    return _report(rho, i_s, fp_s, i_c, fp_c), fp_s, fp_c
+
+
 def weighted_mi(
     stats: ScenarioStats,
     w_bf: Beamformer,
@@ -166,7 +201,7 @@ def weighted_mi(
     return_fixed_points: bool = False,
     initial: tuple[FixedPoint, FixedPoint] | None = None,
 ):
-    """Solve both branches and combine: rho * i_s + (1 - rho) * i_c, in nats.
+    """`_solve_branches` over both branches, combined: rho * i_s + (1 - rho) * i_c, in nats.
 
     Sensing is evaluated at sigma_s2 and communication at sigma_c2.  With
     return_fixed_points=True the converged fixed points are returned as well;
@@ -176,20 +211,10 @@ def weighted_mi(
     """
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"rho must be in [0, 1], got {rho}")
-    init_s, init_c = (None, None) if initial is None else initial
-    means = effective_los(stats, w_bf)
-    i_s, fp_s = _branch_mi("sensing", stats, w_bf, noise, opts, init_s, means)
-    i_c, fp_c = _branch_mi("comm", stats, w_bf, noise, opts, init_c, means)
-    report = _report(rho, i_s, fp_s, i_c, fp_c)
+    report, fp_s, fp_c = _solve_branches(stats, w_bf, noise, rho, opts, initial, (None, None))
     if return_fixed_points:
         return report, fp_s, fp_c
     return report
-
-
-_BRANCHES = {
-    "sensing": ("sigma_s2", solve_sensing, shannon_sensing, 0),
-    "comm": ("sigma_c2", solve_comm, shannon_comm, 1),
-}
 
 
 def derivative_identity_check(
@@ -207,20 +232,18 @@ def derivative_identity_check(
     vanish to finite-difference accuracy on any scenario.  The step h is in (0, sigma2).
     The sigma2 +- h solves are warm-started from the solve at sigma2.
     """
-    if branch not in _BRANCHES:
-        raise ValueError("branch must be 'sensing' or 'comm'")
-    noise_power, solve, shannon, los = _BRANCHES[branch]
-    sigma2 = getattr(noise, noise_power)
+    lookup = _branch(branch, noise)
+    sigma2 = -lookup.point.w
     if not 0.0 < h < sigma2:
         raise ValueError(f"finite-difference step {h:g} must lie in (0, sigma2 = {sigma2:g})")
-    mean = effective_los(stats, w_bf)[los]
+    mean = effective_los(stats, w_bf)[lookup.los]
 
-    centre = solve(stats, w_bf, SpectralPoint.from_noise_power(sigma2), opts)
+    centre = lookup.solve(stats, w_bf, lookup.point, opts)
 
     def value(s2: float) -> float:
         point = SpectralPoint.from_noise_power(s2)
-        fp = _solve_from(solve, stats, w_bf, point, opts, centre)
-        return shannon(fp, point, stats.dims, mean)
+        fp = _solve_from(lookup.solve, stats, w_bf, point, opts, centre)
+        return lookup.shannon(fp, point, stats.dims, mean)
 
     fd = (value(sigma2 + h) - value(sigma2 - h)) / (2.0 * h)
     return abs(fd - (-1.0 / sigma2 - _cauchy(centre)))

@@ -154,11 +154,23 @@ class NoiseConfig:
     """Noise powers from the BS-side SNR in dB.
 
     The sensing link operates `sensing_offset_db` below the BS SNR, so its
-    noise power is larger: sigma_s2 = 10^(-(snr_bs_db - offset)/10).
+    noise power is larger: sigma_s2 = 10^(-(snr_bs_db - offset)/10).  Both
+    powers must be finite and positive: one that under- or overflows raises.
     """
 
     snr_bs_db: float
     sensing_offset_db: float = 20.0
+
+    def __post_init__(self):
+        try:
+            ok = all(0.0 < p < math.inf for p in (self.sigma_c2, self.sigma_s2))
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"noise powers must be finite and positive, got snr_bs_db = {self.snr_bs_db!r} "
+                f"and sensing_offset_db = {self.sensing_offset_db!r}"
+            )
 
     @property
     def sigma_c2(self) -> float:

@@ -63,8 +63,11 @@ def sample_symbols(dims: SystemDims, trial: int, seed: int = 0) -> np.ndarray:
     )
 
 
-def _gram_eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Hermitian PSD Gram matrix A A', ascending."""
+def _gram_eigvals(channels: Iterable[np.ndarray], w_bf: Beamformer, s=None) -> np.ndarray:
+    """Eigenvalues, ascending, of the Hermitian PSD Gram matrix A A', where A
+    stacks the beamformed channels X_l W, times the symbol block S if given."""
+    a = np.vstack([x @ w_bf.w for x in channels])
+    a = a if s is None else a @ s
     b = a @ a.conj().T
     return np.linalg.eigvalsh(0.5 * (b + b.conj().T))
 
@@ -83,15 +86,14 @@ def finite_mi_sensing(
     """Exact sensing MI logdet(I + Ghat S S' Ghat'/sigma2) in nats, Ghat stacking G_l W."""
     if sigma_s2 <= 0.0:
         raise ValueError("sigma_s2 must be positive")
-    g_hat = np.vstack([g @ w_bf.w for g in g_list])
-    return float(_logdet_from_eigvals(_gram_eigvals(g_hat @ s), sigma_s2))
+    return float(_logdet_from_eigvals(_gram_eigvals(g_list, w_bf, s), sigma_s2))
 
 
 def finite_mi_comm(h_c: np.ndarray, w_bf: Beamformer, sigma_c2: float) -> float:
     """Exact communication MI logdet(I + H W W' H'/sigma2) in nats."""
     if sigma_c2 <= 0.0:
         raise ValueError("sigma_c2 must be positive")
-    return float(_logdet_from_eigvals(_gram_eigvals(h_c @ w_bf.w), sigma_c2))
+    return float(_logdet_from_eigvals(_gram_eigvals((h_c,), w_bf), sigma_c2))
 
 
 def _trial_eigvals(stats: ScenarioStats, w_bf: Beamformer, trial: int, branch: str) -> np.ndarray:
@@ -101,9 +103,8 @@ def _trial_eigvals(stats: ScenarioStats, w_bf: Beamformer, trial: int, branch: s
     """
     h_c, g_list = sample_channels(stats, trial)
     if branch == "sensing":
-        s = sample_symbols(stats.dims, trial, seed=stats.seed)
-        return _gram_eigvals(np.vstack([g @ w_bf.w for g in g_list]) @ s)
-    return _gram_eigvals(h_c @ w_bf.w)
+        return _gram_eigvals(g_list, w_bf, sample_symbols(stats.dims, trial, seed=stats.seed))
+    return _gram_eigvals((h_c,), w_bf)
 
 
 def _branch_eigvals(

@@ -15,10 +15,10 @@ At rho = 0 or 1 one branch has weight zero.  Neither the gradient nor the
 Armijo test reads it, so the ascent solves only the weighted branch at each
 candidate (0 * x + y = y: the accepted path is bitwise that of solving
 both) and completes the returned point's report with one solve of the other
-branch, warm from the start's fixed point when it has one.  A caller that
-already solved the start, as the rho path of `cli.run_tradeoff` has, hands
-that evaluation to `pga` beside `PgaOptions.init` and the start is not
-re-solved.
+branch, warm from the start's fixed point when it has one; both are
+`mi._solve_branches` over one branch.  A caller that already solved the
+start, as the rho path of `cli.run_tradeoff` has, hands that evaluation to
+`pga` beside `PgaOptions.init` and the start is not re-solved.
 
 Backtracking uses the Armijo rule along the projection arc (Bertsekas,
 IEEE TAC 1976): with d = P(W + lambda * grad) - W, a step is accepted when
@@ -39,17 +39,14 @@ import numpy as np
 # inv_herm is unused here but stays bound: bench/tracer.py wraps isac_mi.optimizer.inv_herm by name
 from ._linalg import SingularMatrixError, inv_herm  # noqa: F401
 from .fixedpoint import ConvergenceError, FixedPoint, SolverOptions
-from .fixedpoint import _comm_system, _sensing_system
-from .mi import MiReport, NonRealShannonError, _branch_mi, _report, weighted_mi
-from .model import (
-    Beamformer, NoiseConfig, ScenarioStats, _check_count, _integral_seed, effective_los,
-)
+from .mi import _BRANCH_NAMES, MiReport, NonRealShannonError, _branch, _report, _solve_branches
+from .mi import weighted_mi
+from .model import Beamformer, NoiseConfig, ScenarioStats, _check_count, _integral_seed
 
 UNCONVERGED_RESIDUAL = 1e-6
 
 _BETA = 0.5  # backtracking factor of the Armijo step
 _SLOPE = 1e-4  # Armijo fraction of the predicted gain Re<grad, d>, in (0, 1)
-_BRANCHES = ("sensing", "comm")  # the order of fixed points and MIs throughout
 
 
 class PgaAbort(RuntimeError):
@@ -143,7 +140,8 @@ def gradient(
     and psi_tilde is Omega~.  The self-energy terms enter because the
     one-sided correlation operators of the beamformed channel carry W;
     dropping them breaks the finite-difference check.  A branch of weight
-    zero (rho = 0 or 1) is skipped, and its fixed point may be None.
+    zero (rho = 0 or 1) is skipped, and its fixed point may be None.  Each
+    branch's spectral point and system come from the `mi._branch` lookup.
     """
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"rho must be in [0, 1], got {rho}")
@@ -151,17 +149,15 @@ def gradient(
     if w_bf.w.shape != (dims.n_t, dims.m):
         raise ValueError(f"beamformer shape {w_bf.w.shape} != {(dims.n_t, dims.m)}")
     grad = None
-    for branch, weight, fp, system, sigma2 in (
-        ("sensing", rho, fp_s, _sensing_system, noise.sigma_s2),
-        ("comm", 1.0 - rho, fp_c, _comm_system, noise.sigma_c2),
-    ):
+    for name, weight, fp in zip(_BRANCH_NAMES, (rho, 1.0 - rho), (fp_s, fp_c)):
         if weight == 0.0:
             continue
         if fp is None:
-            raise ValueError(f"gradient needs the {branch} fixed point at rho = {rho}")
+            raise ValueError(f"gradient needs the {name} fixed point at rho = {rho}")
         if fp.residual > UNCONVERGED_RESIDUAL:
             raise ValueError("gradient requires converged fixed points")
-        term = weight * system(stats, w_bf, -sigma2).gradient_term(fp)
+        branch = _branch(name, noise)
+        term = weight * branch.system(stats, w_bf, branch.point.w).gradient_term(fp)
         grad = term if grad is None else grad + term
     return grad
 
@@ -187,27 +183,17 @@ def _initial_beamformer(
     return Beamformer(project(z, p_t), p_t)
 
 
-def _solve_branch(stats, w_bf, noise, rho, solver, k, initial, other):
-    """(report, fp_s, fp_c) of w_bf with branch k (0 sensing, 1 comm) solved warm
-    from `initial`, and other = (MI, fixed point) of the other branch, or
-    (nan, None) for a branch left unsolved."""
-    means = effective_los(stats, w_bf)
-    solved = _branch_mi(_BRANCHES[k], stats, w_bf, noise, solver, initial, means)
-    (i_s, fp_s), (i_c, fp_c) = (solved, other) if k == 0 else (other, solved)
-    return _report(rho, i_s, fp_s, i_c, fp_c), fp_s, fp_c
-
-
 def _evaluate(stats, w_bf, noise, rho, solver, initial):
     """(report, fp_s, fp_c) of one candidate, warm from `initial` = (fp_s, fp_c) or
-    cold when it is None.  At rho = 0 or 1 only the branch of nonzero weight is
-    solved; the other reads MI nan and fixed point None."""
+    cold when it is None.  For 0 < rho < 1 this is this module's `weighted_mi`
+    binding.  At rho = 0 or 1 `mi._solve_branches` solves only the branch of
+    nonzero weight; the other reads MI nan and fixed point None."""
     if 0.0 < rho < 1.0:
         return weighted_mi(
             stats, w_bf, noise, rho, solver, return_fixed_points=True, initial=initial
         )
-    k = 0 if rho == 1.0 else 1
-    warm = None if initial is None else initial[k]
-    return _solve_branch(stats, w_bf, noise, rho, solver, k, warm, (math.nan, None))
+    known = [(math.nan, None) if weight == 0.0 else None for weight in (rho, 1.0 - rho)]
+    return _solve_branches(stats, w_bf, noise, rho, solver, initial, known)
 
 
 def pga(
@@ -302,12 +288,11 @@ def pga(
             break
 
     trace.final_search_evaluations = len(spent)
-    fp_s, fp_c = trace.fixed_points
-    if fp_s is None or fp_c is None:  # rho = 0 or 1: the zero-weight branch of the returned point
-        k = 0 if fp_s is None else 1
-        other = (trace.best.i_c, fp_c) if k == 0 else (trace.best.i_s, fp_s)
+    mis = (trace.best.i_s, trace.best.i_c)
+    known = tuple(None if fp is None else (i, fp) for i, fp in zip(mis, trace.fixed_points))
+    if None in known:  # rho = 0 or 1: the zero-weight branch of the returned point
         trace.best, *fps = solved(
-            _solve_branch, current, noise, rho, opts.solver, k, start_fps[k], other
+            _solve_branches, current, noise, rho, opts.solver, start_fps, known
         )
         trace.fixed_points = tuple(fps)
     return current, trace

@@ -630,6 +630,8 @@ _EXTREME_BASE = {
 _EXTREME_CASES = (  # each a list of (config path, value)
     *[[(("noise", "snr_db"), snr), (("noise", "snr_db_grid"), [snr])] for snr in (-300.0, 300.0)],
     *[[(("noise", "sensing_offset_db"), offset)] for offset in (-300.0, 300.0)],
+    *[[(("noise", "snr_db_grid"), [snr])] for snr in (-4000.0, 4000.0)],  # sigma^2 over/underflows
+    *[[(("noise", "sensing_offset_db"), offset)] for offset in (-4000.0, 4000.0)],
     *[[(("run", "p_t"), p_t)] for p_t in (1e-300, 1e-12, 3e7, 1e300)],
     *[[(("scenario", "rician_kappa"), kappa)] for kappa in (1e-300, 1e300)],
 )

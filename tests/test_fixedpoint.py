@@ -209,7 +209,7 @@ def test_record_is_a_function_of_its_state(scenario4, beamformer4, branch):
     make_system = {"sensing": _sensing_system, "comm": _comm_system}[branch]
     point = SpectralPoint(-0.1)
     fp = _BRANCHES[branch][0](scenario4, beamformer4, point)
-    psi_t_rhs, _, pi_rhs, phi_rhs = make_system(scenario4, beamformer4, point.w).self_energies(
+    psi_t_rhs, pi_rhs, phi_rhs = make_system(scenario4, beamformer4, point.w).self_energies(
         fp.g, fp.g_tilde
     )
     assert len(fp.psi_tilde_blocks) == len(psi_t_rhs)
@@ -327,12 +327,12 @@ def test_phi_without_a_real_root_ends_the_solve_by_name(scenario4, beamformer4):
         solve_sensing(scenario4, beamformer4, point, initial=far)
 
 
-def _nan_pi(psi_t, psi, pi, phi):
-    return psi_t, psi, np.full_like(pi, np.nan), phi
+def _nan_pi(psi_t, pi, phi):
+    return psi_t, np.full_like(pi, np.nan), phi
 
 
-def _zero_pi(psi_t, psi, pi, phi):
-    return psi_t, psi, np.zeros_like(pi), phi  # exactly singular
+def _zero_pi(psi_t, pi, phi):
+    return psi_t, np.zeros_like(pi), phi  # exactly singular
 
 
 def _break_evaluations(monkeypatch, broken, first, last=math.inf):

@@ -113,21 +113,28 @@ def test_derivative_identity_random_scenario(branch, scenario4, beamformer4):
 
 @pytest.mark.parametrize("branch", ["sensing", "comm"])
 def test_derivative_identity_warm_starts_from_the_centre(branch, scenario4, beamformer4, monkeypatch):
-    noise_power, solve, *rest = mi_module._BRANCHES[branch]
+    # every solve goes through the module's solver bindings, as a tracer sees them
     calls = []
 
-    def recording(stats, w_bf, point, opts, initial=None):
-        fp = solve(stats, w_bf, point, opts, initial=initial)
-        calls.append((point.w, initial, fp))
-        return fp
+    def recording(name):
+        solve = getattr(mi_module, f"solve_{name}")
 
-    monkeypatch.setitem(mi_module._BRANCHES, branch, (noise_power, recording, *rest))
+        def patched(stats, w_bf, point, opts, initial=None):
+            fp = solve(stats, w_bf, point, opts, initial=initial)
+            calls.append((name, point.w, initial, fp))
+            return fp
+
+        return patched
+
+    for name in ("sensing", "comm"):
+        monkeypatch.setattr(mi_module, f"solve_{name}", recording(name))
     noise = NoiseConfig(2.0)
-    sigma2 = getattr(noise, noise_power)
+    sigma2 = noise.sigma_s2 if branch == "sensing" else noise.sigma_c2
     derivative_identity_check(scenario4, beamformer4, noise, branch, 1e-4 * sigma2)
-    (w0, first, centre), *sides = calls
+    assert [name for name, *_ in calls] == [branch] * 3
+    (_, w0, first, centre), *sides = calls
     assert w0 == -sigma2 and first is None
-    assert len(sides) == 2 and all(initial is centre for _, initial, _ in sides)
+    assert all(initial is centre for _, _, initial, _ in sides)
 
 
 def test_derivative_identity_zero_channel():

@@ -251,6 +251,15 @@ def test_noise_config_snr_mapping():
     assert abs(noise.sigma_c2 - 0.1) < 1e-15
     assert abs(noise.sigma_s2 - 10.0) < 1e-12  # 20 dB offset: sensing SNR is -10 dB
     assert NoiseConfig(0.0, sensing_offset_db=0.0).sigma_s2 == 1.0
+    assert 0.0 < NoiseConfig(3100.0).sigma_c2 < 1e-300  # subnormal, still positive
+
+
+@pytest.mark.parametrize(
+    "snr, offset", [(4000.0, 20.0), (-4000.0, 20.0), (10.0, -4000.0), (10.0, 4000.0)]
+)
+def test_noise_config_rejects_noise_powers_that_under_or_overflow(snr, offset):
+    with pytest.raises(ValueError, match="noise powers must be finite and positive"):
+        NoiseConfig(snr, offset)
 
 
 def test_geometry_rejects_negative_spread():

@@ -146,7 +146,7 @@ def _exact_rhs(system, g, g_tilde):
     """(rhs_g, rhs_g_tilde) of the system evaluated in clongdouble, with the resolvent
     pair ((blockdiag A - h B^-1 h')^-1, (B - sum_l h_l' A_l^-1 h_l)^-1) written out."""
     g, g_tilde = (np.asarray(a, dtype=np.clongdouble) for a in (g, g_tilde))
-    psi_t, _, pi, _ = system.self_energies(g, g_tilde)
+    psi_t, pi, _ = system.self_energies(g, g_tilde)
     h = system.h_eff.astype(np.clongdouble)
     n = psi_t[0].shape[0]
     a = np.zeros((len(psi_t) * n,) * 2, dtype=np.clongdouble)
