@@ -28,8 +28,8 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 
 def herm(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A†)/2."""
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part (A + A†)/2; of each matrix of a stack (..., n, n)."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def hermitize(a: np.ndarray, tol: float = 1e-8, context: str = "operator input") -> np.ndarray:
@@ -45,12 +45,16 @@ def hermitize(a: np.ndarray, tol: float = 1e-8, context: str = "operator input")
 
 def inv_herm(a: np.ndarray, context: str) -> np.ndarray:
     """LU inverse of the Hermitian part of `a`, guarded by its condition number
-    max|lambda| / min|lambda| from the eigenvalues (so indefinite matrices invert)."""
+    max|lambda| / min|lambda| from the eigenvalues (so indefinite matrices invert);
+    of a stack (..., n, n), each matrix guarded by its own condition number."""
     a = herm(a)
     evals = np.abs(np.linalg.eigvalsh(a))
-    amax, amin = evals.max(), evals.min()
-    if amin == 0.0 or amax / amin > COND_LIMIT:
-        raise SingularMatrixError(context, np.inf if amin == 0.0 else amax / amin)
+    amax, amin = evals.max(axis=-1), evals.min(axis=-1)
+    if np.any(amin == 0.0):
+        raise SingularMatrixError(context, np.inf)
+    cond = float(np.max(amax / amin))
+    if cond > COND_LIMIT:
+        raise SingularMatrixError(context, cond)
     return np.linalg.inv(a)
 
 

@@ -17,9 +17,16 @@ two-sided Rician form of Hachem, Loubaton & Najim (Ann. Appl. Probab. 2007):
 
 around the beamformed LoS mean h (`_System.resolvents`).  The L channels have
 equal receive sizes n_rx: h is L row blocks h_l and g_tilde is L x L blocks of
-n_rx x n_rx, whose diagonal blocks g_tilde_l are `_diagonal_blocks`.  The LoS
-term sum_l h_l' psi_tilde_l^-1 h_l is `_los_term`, which also serves the Shannon
-transform of both branches and the PGA gradient.  The symbol-block variables are closed-form
+n_rx x n_rx.  Every equation reads only the diagonal blocks g_tilde_l, so the
+state stores g_tilde as their (L, n_rx, n_rx) stack.  With D = blockdiag
+psi_tilde the Woodbury identity gives them directly,
+
+    g_tilde_l = D_l^-1 + (D_l^-1 h_l) g (D_l^-1 h_l)',
+
+so an iterate (`_System.rhs`) inverts only the psi_tilde stack and the m x m
+matrix pi - LoS, never pi or the (L n_rx)^2 receive-side matrix.  The LoS term
+sum_l h_l' psi_tilde_l^-1 h_l under the guard is `_los_term`, which also serves
+the Shannon transform of both branches and the PGA gradient.  The symbol-block variables are closed-form
 functions of phi and g: g_d = 1/phi, phi_tilde = -1/phi and g_dd = -phi I + phi^2 g,
 so the scalar chain phi = 1 - Tr(g_dd)/n_s has the closed form
 phi = 2 / (b + sqrt(b^2 + 4 Tr g / n_s)), b = 1 - m/n_s, its positive root, which is
@@ -32,7 +39,7 @@ phi = 1 for communication.
 The system is solved by one driver, `_iterate`, from the exact zero-channel
 solution (or a warm start).  The driver runs type-II Anderson acceleration
 (Walker & Ni, SIAM J. Numer. Anal. 2011) on the state (g, g_tilde) packed into
-one real vector (`_Packing`: the real view of both complex blocks), in which
+one real vector (`_Packing`: the real view of g and of the g_tilde stack), in which
 g_tilde is stored times sigma^2 so that both blocks start from (minus) the
 identity.  It is safeguarded in the manner of Zhang, O'Donoghue &
 Boyd (SIAM J. Optim. 2020):
@@ -49,16 +56,19 @@ Boyd (SIAM J. Optim. 2020):
 The iterates evaluate the right-hand side through plain LU inverses, which
 raise `SingularMatrixError` only on an exactly singular matrix; a non-finite
 residual ends the iteration at once with a `ConvergenceError`.  The 1e14
-condition guard of `inv_herm` runs once per solve, on every inverse of one
-evaluation at the returned state, and again in the Shannon transform
-(`_los_term`) and the PGA gradient (`gradient_term`).
+condition guard of `inv_herm` runs once per solve, on one evaluation of the
+direct form at the returned state (pi, the receive-side matrix, each psi_tilde_l
+and pi - LoS), and again in the Shannon transform (`_los_term`) and the PGA
+gradient (`gradient_term`).
 
-Sign structure at w < 0 (enforced on return): g_tilde is a negative definite
-resolvent-type block and g a positive definite E[SS']-type block.  That cone
-needs nothing of phi beyond phi > 0, which the closed form gives whenever
-Tr g > 0: psi is positive semidefinite, so pi = psi + phi I is positive
-definite.  The right-hand sides map this cone into itself, so damped steps
-never leave it.
+Sign structure at w < 0 (enforced on return, block by block): each g_tilde_l
+is a negative definite resolvent-type block and g a positive definite
+E[SS']-type block.  That cone needs nothing of phi beyond phi > 0, which the
+closed form gives whenever Tr g > 0: psi is positive semidefinite, so
+pi = psi + phi I is positive definite.  With g > 0 every psi_tilde_l is
+negative definite, and so is the full (blockdiag psi_tilde - h pi^-1 h')^-1,
+whose diagonal blocks are the stored ones.  The right-hand sides map this cone into
+itself, so damped steps never leave it.
 """
 
 from __future__ import annotations
@@ -136,16 +146,18 @@ class FixedPoint:
     """Converged system of either branch: the state (g, g_tilde) and the
     self-energies at it, nothing derived from them.
 
-    Sensing: g = G_c (m, m), g_tilde = G~_c (L n_r, L n_r), psi_tilde_blocks the
-    L blocks Psi~_l (n_r, n_r), pi = Pi and phi = phi (phi I_{n_s} as a scalar).
-    The other symbol-block variables are functions of phi and g and are not
-    stored: g_d = (1/phi) I_{n_s}, phi_tilde = (-1/phi) I_m, g_dd = -phi I + phi^2 g
-    and psi = pi - phi I.  Communication: g = G_e (m, m), g_tilde = G~_e
-    (n_u, n_u), psi_tilde_blocks = (Omega~,), pi = Omega and phi = 1 (n_s = inf).
+    Sensing: g = G_c (m, m), g_tilde the (L, n_r, n_r) stack of the diagonal
+    blocks of G~_c (its off-diagonal blocks enter no equation and are not
+    formed), psi_tilde_blocks the L blocks Psi~_l (n_r, n_r), pi = Pi and
+    phi = phi (phi I_{n_s} as a scalar).  The other symbol-block variables are
+    functions of phi and g and are not stored: g_d = (1/phi) I_{n_s},
+    phi_tilde = (-1/phi) I_m, g_dd = -phi I + phi^2 g and psi = pi - phi I.
+    Communication: g = G_e (m, m), g_tilde = G~_e as a (1, n_u, n_u) stack,
+    psi_tilde_blocks = (Omega~,), pi = Omega and phi = 1 (n_s = inf).
     """
 
     g: np.ndarray  # (m, m) Hermitian, positive definite
-    g_tilde: np.ndarray  # Hermitian, negative definite
+    g_tilde: np.ndarray  # (L, n_rx, n_rx), each block Hermitian, negative definite
     psi_tilde_blocks: tuple[np.ndarray, ...]  # one (n_rx, n_rx) block per channel
     pi: np.ndarray  # (m, m)
     phi: float
@@ -186,13 +198,13 @@ def _is_pd(a: np.ndarray) -> bool:
 
 
 class _Packing:
-    """The state (g, g_tilde), g (m, m) and g_tilde (n, n), as one real vector:
-    the real view of the complex entries of g and of sigma^2 g_tilde
-    (sigma^2 = -w).  The vector norm of a block is therefore its Frobenius
+    """The state (g, g_tilde), g (m, m) and the g_tilde stack (num, n, n), as one
+    real vector: the real view of the complex entries of g and of sigma^2 g_tilde
+    (sigma^2 = -w).  The vector norm of each part is therefore its Frobenius
     norm, g_tilde's weighted by sigma^2."""
 
-    def __init__(self, m: int, n: int, w: float):
-        self.m, self.n, self.scale = m, n, -w
+    def __init__(self, m: int, num: int, n: int, w: float):
+        self.m, self.blocks, self.scale = m, (num, n, n), -w
         self.split = 2 * m * m  # reals of g
 
     def pack(self, g, g_tilde) -> np.ndarray:
@@ -202,7 +214,7 @@ class _Packing:
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(g, g_tilde) of `x`; g is a view of x."""
         g = x[: self.split].view(complex).reshape(self.m, self.m)
-        return g, x[self.split :].view(complex).reshape(self.n, self.n) / self.scale
+        return g, x[self.split :].view(complex).reshape(self.blocks) / self.scale
 
     def residual(self, x: np.ndarray, gx: np.ndarray) -> float:
         """Max of rel_residual(g, rhs_g) and rel_residual(g_tilde, rhs_g_tilde), in
@@ -215,8 +227,9 @@ class _Packing:
 
 
 def _lu_inverse(a: np.ndarray, context: str) -> np.ndarray:
-    """LU inverse of the Hermitian part of `a` with no condition guard: the
-    iterates' inverse.  Only an exactly singular matrix raises, by name."""
+    """LU inverse of the Hermitian part of `a`, or of each matrix of a stack, with
+    no condition guard: the iterates' inverse.  Only an exactly singular matrix
+    raises, by name."""
     try:
         return np.linalg.inv(herm(a))
     except np.linalg.LinAlgError:
@@ -289,12 +302,11 @@ def _iterate(system, start, opts: SolverOptions):
     raise ConvergenceError(system.branch, opts.max_iter, residual, history=history)
 
 
-def _los_term(h: np.ndarray, a_blocks, context: str, inverse=None) -> np.ndarray:
-    """sum_l h_l' A_l^-1 h_l over the L equal row blocks h_l of h, L = len(a_blocks).
-    `inverse(a, context)` defaults to the guarded `inv_herm`."""
-    inverse = inverse or inv_herm
+def _los_term(h: np.ndarray, a_blocks, context: str) -> np.ndarray:
+    """sum_l h_l' A_l^-1 h_l over the L equal row blocks h_l of h, L = len(a_blocks),
+    each A_l^-1 through the guarded `inv_herm`."""
     rows = h.reshape(len(a_blocks), -1, h.shape[1])
-    return sum(h_l.conj().T @ inverse(a, context) @ h_l for h_l, a in zip(rows, a_blocks))
+    return sum(h_l.conj().T @ inv_herm(a, context) @ h_l for h_l, a in zip(rows, a_blocks))
 
 
 class _System:
@@ -315,16 +327,15 @@ class _System:
         self.n_rx = h_raw.shape[0] // self.num_channels
         self.maps = ChannelMaps(channels)
         self.beamformed = w_bf.w.conj().T @ self.maps.transmit  # [W'V_1 ... W'V_L]
-        self.packing = _Packing(self.m, h_raw.shape[0], w)
+        self.packing = _Packing(self.m, self.num_channels, self.n_rx, w)
 
     def psi_tilde_blocks(self, g: np.ndarray) -> np.ndarray:
         """wI - E[X_l W g W' X_l'] of every channel, stacked (L, n_rx, n_rx)."""
         return self.w * np.eye(self.n_rx) - self.maps.receive_side(self.beamformed, g)
 
     def psi(self, g_tilde: np.ndarray) -> np.ndarray:
-        """-W' (sum_l E[X_l' g_tilde_l X_l]) W."""
-        t = self.maps.transmit_diag(_diagonal_blocks(g_tilde, self.num_channels))
-        return -assemble(self.beamformed, t, self.beamformed)
+        """-W' (sum_l E[X_l' g_tilde_l X_l]) W of the g_tilde stack."""
+        return -assemble(self.beamformed, self.maps.transmit_diag(g_tilde), self.beamformed)
 
     def phi(self, g: np.ndarray) -> float:
         """Positive root of phi = 1 - Tr(g_dd)/n_s with g_dd = -phi I + phi^2 g
@@ -340,17 +351,18 @@ class _System:
     def in_cone(self, g, g_tilde) -> bool:
         return _is_pd(g) and _is_pd(-g_tilde)
 
-    def resolvents(self, psi_t_blocks, pi: np.ndarray, inverse=None):
-        """(g, g_tilde) = ((pi - LoS(h, psi_tilde))^-1, (blockdiag psi_tilde - h pi^-1 h')^-1)
-        around h = h_eff, through `inverse(a, context)` (default the guarded `inv_herm`)."""
-        inverse = inverse or inv_herm
+    def resolvents(self, psi_t_blocks, pi: np.ndarray):
+        """(g, g_tilde) = ((pi - LoS(h, psi_tilde))^-1, the diagonal blocks of
+        (blockdiag psi_tilde - h pi^-1 h')^-1) around h = h_eff, in the direct form
+        and through the guarded `inv_herm`: the equations' reference, which `_solve`
+        and `residual` evaluate."""
         h, contexts = self.h_eff, self.contexts
-        receive = -(h @ inverse(pi, contexts.pi) @ h.conj().T)
+        receive = -(h @ inv_herm(pi, contexts.pi) @ h.conj().T)
         blocks = _diagonal_blocks(receive, self.num_channels)
         blocks += psi_t_blocks
-        g_tilde = herm(inverse(receive, contexts.g_tilde))
-        los = _los_term(h, psi_t_blocks, contexts.psi_tilde, inverse)
-        return herm(inverse(pi - los, contexts.g)), g_tilde
+        g_tilde = herm(_diagonal_blocks(inv_herm(receive, contexts.g_tilde), self.num_channels))
+        los = _los_term(h, psi_t_blocks, contexts.psi_tilde)
+        return herm(inv_herm(pi - los, contexts.g)), g_tilde
 
     def self_energies(self, g, g_tilde):
         """(psi_tilde blocks, pi, phi) at the state (g, g_tilde), phi taken from
@@ -359,9 +371,15 @@ class _System:
         return self.psi_tilde_blocks(g), self.psi(g_tilde) + phi * np.eye(self.m), phi
 
     def rhs(self, g, g_tilde):
-        """One Picard evaluation of an iterate, (rhs_g, rhs_g_tilde), through `_lu_inverse`."""
+        """One Picard evaluation of an iterate, (rhs_g, rhs_g_tilde), by Woodbury on
+        D = blockdiag psi_tilde through `_lu_inverse`: the psi_tilde stack and
+        pi - LoS are its only inverses."""
         psi_t, pi, _ = self.self_energies(g, g_tilde)
-        return self.resolvents(psi_t, pi, _lu_inverse)
+        d_inv = _lu_inverse(psi_t, self.contexts.psi_tilde)
+        d_inv_h = d_inv @ self.h_eff.reshape(self.num_channels, self.n_rx, self.m)  # D_l^-1 h_l
+        los = self.h_eff.conj().T @ d_inv_h.reshape(-1, self.m)  # sum_l h_l' D_l^-1 h_l
+        g = herm(_lu_inverse(pi - los, self.contexts.g))
+        return g, herm(d_inv + d_inv_h @ g @ d_inv_h.conj().swapaxes(-1, -2))
 
     def residual(self, fp: FixedPoint) -> float:
         """Max relative residual of a stored state: the psi_tilde blocks, pi, g_tilde,
@@ -382,7 +400,7 @@ class _System:
         """(psi_raw(g_tilde) - LoS(h_raw, psi_tilde)) W g at a converged state, where
         psi_raw W = -sum_l E[X_l' g_tilde_l X_l] W is the transmit-side self-energy
         before its left beamformer."""
-        t = self.maps.transmit_diag(_diagonal_blocks(fp.g_tilde, self.num_channels))
+        t = self.maps.transmit_diag(fp.g_tilde)
         psi_raw_w = -assemble(self.maps.transmit, t, self.beamformed)
         los = _los_term(self.h_raw, fp.psi_tilde_blocks, self.contexts.psi_tilde)
         return (psi_raw_w - los @ self.w_bf.w) @ fp.g
@@ -404,12 +422,12 @@ def _solve(system: _System, initial: FixedPoint | None, opts: SolverOptions) -> 
     """Iterate `system` from the state of `initial` (None: the zero-channel
     solution), guard every inverse of one evaluation at the returned state and
     check the sign structure."""
-    n = system.h_raw.shape[0]
+    blocks = system.packing.blocks
     if initial is None:
-        start = (np.eye(system.m), np.eye(n) / system.w)
+        start = (np.eye(system.m), np.broadcast_to(np.eye(system.n_rx) / system.w, blocks))
     else:
         start = (initial.g, initial.g_tilde)
-    shapes, expected = tuple(np.shape(b) for b in start), ((system.m, system.m), (n, n))
+    shapes, expected = tuple(np.shape(b) for b in start), ((system.m, system.m), blocks)
     if shapes != expected:
         branch = system.branch
         raise ValueError(f"{branch} warm start has (g, g_tilde) shapes {shapes}, expected {expected}")

@@ -30,7 +30,6 @@ from .fixedpoint import (
     SpectralPoint,
     _CONTEXTS,
     _comm_system,
-    _diagonal_blocks,
     _los_term,
     _sensing_system,
     solve_comm,
@@ -89,7 +88,7 @@ def _shannon(branch, fp: FixedPoint, h, n_s, w) -> float:
     """Per-dimension Shannon transform V / rows(h) of one system at the stored state of `fp`."""
     blocks = fp.psi_tilde_blocks
     total = logdet_phased(fp.pi - _los_term(h, blocks, _CONTEXTS[branch].psi_tilde))
-    for g_tilde_l, block in zip(_diagonal_blocks(fp.g_tilde, len(blocks)), blocks):
+    for g_tilde_l, block in zip(fp.g_tilde, blocks):
         total += logdet_phased(block / w)
         total += np.trace(g_tilde_l @ (w * np.eye(len(block)) - block))
     total += _symbol_block_terms(fp.phi, np.trace(fp.g), fp.pi.shape[0], n_s)
@@ -116,8 +115,9 @@ def shannon_comm(
 
 def _cauchy(fp: FixedPoint) -> float:
     """Normalized trace of the resolvent block g_tilde: (1/Ln_r) Tr(G~_c) for
-    sensing, (1/n_u) Tr(G~_e) for communication."""
-    return float(np.trace(fp.g_tilde).real) / fp.g_tilde.shape[0]
+    sensing, (1/n_u) Tr(G~_e) for communication: the mean diagonal entry of the
+    stored blocks."""
+    return float(fp.g_tilde.diagonal(axis1=1, axis2=2).real.mean())
 
 
 cauchy_sensing = cauchy_comm = _cauchy

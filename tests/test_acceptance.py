@@ -131,7 +131,7 @@ def test_criterion_3_scalar_bisection_oracle():
             worst,
             abs(fp.phi - oracle["phi"]),
             abs(complex(fp.g[0, 0]) - oracle["g_c"]),
-            abs(complex(fp.g_tilde[0, 0]) - oracle["g_c_tilde"]),
+            abs(complex(fp.g_tilde[0, 0, 0]) - oracle["g_c_tilde"]),
             abs(cauchy_sensing(fp) - oracle["cauchy"].real),
             abs(shannon_sensing(fp, point, stats.dims, g_eff) - oracle["shannon"]),
         )
@@ -154,7 +154,7 @@ def test_criterion_4_self_consistency(scenario4, beamformer4, scenario16, beamfo
                 residual_comm(fc, stats, bf, p_c),
             )
             for a in (fs.g_tilde, fs.g, fs.pi, fc.g_tilde, fc.g):
-                worst_herm = max(worst_herm, float(np.linalg.norm(a - a.conj().T)))
+                worst_herm = max(worst_herm, float(np.linalg.norm(a - a.conj().swapaxes(-1, -2))))
             sign_ok = sign_ok and np.linalg.eigvalsh(-fs.g_tilde).min() > -1e-8
             sign_ok = sign_ok and np.linalg.eigvalsh(fs.g).min() > -1e-8
             sign_ok = sign_ok and np.linalg.eigvalsh(-fc.g_tilde).min() > -1e-8

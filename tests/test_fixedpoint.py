@@ -75,7 +75,8 @@ def test_zero_channel_sensing_solution():
     point = SpectralPoint(-0.7)
     fp = solve_sensing(stats, bf, point)
     assert fp.iterations == 0
-    assert np.allclose(fp.g_tilde, np.eye(6) / -0.7, atol=1e-13)
+    assert fp.g_tilde.shape == (2, 3, 3)
+    assert np.allclose(fp.g_tilde, np.eye(3) / -0.7, atol=1e-13)
     assert np.allclose(fp.g, np.eye(4), atol=1e-13)
     assert np.all(fp.pi - fp.phi * np.eye(4) == 0.0)  # psi = pi - phi I
     assert abs(fp.phi - 1.0) < 1e-13
@@ -89,6 +90,7 @@ def test_zero_channel_comm_solution():
     bf = default_beamformer(dims, 4.0)
     point = SpectralPoint(-1.3)
     fp = solve_comm(stats, bf, point)
+    assert fp.g_tilde.shape == (1, 4, 4)
     assert np.allclose(fp.g_tilde, np.eye(4) / -1.3, atol=1e-13)
     assert abs(cauchy_comm(fp) - 1.0 / -1.3) < 1e-13
     assert residual_comm(fp, stats, bf, point) < 1e-12
@@ -105,7 +107,7 @@ def test_scalar_pure_los_matches_bisection_oracle(sigma2):
     oracle = scalar_los_oracle(g * w_entry, sigma2)
     assert abs(fp.phi - oracle["phi"]) < 1e-10
     assert abs(complex(fp.g[0, 0]) - oracle["g_c"]) < 1e-10
-    assert abs(complex(fp.g_tilde[0, 0]) - oracle["g_c_tilde"]) < 1e-10
+    assert abs(complex(fp.g_tilde[0, 0, 0]) - oracle["g_c_tilde"]) < 1e-10
     g_dd = -fp.phi + fp.phi**2 * complex(fp.g[0, 0])  # -phi I + phi^2 g_c
     assert abs(g_dd - oracle["g_d"]) < 1e-10
     assert abs(cauchy_sensing(fp) - oracle["cauchy"].real) < 1e-10
@@ -125,7 +127,7 @@ def test_scalar_with_scatter_feedback_matches_oracle(sigma2):
     oracle = scalar_general_oracle(g * w_entry, (w_entry * profile) ** 2, sigma2)
     assert abs(fp.phi - oracle["phi"]) < 1e-9
     assert abs(complex(fp.g[0, 0]) - oracle["g_c"]) < 1e-9
-    assert abs(complex(fp.g_tilde[0, 0]) - oracle["g_c_tilde"]) < 1e-9
+    assert abs(complex(fp.g_tilde[0, 0, 0]) - oracle["g_c_tilde"]) < 1e-9
     g_eff, _, _ = effective_los(stats, bf)
     value = shannon_sensing(fp, point, stats.dims, g_eff)
     assert abs(value - oracle["shannon"]) < 1e-9
@@ -171,9 +173,9 @@ _BRANCHES = {"sensing": (solve_sensing, residual_sensing), "comm": (solve_comm, 
 
 
 def _nudge(value):
-    """value + 1e-3 max(1, ||value||) I, with I = 1 for a scalar."""
+    """value + 1e-3 max(1, ||value||) I, with I = 1 for a scalar; each block of a stack."""
     step = 1e-3 * max(1.0, float(np.linalg.norm(value)))
-    return value + step * (np.eye(value.shape[0]) if np.ndim(value) else 1.0)
+    return value + step * (np.eye(value.shape[-1]) if np.ndim(value) else 1.0)
 
 
 @pytest.mark.parametrize(
@@ -223,10 +225,10 @@ def test_record_is_a_function_of_its_state(scenario4, beamformer4, branch):
 
 def test_stored_matrices_are_hermitian(scenario4, beamformer4):
     fp = solve_sensing(scenario4, beamformer4, SpectralPoint(-0.2))
-    for a in (fp.g_tilde, fp.g, fp.pi, *fp.psi_tilde_blocks):
+    for a in (*fp.g_tilde, fp.g, fp.pi, *fp.psi_tilde_blocks):
         assert np.linalg.norm(a - a.conj().T) < 1e-10
     fc = solve_comm(scenario4, beamformer4, SpectralPoint(-0.2))
-    for a in (fc.g_tilde, fc.g, fc.psi_tilde_blocks[0], fc.pi):
+    for a in (*fc.g_tilde, fc.g, fc.psi_tilde_blocks[0], fc.pi):
         assert np.linalg.norm(a - a.conj().T) < 1e-10
 
 
@@ -271,7 +273,10 @@ def test_two_initializations_agree(scenario4, beamformer4):
 
 @pytest.mark.parametrize(
     "branch, solve, received, expected",
-    [("sensing", solve_sensing, (6, 6), (8, 8)), ("comm", solve_comm, (6, 6), (4, 4))],
+    [
+        ("sensing", solve_sensing, (2, 3, 3), (2, 4, 4)),
+        ("comm", solve_comm, (1, 6, 6), (1, 4, 4)),
+    ],
 )
 def test_mis_shaped_warm_start_names_branch_and_shapes(
     branch, solve, received, expected, scenario4, beamformer4
@@ -331,8 +336,8 @@ def _nan_pi(psi_t, pi, phi):
     return psi_t, np.full_like(pi, np.nan), phi
 
 
-def _zero_pi(psi_t, pi, phi):
-    return psi_t, np.zeros_like(pi), phi  # exactly singular
+def _zero_psi_tilde(psi_t, pi, phi):
+    return np.zeros_like(psi_t), pi, phi  # every block exactly singular
 
 
 def _break_evaluations(monkeypatch, broken, first, last=math.inf):
@@ -372,10 +377,10 @@ def test_non_finite_evaluation_ends_the_solve_by_name(branch, scenario4, beamfor
 def test_singular_iterate_raises_by_name(branch, scenario4, beamformer4, monkeypatch):
     from isac_mi import SingularMatrixError
 
-    _break_evaluations(monkeypatch, _zero_pi, first=3)
+    _break_evaluations(monkeypatch, _zero_psi_tilde, first=3)
     with pytest.raises(SingularMatrixError) as info:
         _BRANCHES[branch][0](scenario4, beamformer4, SpectralPoint(-0.1))
-    assert info.value.context == _CONTEXTS[branch][0]  # pi is the first inverse
+    assert info.value.context == _CONTEXTS[branch][2]  # the psi_tilde stack is the first inverse
     assert info.value.cond == math.inf
 
 
@@ -412,7 +417,7 @@ def test_shannon_transform_and_gradient_guard_the_psi_tilde_inverses(
         assert info.value.cond == math.inf
 
 
-@pytest.mark.parametrize("broken", [_nan_pi, _zero_pi], ids=["non-finite", "singular"])
+@pytest.mark.parametrize("broken", [_nan_pi, _zero_psi_tilde], ids=["non-finite", "singular"])
 def test_failed_warm_solve_falls_back_to_cold(broken, scenario4, beamformer4, monkeypatch):
     from isac_mi import weighted_mi
 
@@ -426,7 +431,7 @@ def test_failed_warm_solve_falls_back_to_cold(broken, scenario4, beamformer4, mo
 
 @pytest.mark.parametrize(
     "broken, cause",
-    [(_nan_pi, ConvergenceError), (_zero_pi, np.linalg.LinAlgError)],
+    [(_nan_pi, ConvergenceError), (_zero_psi_tilde, np.linalg.LinAlgError)],
     ids=["non-finite", "singular"],
 )
 def test_failed_solves_inside_pga_abort(broken, cause, scenario4, dims4, monkeypatch):
@@ -454,8 +459,8 @@ def test_condition_guard_checks_the_returned_state(branch, scenario4, beamformer
     w = beamformer4.w.copy()
     w[:, -1] = 0.0
     bf = Beamformer(w, beamformer4.p_t)
-    n = {"sensing": 8, "comm": 4}[branch]
-    crafted = (np.eye(4), -1e20 * np.eye(n))
+    num = {"sensing": 2, "comm": 1}[branch]
+    crafted = (np.eye(4), np.broadcast_to(-1e20 * np.eye(4), (num, 4, 4)))
     monkeypatch.setattr(fixedpoint, "_iterate", lambda *args: (crafted, 0.0, 0, (0.0,)))
     with pytest.raises(SingularMatrixError) as info:
         _BRANCHES[branch][0](scenario4, bf, SpectralPoint(-0.1))
@@ -522,11 +527,11 @@ def test_packing_round_trip_and_frobenius_distance():
     from helpers import random_hermitian
 
     rng = np.random.default_rng(3)
-    m, n, w = 3, 5, -0.3
-    packing = _Packing(m, n, w)
+    m, num, n, w = 3, 2, 5, -0.3
+    packing = _Packing(m, num, n, w)
 
     def state():
-        return random_hermitian(m, rng), random_hermitian(n, rng)
+        return random_hermitian(m, rng), np.stack([random_hermitian(n, rng) for _ in range(num)])
 
     a, b = state(), state()
     for blocks in (a, b):
@@ -544,7 +549,7 @@ def test_packing_round_trip_and_frobenius_distance():
     for block in range(2):
         broken = list(a)
         broken[block] = broken[block].copy()
-        broken[block][0, 0] = np.nan
+        broken[block].flat[0] = np.nan
         assert math.isnan(packing.residual(packing.pack(*broken), gx)), block
 
 
@@ -610,16 +615,35 @@ def test_system_maps_match_the_dense_correlation_oracle(num_scatter):
     ):
         n = system.n_rx
         dense = [dense_correlation(s) for s in channels]
-        g, g_tilde = random_psd(8, rng), random_hermitian(len(channels) * n, rng)
+        g, g_tilde = random_psd(8, rng), np.stack([random_hermitian(n, rng) for _ in channels])
         blocks = system.psi_tilde_blocks(g)
         assert len(blocks) == len(channels)
         for block, k in zip(blocks, dense):
             assert close(block, w_arg * np.eye(n) - np.einsum("abcd,cd->ab", k, w @ g @ w.conj().T))
-        raw = sum(
-            np.einsum("abcd,ab->cd", k.conj(), g_tilde[n * l : n * (l + 1), n * l : n * (l + 1)])
-            for l, k in enumerate(dense)
-        )
+        raw = sum(np.einsum("abcd,ab->cd", k.conj(), block) for block, k in zip(g_tilde, dense))
         assert close(system.psi(g_tilde), -w.conj().T @ raw @ w)
         fp = FixedPoint(g, g_tilde, tuple(blocks), np.eye(8), 1.0, 0.0, 0, ())
         los_w_g = _los_term(system.h_raw, fp.psi_tilde_blocks, "los") @ w @ g
         assert close(system.gradient_term(fp) + los_w_g, -raw @ w @ g)
+
+
+@pytest.mark.parametrize("branch", ["sensing", "comm"])
+def test_rhs_inverts_only_the_psi_tilde_stack_and_one_m_by_m_matrix(branch, monkeypatch):
+    from isac_mi import fixedpoint
+
+    dims = SystemDims(**_NON_SQUARE)  # L n_r = 32, n_r = 16, n_u = 8, m = 8
+    stats = generate_scenario(dims, 1.0, seed=7)
+    bf = default_beamformer(dims, float(dims.n_t))
+    make = {"sensing": fixedpoint._sensing_system, "comm": fixedpoint._comm_system}[branch]
+    system = make(stats, bf, -0.1)
+    num, n, m = system.num_channels, system.n_rx, system.m
+    inverted = []
+
+    def recording(a, context):
+        inverted.append(np.shape(a))
+        return original(a, context)
+
+    original = fixedpoint._lu_inverse
+    monkeypatch.setattr(fixedpoint, "_lu_inverse", recording)
+    system.rhs(np.eye(m), np.broadcast_to(np.eye(n) / -0.1, (num, n, n)))
+    assert inverted == [(num, n, n), (m, m)]  # neither pi nor the (L n_r)^2 receive side

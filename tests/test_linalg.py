@@ -46,3 +46,21 @@ def test_well_conditioned_indefinite_matrix_inverts():
     x = inv_herm(a, "test equation")
     assert np.linalg.norm(a @ x - np.eye(12)) <= 1e-12
 
+
+
+def test_hermitian_part_and_guard_act_on_each_matrix_of_a_stack():
+    from isac_mi._linalg import herm, min_eigval
+
+    rng = np.random.default_rng(5)
+    for n in (2, 3):
+        a = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        expected = np.stack([0.5 * (block + block.conj().T) for block in a])
+        np.testing.assert_array_equal(herm(a), expected)
+        np.testing.assert_array_equal(herm(expected), expected)  # Hermitian blocks are fixed
+        assert min_eigval(expected) == min(np.linalg.eigvalsh(b).min() for b in expected)
+    # each block has condition number 1; only across blocks is the ratio 1e15
+    stack = np.stack([np.eye(2), 1e-15 * np.eye(2)]).astype(complex)
+    np.testing.assert_allclose(inv_herm(stack, "test equation"), np.stack([np.eye(2), 1e15 * np.eye(2)]))
+    with pytest.raises(SingularMatrixError) as info:
+        inv_herm(np.stack([np.eye(2), np.diag([1.0, 0.0])]).astype(complex), "test equation")
+    assert info.value.cond == np.inf

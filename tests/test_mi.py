@@ -158,7 +158,7 @@ def test_derivative_identity_rejects_bad_args(scenario4, beamformer4):
 def test_corrupted_fixed_point_raises_non_real(scenario4, beamformer4):
     point = SpectralPoint(-0.5)
     fp = solve_sensing(scenario4, beamformer4, point)
-    bad = dataclasses.replace(fp, g_tilde=fp.g_tilde + 1e-3j * np.eye(8))
+    bad = dataclasses.replace(fp, g_tilde=fp.g_tilde + 1e-3j * np.eye(4))  # each block
     g_eff, _, _ = effective_los(scenario4, beamformer4)
     with pytest.raises(NonRealShannonError):
         shannon_sensing(bad, point, scenario4.dims, g_eff)

@@ -7,7 +7,8 @@ point must converge to a fixed point with the resolvent sign structure and
 self-consistent stored equations.  A few of these points also check that the
 MIs are stationary in the solver residual, the derivative identity and the
 closed form against Monte Carlo, and that the solved state meets its equations
-evaluated in extended precision.
+evaluated in extended precision.  On every shape and L the iterates' Woodbury
+right-hand side must equal the direct form of the equations.
 """
 
 import itertools
@@ -89,6 +90,35 @@ def test_grid_point_converges_to_a_consistent_fixed_point(
     assert residual_comm(fp_c, stats, bf, point_c) <= 1e-10
 
 
+@pytest.mark.parametrize("num_scatter", [1, 2, 4])
+@pytest.mark.parametrize("shape", _SHAPES, ids=lambda s: f"{'/'.join(map(str, s[:3]))},m={s[3]}")
+def test_woodbury_rhs_equals_the_direct_resolvents(shape, num_scatter):
+    # the iterates' right-hand side against the direct form that the guarded
+    # final pass and the residual check evaluate, at the fixed point and at
+    # random states inside the sign cone (g > 0, every g_tilde block < 0)
+    from helpers import random_psd
+
+    stats, bf, noise = _setup(shape, num_scatter, 4 * shape[3], 1.0, 30.0)
+    _, fp_s, fp_c = weighted_mi(stats, bf, noise, 0.5, return_fixed_points=True)
+    rng = np.random.default_rng(num_scatter)
+    for make, sigma2, fp in (
+        (_sensing_system, noise.sigma_s2, fp_s),
+        (_comm_system, noise.sigma_c2, fp_c),
+    ):
+        system = make(stats, bf, -sigma2)
+        m, num, n = system.m, system.num_channels, system.n_rx
+        states = [(fp.g, fp.g_tilde)] + [
+            (random_psd(m, rng), -np.stack([random_psd(n, rng) for _ in range(num)]) / sigma2)
+            for _ in range(3)
+        ]
+        for g, g_tilde in states:
+            assert system.in_cone(g, g_tilde)
+            psi_t, pi, _ = system.self_energies(g, g_tilde)
+            for got, want in zip(system.rhs(g, g_tilde), system.resolvents(psi_t, pi)):
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), system.branch
+
+
 @pytest.mark.parametrize(
     _PARAMS,
     [_point((16, 16, 16, 16), 1, 16, 1.0, 20.0), _point((16, 16, 16, 16), 4, 64, 1.0, 0.0)],
@@ -144,7 +174,8 @@ def _refined_inverse(a: np.ndarray) -> np.ndarray:
 
 def _exact_rhs(system, g, g_tilde):
     """(rhs_g, rhs_g_tilde) of the system evaluated in clongdouble, with the resolvent
-    pair ((blockdiag A - h B^-1 h')^-1, (B - sum_l h_l' A_l^-1 h_l)^-1) written out."""
+    pair ((B - sum_l h_l' A_l^-1 h_l)^-1, (blockdiag A - h B^-1 h')^-1) written out in
+    the direct form; rhs_g_tilde is the stack of the latter's diagonal blocks."""
     g, g_tilde = (np.asarray(a, dtype=np.clongdouble) for a in (g, g_tilde))
     psi_t, pi, _ = system.self_energies(g, g_tilde)
     h = system.h_eff.astype(np.clongdouble)
@@ -156,7 +187,8 @@ def _exact_rhs(system, g, g_tilde):
         h_l = h[l * n : (l + 1) * n]
         los += h_l.conj().T @ _refined_inverse(block) @ h_l
     g_tilde_rhs = _refined_inverse(a - h @ _refined_inverse(pi) @ h.conj().T)
-    return _refined_inverse(pi - los), g_tilde_rhs
+    diagonal = [g_tilde_rhs[l * n : (l + 1) * n, l * n : (l + 1) * n] for l in range(len(psi_t))]
+    return _refined_inverse(pi - los), np.stack(diagonal)
 
 
 @pytest.mark.skipif(
