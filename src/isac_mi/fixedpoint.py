@@ -242,7 +242,8 @@ def _iterate(system, start, opts: SolverOptions):
     Returns (state, residual, iterations, history) at the first iterate whose
     residual meets opts.tol, after the conditional polish step.  The right-hand
     side is evaluated through unguarded LU inverses (`_solve` guards the
-    returned state); a non-finite residual ends the iteration at once.
+    returned state); a non-finite residual ends the iteration at once, naming the
+    spectral point w = -sigma^2.
     """
     packing = system.packing
     x = packing.pack(*start)
@@ -264,7 +265,7 @@ def _iterate(system, start, opts: SolverOptions):
         state, gx, residual = evaluate(x)
         history.append(residual)
         if not math.isfinite(residual):
-            reason = "produced a non-finite evaluation"
+            reason = f"produced a non-finite evaluation at w = {system.w:.3e}"
             raise ConvergenceError(system.branch, it, residual, reason, history)
         if residual <= opts.tol:
             polished = evaluate(gx)

@@ -3,9 +3,15 @@
 Samples channel and symbol realizations, evaluates the exact finite-size
 mutual informations by log-determinants, and estimates expectations,
 resolvent traces and eigenvalue ECDFs.  Every draw is a pure function of
-(scenario seed, trial index).  Trials run serially: each draws its channels
-and yields the Gram eigenvalues of one branch, from which every estimator
-reduces.
+(scenario seed, trial index).  Trials are drawn one at a time, in index
+order, and evaluated in blocks of `_BLOCK`: the block's products and one
+`eigvalsh` run stacked, on the smaller side of each Gram matrix, and every
+estimator reduces from the Gram eigenvalues of one branch.  The block bounds
+the memory of a run, whatever the trial count.  Each branch draws its
+trial's channels itself through `sample_channels`, so every trial of
+`mi_curves` draws them twice: one draw per trial changes what the benchmark
+reads as `montecarlo.draws_per_trial` and waits for the change that
+re-baselines it.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .model import _check_count, _integral_seed
 
 _CHANNEL_STREAM = 0
 _SYMBOL_STREAM = 1
+_BLOCK = 32  # trials per stacked evaluation: bounds a run's memory at any trial count
 
 
 @dataclass(frozen=True)
@@ -40,10 +47,19 @@ def _trial_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...], n: int) -> np.ndarray:
+    """i.i.d. CN(0, 1/n) entries (x + iy) / sqrt(2n), every x drawn before every y."""
+    z = rng.standard_normal((2, *shape))
+    z *= 1.0 / math.sqrt(2.0 * n)  # rounds as numpy's division of x + iy by a real does
+    p = np.empty(shape, dtype=complex)
+    p.real, p.imag = z
+    return p
+
+
 def _draw_weichselberger(s: WeichselbergerStats, n_t: int, rng: np.random.Generator) -> np.ndarray:
-    shape = s.mean.shape
-    p = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0 * n_t)
-    return s.mean + s.left_unitary @ (s.variance_profile * p) @ s.right_unitary.conj().T
+    p = _complex_normal(rng, s.mean.shape, n_t)
+    p *= s.variance_profile
+    return s.mean + s.left_unitary @ p @ s.right_unitary.conj().T
 
 
 def sample_channels(stats: ScenarioStats, trial: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -57,19 +73,21 @@ def sample_channels(stats: ScenarioStats, trial: int) -> tuple[np.ndarray, list[
 def sample_symbols(dims: SystemDims, trial: int, seed: int = 0) -> np.ndarray:
     """Symbol block S (m, n_s) with i.i.d. CN(0, 1/n_s) entries, so E[SS'] = I_m."""
     rng = _trial_rng(seed, trial, _SYMBOL_STREAM)
-    shape = (dims.m, dims.n_s)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(
-        2.0 * dims.n_s
-    )
+    return _complex_normal(rng, (dims.m, dims.n_s), dims.n_s)
 
 
-def _gram_eigvals(channels: Iterable[np.ndarray], w_bf: Beamformer, s=None) -> np.ndarray:
-    """Eigenvalues, ascending, of the Hermitian PSD Gram matrix A A', where A
-    stacks the beamformed channels X_l W, times the symbol block S if given."""
-    a = np.vstack([x @ w_bf.w for x in channels])
-    a = a if s is None else a @ s
-    b = a @ a.conj().T
-    return np.linalg.eigvalsh(0.5 * (b + b.conj().T))
+def _gram_eigvals(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian PSD Gram matrix A A' of each A in the stack
+    a (k, rows, cols), `rows` per matrix, taken on the smaller side: when A has
+    more rows than columns, those of A'A behind the rows - cols structural zeros."""
+    rows, cols = a.shape[-2:]
+    if rows > cols:
+        a = a.conj().swapaxes(-1, -2)
+    b = a @ a.conj().swapaxes(-1, -2)
+    evals = np.linalg.eigvalsh(0.5 * (b + b.conj().swapaxes(-1, -2)))
+    if rows <= cols:
+        return evals
+    return np.concatenate([np.zeros(evals.shape[:-1] + (rows - cols,)), evals], axis=-1)
 
 
 def _logdet_from_eigvals(evals: np.ndarray, sigma2: float) -> np.ndarray:
@@ -86,32 +104,42 @@ def finite_mi_sensing(
     """Exact sensing MI logdet(I + Ghat S S' Ghat'/sigma2) in nats, Ghat stacking G_l W."""
     if sigma_s2 <= 0.0:
         raise ValueError("sigma_s2 must be positive")
-    return float(_logdet_from_eigvals(_gram_eigvals(g_list, w_bf, s), sigma_s2))
+    a = np.vstack(list(g_list)) @ w_bf.w @ s
+    return float(_logdet_from_eigvals(_gram_eigvals(a[None]), sigma_s2)[0])
 
 
 def finite_mi_comm(h_c: np.ndarray, w_bf: Beamformer, sigma_c2: float) -> float:
     """Exact communication MI logdet(I + H W W' H'/sigma2) in nats."""
     if sigma_c2 <= 0.0:
         raise ValueError("sigma_c2 must be positive")
-    return float(_logdet_from_eigvals(_gram_eigvals((h_c,), w_bf), sigma_c2))
+    return float(_logdet_from_eigvals(_gram_eigvals((h_c @ w_bf.w)[None]), sigma_c2)[0])
 
 
-def _trial_eigvals(stats: ScenarioStats, w_bf: Beamformer, trial: int, branch: str) -> np.ndarray:
-    """Gram eigenvalues of one trial's sensing or comm matrix.
-
-    Draws the channels; the symbols only for the sensing branch.
-    """
-    h_c, g_list = sample_channels(stats, trial)
+def _block_matrices(
+    stats: ScenarioStats, w_bf: Beamformer, block: range, branch: str
+) -> np.ndarray:
+    """The stack (k, rows, cols) of the matrices A, A A' the Gram matrix, of one
+    branch over a block of k trials.  Each trial draws its channels, and its
+    symbols only for the sensing branch; the draws are freed on return, before
+    the Gram products."""
     if branch == "sensing":
-        return _gram_eigvals(g_list, w_bf, sample_symbols(stats.dims, trial, seed=stats.seed))
-    return _gram_eigvals((h_c,), w_bf)
+        g = np.array([sample_channels(stats, t)[1] for t in block])  # (k, L, n_r, n_t)
+        s = np.array([sample_symbols(stats.dims, t, seed=stats.seed) for t in block])
+        return g.reshape(len(block), -1, stats.dims.n_t) @ w_bf.w @ s
+    return np.array([sample_channels(stats, t)[0] for t in block]) @ w_bf.w
 
 
 def _branch_eigvals(
     stats: ScenarioStats, w_bf: Beamformer, trials: int, branch: str
 ) -> np.ndarray:
-    """The (trials, n) array of every trial's Gram eigenvalues for one branch."""
-    return np.array([_trial_eigvals(stats, w_bf, t, branch) for t in range(trials)])
+    """The (trials, n) array of every trial's Gram eigenvalues for one branch,
+    n = L n_r (sensing) or n_u (comm), evaluated `_BLOCK` trials at a time."""
+    dims = stats.dims
+    evals = np.empty((trials, dims.num_scatter * dims.n_r if branch == "sensing" else dims.n_u))
+    for first in range(0, trials, _BLOCK):
+        block = range(first, min(first + _BLOCK, trials))
+        evals[first : block.stop] = _gram_eigvals(_block_matrices(stats, w_bf, block, branch))
+    return evals
 
 
 # quantity -> (branch, MI or resolvent)
@@ -164,10 +192,11 @@ def mi_curves(
 ) -> tuple[list[McEstimate], list[McEstimate]]:
     """MC sensing and communication MI over an SNR grid, reusing realizations.
 
-    Keeps the eigenvalues of both Gram matrices of every trial and
-    evaluates every noise power from them; identical trial streams to
-    `estimate`, so the means agree exactly with per-SNR calls.  Each branch
-    draws its trial's channels itself, so every trial draws them twice.
+    Keeps the eigenvalues of both Gram matrices of every trial, computed a
+    block of trials at a time on the smaller side, and evaluates every noise
+    power from them; identical trial streams to `estimate`, so the means agree
+    exactly with per-SNR calls.  Each branch draws its trial's channels itself
+    through `sample_channels`, so every trial draws them twice.
     """
     _check_count(trials, "trials", 2)
     evals_s = _branch_eigvals(stats, w_bf, trials, "sensing")

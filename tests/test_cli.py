@@ -302,6 +302,15 @@ def test_solver_failure_exits_two(tmp_path, capsys):
     assert "numerical failure during verify" in err
 
 
+def test_non_finite_failure_names_the_noise_power(tmp_path, capsys):
+    doc = dict(TINY, noise={"snr_db_grid": [3100.0], "snr_db": 10.0})
+    cfg_path = _write_config(tmp_path, doc)
+    code = main(["verify", "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "sensing fixed point produced a non-finite evaluation at w = -1.000e-308" in err
+
+
 def test_convergence_command_schema(tmp_path):
     cfg_path = _write_config(tmp_path, TINY)
     assert main(["convergence", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0

@@ -647,3 +647,10 @@ def test_rhs_inverts_only_the_psi_tilde_stack_and_one_m_by_m_matrix(branch, monk
     monkeypatch.setattr(fixedpoint, "_lu_inverse", recording)
     system.rhs(np.eye(m), np.broadcast_to(np.eye(n) / -0.1, (num, n, n)))
     assert inverted == [(num, n, n), (m, m)]  # neither pi nor the (L n_r)^2 receive side
+
+
+def test_non_finite_failure_names_the_spectral_point(scenario4, beamformer4):
+    # sigma^2 = 1e-310 is a valid noise power, but 1/w overflows at the start
+    with pytest.raises(ConvergenceError) as info:
+        solve_comm(scenario4, beamformer4, SpectralPoint(-1e-310))
+    assert "comm fixed point produced a non-finite evaluation at w = -1.000e-310" in str(info.value)

@@ -20,6 +20,7 @@ from isac_mi import (
     sample_symbols,
     solve_comm,
 )
+from isac_mi.montecarlo import _BLOCK
 from helpers import zero_scenario
 
 
@@ -184,18 +185,43 @@ def test_estimate_relative_error_at_headline_scale(scenario16, beamformer16):
     assert mc_s[0].std_error / mc_s[0].mean < 0.01
 
 
-def test_estimate_matches_public_finite_mi(scenario4, beamformer4):
-    noise = NoiseConfig(10.0)
-    trials = 24
-    ref_s, ref_c = [], []
+def _full_side_resolvent(a: np.ndarray, sigma2: float) -> float:
+    """-(1/n) Tr (A A' + sigma2 I)^-1: the resolvent trace at w = -sigma2 on the
+    full n x n side of the Gram matrix."""
+    n = a.shape[0]
+    return -float(np.trace(np.linalg.inv(a @ a.conj().T + sigma2 * np.eye(n))).real) / n
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [
+        SystemDims(n_t=4, n_r=4, n_u=4, num_scatter=2, m=3, n_s=5),  # L n_r > n_s
+        SystemDims(n_t=4, n_r=2, n_u=3, num_scatter=2, m=3, n_s=6),  # L n_r < n_s
+        SystemDims(n_t=4, n_r=3, n_u=5, num_scatter=1, m=2, n_s=4),  # n_u > m
+    ],
+    ids=["tall-sensing", "wide-sensing", "tall-comm"],
+)
+@pytest.mark.parametrize("trials", [_BLOCK + 1, 2 * _BLOCK + 3])
+def test_estimate_matches_public_finite_mi(dims, trials):
+    # the block path against a per-trial loop of the public MIs and full-side traces
+    stats = generate_scenario(dims, 1.0, seed=5)
+    bf = default_beamformer(dims, float(dims.m))
+    noise = NoiseConfig(5.0)
+    ref = {q: [] for q in ("mi_s", "mi_c", "resolvent_s", "resolvent_c")}
     for t in range(trials):
-        h_c, g_list = sample_channels(scenario4, t)
-        s = sample_symbols(scenario4.dims, t, seed=scenario4.seed)
-        ref_s.append(finite_mi_sensing(g_list, s, beamformer4, noise.sigma_s2))
-        ref_c.append(finite_mi_comm(h_c, beamformer4, noise.sigma_c2))
-    for quantity, ref in (("mi_s", ref_s), ("mi_c", ref_c)):
-        est = estimate(scenario4, beamformer4, noise, quantity, trials=trials)
-        assert abs(est.mean - np.mean(ref)) <= 1e-12 * abs(np.mean(ref))
+        h_c, g_list = sample_channels(stats, t)
+        s = sample_symbols(dims, t, seed=stats.seed)
+        ref["mi_s"].append(finite_mi_sensing(g_list, s, bf, noise.sigma_s2))
+        ref["mi_c"].append(finite_mi_comm(h_c, bf, noise.sigma_c2))
+        a_s = np.vstack([g @ bf.w for g in g_list]) @ s
+        ref["resolvent_s"].append(_full_side_resolvent(a_s, noise.sigma_s2))
+        ref["resolvent_c"].append(_full_side_resolvent(h_c @ bf.w, noise.sigma_c2))
+    for quantity, values in ref.items():
+        est = estimate(stats, bf, noise, quantity, trials=trials)
+        assert est.trials == trials
+        assert abs(est.mean - np.mean(values)) <= 1e-12 * abs(np.mean(values)), quantity
+    for branch, n in (("sensing", dims.num_scatter * dims.n_r), ("comm", dims.n_u)):
+        assert len(eigen_ecdf(stats, bf, noise, branch, trials).eigenvalues) == trials * n
 
 
 def test_estimate_rejects_bad_args(scenario4, beamformer4):
@@ -240,3 +266,30 @@ def test_ecdf_integral_equals_mean_finite_mi(scenario4, beamformer4):
     est = estimate(scenario4, beamformer4, noise, "mi_s", trials=trials)
     ln_r = scenario4.dims.num_scatter * scenario4.dims.n_r
     assert abs(integral - est.mean / ln_r) <= 1e-9 * abs(integral)
+
+
+def test_ecdf_keeps_the_structural_zeros_exact(scenario4, beamformer4):
+    # the sensing Gram is 8 x 8 of rank m = n_s = 4: half of every trial's spectrum
+    # is the structural zero, which the full side returns as +-1e-14 roundoff
+    dims = scenario4.dims
+    assert dims.m >= min(dims.num_scatter * dims.n_r, dims.n_s)
+    ecdf = eigen_ecdf(scenario4, beamformer4, NoiseConfig(0.0), "sensing", trials=200)
+    assert ecdf.eigenvalues.min() == 0.0
+    assert ecdf(0.0) == 0.5
+
+
+def test_eigvalsh_never_sees_more_than_one_block(scenario4, beamformer4, monkeypatch):
+    # the stacked Gram matrices of a run are held one block at a time
+    original = np.linalg.eigvalsh
+    leading = []
+
+    def recording(a, *args, **kwargs):
+        assert np.ndim(a) == 3
+        leading.append(np.shape(a)[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    trials = 10 * _BLOCK
+    mc_s, mc_c = mi_curves(scenario4, beamformer4, [NoiseConfig(10.0)], trials)
+    assert mc_s[0].trials == mc_c[0].trials == trials
+    assert sum(leading) == 2 * trials and max(leading) <= _BLOCK
