@@ -43,11 +43,12 @@ def hermitize(a: np.ndarray, tol: float = 1e-8, context: str = "operator input")
     return a - skew
 
 
-def inv_herm(a: np.ndarray, context: str) -> np.ndarray:
+def inv_herm(a, context: str) -> np.ndarray:
     """LU inverse of the Hermitian part of `a`, guarded by its condition number
     max|lambda| / min|lambda| from the eigenvalues (so indefinite matrices invert);
-    of a stack (..., n, n), each matrix guarded by its own condition number."""
-    a = herm(a)
+    of a stack (..., n, n), or a sequence of n x n matrices, each matrix guarded
+    by its own condition number."""
+    a = herm(np.asarray(a))
     evals = np.abs(np.linalg.eigvalsh(a))
     amax, amin = evals.max(axis=-1), evals.min(axis=-1)
     if np.any(amin == 0.0):

@@ -25,8 +25,10 @@ psi_tilde the Woodbury identity gives them directly,
 
 so an iterate (`_System.rhs`) inverts only the psi_tilde stack and the m x m
 matrix pi - LoS, never pi or the (L n_rx)^2 receive-side matrix.  The LoS term
-sum_l h_l' psi_tilde_l^-1 h_l under the guard is `_los_term`, which also serves
-the Shannon transform of both branches and the PGA gradient.  The symbol-block variables are closed-form
+sum_l h_l' psi_tilde_l^-1 h_l is written once, `_los`, from a stack of inverses:
+the iterate passes its LU inverses, and the guarded pass, the Shannon transform
+of both branches and the PGA gradient each pass one guarded inverse of the
+psi_tilde stack.  The symbol-block variables are closed-form
 functions of phi and g: g_d = 1/phi, phi_tilde = -1/phi and g_dd = -phi I + phi^2 g,
 so the scalar chain phi = 1 - Tr(g_dd)/n_s has the closed form
 phi = 2 / (b + sqrt(b^2 + 4 Tr g / n_s)), b = 1 - m/n_s, its positive root, which is
@@ -55,11 +57,12 @@ Boyd (SIAM J. Optim. 2020):
 
 The iterates evaluate the right-hand side through plain LU inverses, which
 raise `SingularMatrixError` only on an exactly singular matrix; a non-finite
-residual ends the iteration at once with a `ConvergenceError`.  The 1e14
-condition guard of `inv_herm` runs once per solve, on one evaluation of the
-direct form at the returned state (pi, the receive-side matrix, each psi_tilde_l
-and pi - LoS), and again in the Shannon transform (`_los_term`) and the PGA
-gradient (`gradient_term`).
+residual ends the iteration at once with a `ConvergenceError` (numpy's
+floating-point warnings are silenced up to then, since the error names the
+failure).  The 1e14 condition guard of `inv_herm` runs once per solve, on one
+evaluation of the direct form at the returned state (pi, the receive-side
+matrix, the psi_tilde stack and pi - LoS), and again on the psi_tilde stack in
+the Shannon transform and the PGA gradient (`gradient_term`).
 
 Sign structure at w < 0 (enforced on return, block by block): each g_tilde_l
 is a negative definite resolvent-type block and g a positive definite
@@ -148,17 +151,17 @@ class FixedPoint:
 
     Sensing: g = G_c (m, m), g_tilde the (L, n_r, n_r) stack of the diagonal
     blocks of G~_c (its off-diagonal blocks enter no equation and are not
-    formed), psi_tilde_blocks the L blocks Psi~_l (n_r, n_r), pi = Pi and
+    formed), psi_tilde_blocks the (L, n_r, n_r) stack of Psi~_l, pi = Pi and
     phi = phi (phi I_{n_s} as a scalar).  The other symbol-block variables are
     functions of phi and g and are not stored: g_d = (1/phi) I_{n_s},
     phi_tilde = (-1/phi) I_m, g_dd = -phi I + phi^2 g and psi = pi - phi I.
-    Communication: g = G_e (m, m), g_tilde = G~_e as a (1, n_u, n_u) stack,
-    psi_tilde_blocks = (Omega~,), pi = Omega and phi = 1 (n_s = inf).
+    Communication: g = G_e (m, m), g_tilde = G~_e and psi_tilde_blocks = Omega~,
+    each as a (1, n_u, n_u) stack, pi = Omega and phi = 1 (n_s = inf).
     """
 
     g: np.ndarray  # (m, m) Hermitian, positive definite
     g_tilde: np.ndarray  # (L, n_rx, n_rx), each block Hermitian, negative definite
-    psi_tilde_blocks: tuple[np.ndarray, ...]  # one (n_rx, n_rx) block per channel
+    psi_tilde_blocks: np.ndarray  # (L, n_rx, n_rx), one block per channel
     pi: np.ndarray  # (m, m)
     phi: float
     residual: float
@@ -303,11 +306,11 @@ def _iterate(system, start, opts: SolverOptions):
     raise ConvergenceError(system.branch, opts.max_iter, residual, history=history)
 
 
-def _los_term(h: np.ndarray, a_blocks, context: str) -> np.ndarray:
-    """sum_l h_l' A_l^-1 h_l over the L equal row blocks h_l of h, L = len(a_blocks),
-    each A_l^-1 through the guarded `inv_herm`."""
-    rows = h.reshape(len(a_blocks), -1, h.shape[1])
-    return sum(h_l.conj().T @ inv_herm(a, context) @ h_l for h_l, a in zip(rows, a_blocks))
+def _los(h: np.ndarray, d_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_l h_l' D_l^-1 h_l, the D_l^-1 h_l stack) over the L equal row blocks h_l
+    of h, from the (L, n, n) stack of inverses D_l^-1."""
+    d_inv_h = d_inv @ h.reshape(len(d_inv), -1, h.shape[1])
+    return h.conj().T @ d_inv_h.reshape(-1, h.shape[1]), d_inv_h
 
 
 class _System:
@@ -362,7 +365,7 @@ class _System:
         blocks = _diagonal_blocks(receive, self.num_channels)
         blocks += psi_t_blocks
         g_tilde = herm(_diagonal_blocks(inv_herm(receive, contexts.g_tilde), self.num_channels))
-        los = _los_term(h, psi_t_blocks, contexts.psi_tilde)
+        los, _ = _los(h, inv_herm(psi_t_blocks, contexts.psi_tilde))
         return herm(inv_herm(pi - los, contexts.g)), g_tilde
 
     def self_energies(self, g, g_tilde):
@@ -377,8 +380,7 @@ class _System:
         pi - LoS are its only inverses."""
         psi_t, pi, _ = self.self_energies(g, g_tilde)
         d_inv = _lu_inverse(psi_t, self.contexts.psi_tilde)
-        d_inv_h = d_inv @ self.h_eff.reshape(self.num_channels, self.n_rx, self.m)  # D_l^-1 h_l
-        los = self.h_eff.conj().T @ d_inv_h.reshape(-1, self.m)  # sum_l h_l' D_l^-1 h_l
+        los, d_inv_h = _los(self.h_eff, d_inv)
         g = herm(_lu_inverse(pi - los, self.contexts.g))
         return g, herm(d_inv + d_inv_h @ g @ d_inv_h.conj().swapaxes(-1, -2))
 
@@ -403,7 +405,7 @@ class _System:
         before its left beamformer."""
         t = self.maps.transmit_diag(fp.g_tilde)
         psi_raw_w = -assemble(self.maps.transmit, t, self.beamformed)
-        los = _los_term(self.h_raw, fp.psi_tilde_blocks, self.contexts.psi_tilde)
+        los, _ = _los(self.h_raw, inv_herm(fp.psi_tilde_blocks, self.contexts.psi_tilde))
         return (psi_raw_w - los @ self.w_bf.w) @ fp.g
 
 
@@ -424,21 +426,23 @@ def _solve(system: _System, initial: FixedPoint | None, opts: SolverOptions) -> 
     solution), guard every inverse of one evaluation at the returned state and
     check the sign structure."""
     blocks = system.packing.blocks
-    if initial is None:
-        start = (np.eye(system.m), np.broadcast_to(np.eye(system.n_rx) / system.w, blocks))
-    else:
-        start = (initial.g, initial.g_tilde)
-    shapes, expected = tuple(np.shape(b) for b in start), ((system.m, system.m), blocks)
-    if shapes != expected:
-        branch = system.branch
-        raise ValueError(f"{branch} warm start has (g, g_tilde) shapes {shapes}, expected {expected}")
-    (g, g_tilde), residual, it, history = _iterate(system, start, opts)
+    # a non-finite residual ends the iteration by name, so numpy's warnings up to it are noise
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if initial is None:
+            start = (np.eye(system.m), np.broadcast_to(np.eye(system.n_rx) / system.w, blocks))
+        else:
+            start = (initial.g, initial.g_tilde)
+        shapes, expected = tuple(np.shape(b) for b in start), ((system.m, system.m), blocks)
+        if shapes != expected:
+            branch = system.branch
+            raise ValueError(f"{branch} warm start has (g, g_tilde) shapes {shapes}, expected {expected}")
+        (g, g_tilde), residual, it, history = _iterate(system, start, opts)
     psi_t, pi, phi = system.self_energies(g, g_tilde)
     system.resolvents(psi_t, pi)  # guarded: an ill-conditioned inverse raises
     if min_eigval(-g_tilde) < SIGN_EIG_FLOOR or min_eigval(g) < SIGN_EIG_FLOOR:
         reason = "violated the resolvent sign structure"
         raise ConvergenceError(system.branch, it, residual, reason, history)
-    return FixedPoint(g, g_tilde, tuple(psi_t), pi, phi, residual, it, history)
+    return FixedPoint(g, g_tilde, psi_t, pi, phi, residual, it, history)
 
 
 def solve_sensing(

@@ -21,8 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# inv_herm is unused here but stays bound: bench/tracer.py wraps isac_mi.mi.inv_herm by name
-from ._linalg import SingularMatrixError, inv_herm, logdet_phased  # noqa: F401
+from ._linalg import SingularMatrixError, inv_herm, logdet_phased
 from .fixedpoint import (
     ConvergenceError,
     FixedPoint,
@@ -30,7 +29,7 @@ from .fixedpoint import (
     SpectralPoint,
     _CONTEXTS,
     _comm_system,
-    _los_term,
+    _los,
     _sensing_system,
     solve_comm,
     solve_sensing,
@@ -87,7 +86,7 @@ def _symbol_block_terms(phi: float, tr_g: complex, m: int, n_s: float) -> comple
 def _shannon(branch, fp: FixedPoint, h, n_s, w) -> float:
     """Per-dimension Shannon transform V / rows(h) of one system at the stored state of `fp`."""
     blocks = fp.psi_tilde_blocks
-    total = logdet_phased(fp.pi - _los_term(h, blocks, _CONTEXTS[branch].psi_tilde))
+    total = logdet_phased(fp.pi - _los(h, inv_herm(blocks, _CONTEXTS[branch].psi_tilde))[0])
     for g_tilde_l, block in zip(fp.g_tilde, blocks):
         total += logdet_phased(block / w)
         total += np.trace(g_tilde_l @ (w * np.eye(len(block)) - block))

@@ -294,7 +294,7 @@ def generate_scenario(
     for identical (dims, kappa, seed, geometry).
     """
     validate(dims)
-    if not (rician_kappa > 0.0) and not math.isinf(rician_kappa):
+    if not rician_kappa > 0.0:
         raise ValueError(f"rician_kappa must be positive or inf, got {rician_kappa!r}")
     geometry = geometry or GeometryConfig()
     seed = _integral_seed(seed)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,9 +215,8 @@ def test_record_is_a_function_of_its_state(scenario4, beamformer4, branch):
     psi_t_rhs, pi_rhs, phi_rhs = make_system(scenario4, beamformer4, point.w).self_energies(
         fp.g, fp.g_tilde
     )
-    assert len(fp.psi_tilde_blocks) == len(psi_t_rhs)
-    for stored, rhs in zip(fp.psi_tilde_blocks, psi_t_rhs):
-        assert np.array_equal(stored, rhs)
+    assert fp.psi_tilde_blocks.shape == psi_t_rhs.shape == fp.g_tilde.shape
+    assert np.array_equal(fp.psi_tilde_blocks, psi_t_rhs)
     assert np.array_equal(fp.pi, pi_rhs)
     assert fp.phi == phi_rhs
     if branch == "comm":
@@ -594,9 +594,9 @@ def test_sensing_without_symbol_block_is_the_comm_system():
 
 @pytest.mark.parametrize("num_scatter", [1, 4])
 def test_system_maps_match_the_dense_correlation_oracle(num_scatter):
-    # psi_tilde_blocks, psi and the raw transmit side of gradient_term, of both
-    # branches, against E[X C X'] and E[X' C X] summed entry by entry
-    from isac_mi.fixedpoint import FixedPoint, _comm_system, _los_term, _sensing_system
+    # psi_tilde_blocks, psi and gradient_term, of both branches, against E[X C X']
+    # and E[X' C X] summed entry by entry and a per-block LoS term
+    from isac_mi.fixedpoint import FixedPoint, _comm_system, _sensing_system
     from helpers import dense_correlation, random_hermitian, random_psd
 
     dims = SystemDims(n_t=32, n_r=16, n_u=8, num_scatter=num_scatter, m=8, n_s=16)
@@ -622,8 +622,10 @@ def test_system_maps_match_the_dense_correlation_oracle(num_scatter):
             assert close(block, w_arg * np.eye(n) - np.einsum("abcd,cd->ab", k, w @ g @ w.conj().T))
         raw = sum(np.einsum("abcd,ab->cd", k.conj(), block) for block, k in zip(g_tilde, dense))
         assert close(system.psi(g_tilde), -w.conj().T @ raw @ w)
-        fp = FixedPoint(g, g_tilde, tuple(blocks), np.eye(8), 1.0, 0.0, 0, ())
-        los_w_g = _los_term(system.h_raw, fp.psi_tilde_blocks, "los") @ w @ g
+        fp = FixedPoint(g, g_tilde, blocks, np.eye(8), 1.0, 0.0, 0, ())
+        rows = system.h_raw.reshape(len(blocks), n, -1)
+        los = sum(h_l.conj().T @ np.linalg.inv(b) @ h_l for h_l, b in zip(rows, blocks))
+        los_w_g = los @ w @ g
         assert close(system.gradient_term(fp) + los_w_g, -raw @ w @ g)
 
 
@@ -649,8 +651,83 @@ def test_rhs_inverts_only_the_psi_tilde_stack_and_one_m_by_m_matrix(branch, monk
     assert inverted == [(num, n, n), (m, m)]  # neither pi nor the (L n_r)^2 receive side
 
 
+@pytest.mark.parametrize("num_scatter", [1, 2, 4])
+def test_each_guarded_reader_inverts_the_psi_tilde_stack_in_one_call(num_scatter, monkeypatch):
+    # the final pass inverts pi, the receive side, the psi_tilde stack and pi - LoS,
+    # in that order; the Shannon transform and the gradient invert the stack once each
+    from isac_mi import fixedpoint, mi, shannon_comm, shannon_sensing
+    from isac_mi.optimizer import gradient
+
+    dims = SystemDims(n_t=8, n_r=4, n_u=3, num_scatter=num_scatter, m=2, n_s=8)
+    stats = generate_scenario(dims, 1.0, seed=3)
+    bf = default_beamformer(dims, 8.0)
+    noise = NoiseConfig(10.0)
+    g_eff, h_eff, _ = effective_los(stats, bf)
+    seen = []
+
+    def recording(original):
+        def inv_herm(a, context):
+            seen.append((np.shape(a), context))
+            return original(a, context)
+        return inv_herm
+
+    for module in (fixedpoint, mi):
+        monkeypatch.setattr(module, "inv_herm", recording(module.inv_herm))
+    readers = {  # solver, transform, LoS mean, noise power, number and size of blocks
+        "sensing": (solve_sensing, shannon_sensing, g_eff, noise.sigma_s2, num_scatter, dims.n_r),
+        "comm": (solve_comm, shannon_comm, h_eff, noise.sigma_c2, 1, dims.n_u),
+    }
+    fps = {}
+    for branch, (solve, shannon, h, sigma2, num, n) in readers.items():
+        point, names = SpectralPoint.from_noise_power(sigma2), fixedpoint._CONTEXTS[branch]
+        seen.clear()
+        fps[branch] = solve(stats, bf, point)
+        shapes = [(dims.m, dims.m), (num * n, num * n), (num, n, n), (dims.m, dims.m)]
+        assert seen == list(zip(shapes, names))  # pi, g_tilde, psi_tilde, g
+        seen.clear()
+        shannon(fps[branch], point, dims, h)
+        assert seen == [((num, n, n), names.psi_tilde)]
+    for branch, rho in (("sensing", 1.0), ("comm", 0.0)):
+        seen.clear()
+        gradient(stats, bf, noise, rho, fps["sensing"], fps["comm"])
+        num, n = readers[branch][4:]
+        assert seen == [((num, n, n), fixedpoint._CONTEXTS[branch].psi_tilde)]
+
+
+def test_a_record_with_psi_tilde_blocks_as_a_tuple_evaluates_bitwise_alike(
+    scenario4, beamformer4
+):
+    # a record built with one (n_rx, n_rx) array per channel, not the stack, still evaluates
+    from isac_mi import shannon_comm, shannon_sensing, weighted_mi
+    from isac_mi.optimizer import gradient
+
+    noise, dims = NoiseConfig(10.0), scenario4.dims
+    point_s = SpectralPoint.from_noise_power(noise.sigma_s2)
+    point_c = SpectralPoint.from_noise_power(noise.sigma_c2)
+    g_eff, h_eff, _ = effective_los(scenario4, beamformer4)
+    _, fp_s, fp_c = weighted_mi(scenario4, beamformer4, noise, 0.5, return_fixed_points=True)
+
+    def values(fp_s, fp_c):
+        return (
+            shannon_sensing(fp_s, point_s, dims, g_eff),
+            shannon_comm(fp_c, point_c, dims, h_eff),
+            gradient(scenario4, beamformer4, noise, 0.5, fp_s, fp_c),
+            residual_sensing(fp_s, scenario4, beamformer4, point_s),
+            residual_comm(fp_c, scenario4, beamformer4, point_c),
+        )
+
+    old = [dataclasses.replace(fp, psi_tilde_blocks=tuple(fp.psi_tilde_blocks)) for fp in (fp_s, fp_c)]
+    for stack, blocks in zip(values(fp_s, fp_c), values(*old)):
+        assert np.array_equal(stack, blocks)
+
+
 def test_non_finite_failure_names_the_spectral_point(scenario4, beamformer4):
-    # sigma^2 = 1e-310 is a valid noise power, but 1/w overflows at the start
-    with pytest.raises(ConvergenceError) as info:
-        solve_comm(scenario4, beamformer4, SpectralPoint(-1e-310))
-    assert "comm fixed point produced a non-finite evaluation at w = -1.000e-310" in str(info.value)
+    # sigma^2 = 1e-310 is a valid noise power, but 1/w overflows at the start; the
+    # named error is the only report, with no numpy warning ahead of it
+    for branch, (solve, _) in _BRANCHES.items():
+        with warnings.catch_warnings(), pytest.raises(ConvergenceError) as info:
+            warnings.simplefilter("error")
+            solve(scenario4, beamformer4, SpectralPoint(-1e-310))
+        assert f"{branch} fixed point produced a non-finite evaluation at w = -1.000e-310" in str(
+            info.value
+        )

@@ -80,7 +80,7 @@ def test_generate_scenario_infinite_kappa_is_pure_los(dims4):
 
 
 def test_generate_scenario_rejects_bad_kappa(dims4):
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, -math.inf, math.nan):
         with pytest.raises(ValueError, match="kappa"):
             generate_scenario(dims4, bad, seed=1)
 
