@@ -42,17 +42,26 @@ class ChannelMaps:
         self.profile = profile / profile.shape[-1]
         self.transmit = np.hstack([c.right_unitary for c in channels])  # [V_1 ... V_L]
 
+    def receive_diag(self, basis: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """P_l diag(B_l' c B_l) of every channel, (L, n_rx) real: the eigenvalues of
+        the receive side, whose eigenbasis is U_l."""
+        d = rotated_diag(basis, c).reshape(len(self.receive), -1)
+        return np.einsum("lij,lj->li", self.profile, d)
+
     def receive_side(self, basis: np.ndarray, c: np.ndarray) -> np.ndarray:
         """U_l diag(P_l diag(B_l' c B_l)) U_l' of every channel, stacked (L, n_rx, n_rx):
         E[X_l c X_l'] for B_l = V_l, E[X_l W c W' X_l'] for B_l = W'V_l."""
-        d = rotated_diag(basis, c).reshape(len(self.receive), -1)
-        return assemble(self.receive, np.einsum("lij,lj->li", self.profile, d), self.receive)
+        return assemble(self.receive, self.receive_diag(basis, c), self.receive)
 
     def transmit_diag(self, blocks: np.ndarray) -> np.ndarray:
         """P_l' diag(U_l' c_l U_l) of every block c_l (L, n_rx, n_rx), end to end, so
         that assemble(A, t, B) = sum_l A_l diag(t_l) B_l' and
         assemble(V, t, V) = sum_l E[X_l' c_l X_l]."""
-        d = rotated_diag(self.receive, blocks)
+        return self.transmit_of_diag(rotated_diag(self.receive, blocks))
+
+    def transmit_of_diag(self, d: np.ndarray) -> np.ndarray:
+        """`transmit_diag` of blocks given by their diagonals d_l = diag(U_l' c_l U_l),
+        (L, n_rx) real."""
         return np.einsum("lij,li->lj", self.profile, d).ravel()
 
 

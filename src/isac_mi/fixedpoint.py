@@ -23,12 +23,24 @@ psi_tilde the Woodbury identity gives them directly,
 
     g_tilde_l = D_l^-1 + (D_l^-1 h_l) g (D_l^-1 h_l)',
 
-so an iterate (`_System.rhs`) inverts only the psi_tilde stack and the m x m
-matrix pi - LoS, never pi or the (L n_rx)^2 receive-side matrix.  The LoS term
-sum_l h_l' psi_tilde_l^-1 h_l is written once, `_los`, from a stack of inverses:
-the iterate passes its LU inverses, and the guarded pass, the Shannon transform
-of both branches and the PGA gradient each pass one guarded inverse of the
-psi_tilde stack.  The symbol-block variables are closed-form
+and the iterate runs in each channel's receive eigenbasis U_l (X_l = U_l (M_l o
+Q_l) V_l'), where psi_tilde_l = U_l diag(w - P_l diag(B_l' g B_l)) U_l' is
+diagonal: on the state (g, g_hat), g_hat_l = U_l' g_tilde_l U_l, around the
+rotated LoS means h_hat_l = U_l' h_l, an evaluation (`_System.rhs`) takes
+e_l = 1/eig(psi_tilde_l) and
+
+    g, g_hat_l = (pi - sum_l h_hat_l' diag(e_l) h_hat_l)^-1,
+                 diag(e_l) + (e_l o h_hat_l) g (e_l o h_hat_l)',
+
+with pi read from the diagonals of g_hat.  One m x m LU inverse, of pi - LoS, is
+all it inverts.  The rotation is unitary, so the cone test, the residual and
+Anderson's least squares see the same iteration as in the original basis;
+`_solve` rotates a warm start in and the result out.  The direct form in the
+original basis, with the LoS term sum_l h_l' psi_tilde_l^-1 h_l written once
+(`_los`, from a stack of inverses), is what the guarded final pass, `residual`,
+the Shannon transform of both branches and the PGA gradient evaluate, each with
+one guarded inverse of the psi_tilde stack, so they check the iterate
+independently.  The symbol-block variables are closed-form
 functions of phi and g: g_d = 1/phi, phi_tilde = -1/phi and g_dd = -phi I + phi^2 g,
 so the scalar chain phi = 1 - Tr(g_dd)/n_s has the closed form
 phi = 2 / (b + sqrt(b^2 + 4 Tr g / n_s)), b = 1 - m/n_s, its positive root, which is
@@ -40,11 +52,12 @@ phi = 1 for communication.
 
 The system is solved by one driver, `_iterate`, from the exact zero-channel
 solution (or a warm start).  The driver runs type-II Anderson acceleration
-(Walker & Ni, SIAM J. Numer. Anal. 2011) on the state (g, g_tilde) packed into
-one real vector (`_Packing`: the real view of g and of the g_tilde stack), in which
-g_tilde is stored times sigma^2 so that both blocks start from (minus) the
-identity.  It is safeguarded in the manner of Zhang, O'Donoghue &
-Boyd (SIAM J. Optim. 2020):
+(Walker & Ni, SIAM J. Numer. Anal. 2011) on the state (g, g_hat) packed into
+one real vector (`_Packing`: the real view of g and of the g_hat stack), in which
+g_hat is stored times sigma^2 so that both blocks start from (minus) the
+identity.  It keeps the Gram matrix of its residual differences beside them and
+updates one row and column of it per accepted iterate.  It is safeguarded in
+the manner of Zhang, O'Donoghue & Boyd (SIAM J. Optim. 2020):
 
 * an extrapolated iterate is used only if it lies in the sign cone below and
   its residual is at most `_SAFEGUARD` times that of the last accepted
@@ -55,14 +68,15 @@ Boyd (SIAM J. Optim. 2020):
 * on convergence the undamped polish step x <- f(x) is kept only when it does
   not raise the residual.
 
-The iterates evaluate the right-hand side through plain LU inverses, which
-raise `SingularMatrixError` only on an exactly singular matrix; a non-finite
-residual ends the iteration at once with a `ConvergenceError` (numpy's
-floating-point warnings are silenced up to then, since the error names the
-failure).  The 1e14 condition guard of `inv_herm` runs once per solve, on one
-evaluation of the direct form at the returned state (pi, the receive-side
-matrix, the psi_tilde stack and pi - LoS), and again on the psi_tilde stack in
-the Shannon transform and the PGA gradient (`gradient_term`).
+The iterates invert pi - LoS through a plain LU inverse, which raises
+`SingularMatrixError` only on an exactly singular matrix; a non-finite residual
+(a zero psi_tilde eigenvalue among its causes) ends the iteration at once with a
+`ConvergenceError` (numpy's floating-point warnings are silenced up to then,
+since the error names the failure).  The 1e14 condition guard of `inv_herm`
+runs once per solve, on one evaluation of the direct form at the returned state
+(pi, the receive-side matrix, the psi_tilde stack and pi - LoS), and again on
+the psi_tilde stack in the Shannon transform and the PGA gradient
+(`gradient_term`).
 
 Sign structure at w < 0 (enforced on return, block by block): each g_tilde_l
 is a negative definite resolvent-type block and g a positive definite
@@ -201,10 +215,11 @@ def _is_pd(a: np.ndarray) -> bool:
 
 
 class _Packing:
-    """The state (g, g_tilde), g (m, m) and the g_tilde stack (num, n, n), as one
-    real vector: the real view of the complex entries of g and of sigma^2 g_tilde
-    (sigma^2 = -w).  The vector norm of each part is therefore its Frobenius
-    norm, g_tilde's weighted by sigma^2."""
+    """The state (g, g_tilde), g (m, m) and the g_tilde stack (num, n, n), in
+    either basis (the iterate packs g_hat), as one real vector: the real view of
+    the complex entries of g and of sigma^2 g_tilde (sigma^2 = -w).  The vector
+    norm of each part is therefore its Frobenius norm, g_tilde's weighted by
+    sigma^2."""
 
     def __init__(self, m: int, num: int, n: int, w: float):
         self.m, self.blocks, self.scale = m, (num, n, n), -w
@@ -223,16 +238,16 @@ class _Packing:
         """Max of rel_residual(g, rhs_g) and rel_residual(g_tilde, rhs_g_tilde), in
         unscaled units; NaN when either is."""
         k = self.split
-        return float(np.max([
-            np.linalg.norm(x[:k] - gx[:k]) / (1.0 + np.linalg.norm(gx[:k])),
-            np.linalg.norm(x[k:] - gx[k:]) / (self.scale + np.linalg.norm(gx[k:])),
-        ]))
+        d, g, g_tilde = x - gx, gx[:k], gx[k:]
+        first = math.sqrt(d[:k] @ d[:k]) / (1.0 + math.sqrt(g @ g))
+        second = math.sqrt(d[k:] @ d[k:]) / (self.scale + math.sqrt(g_tilde @ g_tilde))
+        return math.nan if math.isnan(first + second) else max(first, second)
 
 
 def _lu_inverse(a: np.ndarray, context: str) -> np.ndarray:
-    """LU inverse of the Hermitian part of `a`, or of each matrix of a stack, with
-    no condition guard: the iterates' inverse.  Only an exactly singular matrix
-    raises, by name."""
+    """LU inverse of the Hermitian part of `a` with no condition guard: the
+    iterate's inverse of pi - LoS.  Only an exactly singular matrix raises, by
+    name."""
     try:
         return np.linalg.inv(herm(a))
     except np.linalg.LinAlgError:
@@ -240,19 +255,22 @@ def _lu_inverse(a: np.ndarray, context: str) -> np.ndarray:
 
 
 def _iterate(system, start, opts: SolverOptions):
-    """Safeguarded Anderson iteration of `system.rhs` from the state `start`.
+    """Safeguarded Anderson iteration of `system.rhs` from the eigenbasis state
+    `start` (g, g_hat).
 
     Returns (state, residual, iterations, history) at the first iterate whose
     residual meets opts.tol, after the conditional polish step.  The right-hand
-    side is evaluated through unguarded LU inverses (`_solve` guards the
+    side is evaluated through an unguarded LU inverse (`_solve` guards the
     returned state); a non-finite residual ends the iteration at once, naming the
     spectral point w = -sigma^2.
     """
     packing = system.packing
     x = packing.pack(*start)
-    # ring buffers of the differences of f(x) - x and of f(x) between accepted iterates
+    # ring buffers of the differences of f(x) - x and of f(x) between accepted iterates,
+    # and of the Gram matrix of the former, updated by one row and column per iterate
     d_f = np.empty((_MEMORY, x.size))
     d_g = np.empty((_MEMORY, x.size))
+    gram = np.empty((_MEMORY, _MEMORY))
     stored = slot = 0
     history: list[float] = []
     last = best = None  # (x, f(x) - x, residual) of the last accepted / best iterate
@@ -284,7 +302,9 @@ def _iterate(system, start, opts: SolverOptions):
         if last is not None:
             d_f[slot] = f - last[1]
             d_g[slot] = d_f[slot] + (x - last[0])
-            slot, stored = (slot + 1) % _MEMORY, min(stored + 1, _MEMORY)
+            stored = min(stored + 1, _MEMORY)
+            gram[slot, :stored] = gram[:stored, slot] = d_f[:stored] @ d_f[slot]
+            slot = (slot + 1) % _MEMORY
         last = (x, f, residual)
         if best is None or residual < best[2]:
             best, since_best = last, 0
@@ -298,7 +318,7 @@ def _iterate(system, start, opts: SolverOptions):
         candidate = gx
         if stored:
             df = d_f[:stored]
-            gamma = np.linalg.lstsq(df @ df.T, df @ f, rcond=None)[0]
+            gamma = np.linalg.lstsq(gram[:stored, :stored], df @ f, rcond=None)[0]
             candidate = gx - gamma @ d_g[:stored]
         extrapolated = system.in_cone(*packing.unpack(candidate))
         x = candidate if extrapolated else x + _DAMPING * f
@@ -319,7 +339,9 @@ class _System:
     `channels` holds the statistics of each channel X_l, `h_raw` stacks their
     LoS means and h_eff = h_raw W; `_CONTEXTS[branch]` names its inverses.  The
     correlation maps are the channels' `ChannelMaps`, taken in the beamformed
-    transmit basis W'[V_1 ... V_L].
+    transmit basis W'[V_1 ... V_L].  The iterate runs on (g, g_hat), g_hat_l =
+    U_l' g_tilde_l U_l in each channel's receive eigenbasis U_l, around the
+    rotated LoS means h_hat_l = U_l' h_l.
     """
 
     def __init__(self, branch, channels, h_raw, h_eff, n_s, w_bf, w):
@@ -331,7 +353,17 @@ class _System:
         self.n_rx = h_raw.shape[0] // self.num_channels
         self.maps = ChannelMaps(channels)
         self.beamformed = w_bf.w.conj().T @ self.maps.transmit  # [W'V_1 ... W'V_L]
+        self.u_adj = self.maps.receive.conj().swapaxes(-1, -2)  # U_l'
+        self.h_hat = self.u_adj @ h_eff.reshape(self.num_channels, self.n_rx, self.m)
         self.packing = _Packing(self.m, self.num_channels, self.n_rx, w)
+
+    def to_eigenbasis(self, g_tilde: np.ndarray) -> np.ndarray:
+        """The g_hat stack herm(U_l' g_tilde_l U_l) of a g_tilde stack."""
+        return herm(self.u_adj @ g_tilde @ self.maps.receive)
+
+    def from_eigenbasis(self, g_hat: np.ndarray) -> np.ndarray:
+        """The g_tilde stack herm(U_l g_hat_l U_l') of a g_hat stack."""
+        return herm(self.maps.receive @ g_hat @ self.u_adj)
 
     def psi_tilde_blocks(self, g: np.ndarray) -> np.ndarray:
         """wI - E[X_l W g W' X_l'] of every channel, stacked (L, n_rx, n_rx)."""
@@ -374,15 +406,27 @@ class _System:
         phi = self.phi(g)
         return self.psi_tilde_blocks(g), self.psi(g_tilde) + phi * np.eye(self.m), phi
 
-    def rhs(self, g, g_tilde):
-        """One Picard evaluation of an iterate, (rhs_g, rhs_g_tilde), by Woodbury on
-        D = blockdiag psi_tilde through `_lu_inverse`: the psi_tilde stack and
-        pi - LoS are its only inverses."""
-        psi_t, pi, _ = self.self_energies(g, g_tilde)
-        d_inv = _lu_inverse(psi_t, self.contexts.psi_tilde)
-        los, d_inv_h = _los(self.h_eff, d_inv)
+    def eigen_energies(self, g, g_hat):
+        """(psi_tilde eigenvalues, pi) at the eigenbasis state (g, g_hat):
+        psi_tilde_l = U_l diag(w - P_l diag(B_l' g B_l)) U_l', the eigenvalues an
+        (L, n_rx) real array, and pi from the diagonals of the g_hat blocks."""
+        t = self.maps.transmit_of_diag(np.diagonal(g_hat, axis1=1, axis2=2).real)
+        pi = -assemble(self.beamformed, t, self.beamformed) + self.phi(g) * np.eye(self.m)
+        return self.w - self.maps.receive_diag(self.beamformed, g), pi
+
+    def rhs(self, g, g_hat):
+        """One Picard evaluation of an eigenbasis iterate, (rhs_g, rhs_g_hat): with
+        e_l = 1/eig(psi_tilde_l), LoS = sum_l h_hat_l' diag(e_l) h_hat_l and
+        g_hat_l = diag(e_l) + (e_l o h_hat_l) g (e_l o h_hat_l)', so that
+        pi - LoS is the only inverse (`_lu_inverse`)."""
+        eigenvalues, pi = self.eigen_energies(g, g_hat)
+        e = 1.0 / eigenvalues
+        e_h = e[..., None] * self.h_hat
+        los = self.h_hat.reshape(-1, self.m).conj().T @ e_h.reshape(-1, self.m)
         g = herm(_lu_inverse(pi - los, self.contexts.g))
-        return g, herm(d_inv + d_inv_h @ g @ d_inv_h.conj().swapaxes(-1, -2))
+        g_hat = e_h @ g @ e_h.conj().swapaxes(-1, -2)
+        g_hat.reshape(len(e), -1)[:, :: self.n_rx + 1] += e  # the block diagonals
+        return g, herm(g_hat)
 
     def residual(self, fp: FixedPoint) -> float:
         """Max relative residual of a stored state: the psi_tilde blocks, pi, g_tilde,
@@ -422,13 +466,13 @@ def _comm_system(stats: ScenarioStats, w_bf: Beamformer, w: float) -> _System:
 
 
 def _solve(system: _System, initial: FixedPoint | None, opts: SolverOptions) -> FixedPoint:
-    """Iterate `system` from the state of `initial` (None: the zero-channel
-    solution), guard every inverse of one evaluation at the returned state and
-    check the sign structure."""
+    """Iterate `system` in the receive eigenbasis from the state of `initial`
+    (None: the zero-channel solution), rotate the result back, guard every
+    inverse of one direct-form evaluation at it and check the sign structure."""
     blocks = system.packing.blocks
     # a non-finite residual ends the iteration by name, so numpy's warnings up to it are noise
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if initial is None:
+        if initial is None:  # the zero-channel solution, diagonal in every basis
             start = (np.eye(system.m), np.broadcast_to(np.eye(system.n_rx) / system.w, blocks))
         else:
             start = (initial.g, initial.g_tilde)
@@ -436,7 +480,10 @@ def _solve(system: _System, initial: FixedPoint | None, opts: SolverOptions) -> 
         if shapes != expected:
             branch = system.branch
             raise ValueError(f"{branch} warm start has (g, g_tilde) shapes {shapes}, expected {expected}")
-        (g, g_tilde), residual, it, history = _iterate(system, start, opts)
+        if initial is not None:
+            start = (initial.g, system.to_eigenbasis(initial.g_tilde))
+        (g, g_hat), residual, it, history = _iterate(system, start, opts)
+        g_tilde = system.from_eigenbasis(g_hat)
     psi_t, pi, phi = system.self_energies(g, g_tilde)
     system.resolvents(psi_t, pi)  # guarded: an ill-conditioned inverse raises
     if min_eigval(-g_tilde) < SIGN_EIG_FLOOR or min_eigval(g) < SIGN_EIG_FLOOR:

@@ -91,8 +91,11 @@ def _gram_eigvals(a: np.ndarray) -> np.ndarray:
 
 
 def _logdet_from_eigvals(evals: np.ndarray, sigma2: float) -> np.ndarray:
-    """log det(I + B/sigma2) from the eigenvalues of B along the last axis."""
-    vals = np.log1p(np.clip(evals, 0.0, None) / sigma2)
+    """log det(I + B/sigma2) from the eigenvalues of B along the last axis, in one
+    temporary of their shape."""
+    vals = np.clip(evals, 0.0, None)
+    vals /= sigma2
+    np.log1p(vals, out=vals)
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite logdet: invalid inputs")
     return vals.sum(axis=-1)

@@ -332,38 +332,41 @@ def test_phi_without_a_real_root_ends_the_solve_by_name(scenario4, beamformer4):
         solve_sensing(scenario4, beamformer4, point, initial=far)
 
 
-def _nan_pi(psi_t, pi, phi):
-    return psi_t, np.full_like(pi, np.nan), phi
+def _nan_pi(eigenvalues, pi):
+    return eigenvalues, np.full_like(pi, np.nan)
 
 
-def _zero_psi_tilde(psi_t, pi, phi):
-    return np.zeros_like(psi_t), pi, phi  # every block exactly singular
+def _zero_psi_tilde(eigenvalues, pi):
+    return np.zeros_like(eigenvalues), pi  # every psi_tilde eigenvalue zero: w = d
+
+
+def _singular_g_equation(eigenvalues, pi):
+    # psi_tilde^-1 = 0, so LoS = 0 and pi - LoS = 0 is exactly singular
+    return np.full_like(eigenvalues, np.inf), np.zeros_like(pi)
 
 
 def _break_evaluations(monkeypatch, broken, first, last=math.inf):
-    """Route the self-energies of each branch's first..last-th evaluation (counted
-    from 1; `first` may map branch to count) through `broken`; returns the
-    per-branch evaluation counts."""
+    """Route the eigenbasis self-energies (psi_tilde eigenvalues, pi) of each
+    branch's first..last-th iterate evaluation (counted from 1; `first` may map
+    branch to count) through `broken`; returns the per-branch evaluation counts."""
     from isac_mi import fixedpoint
 
-    original = fixedpoint._System.self_energies
+    original = fixedpoint._System.eigen_energies
     calls = {}
 
-    def patched(self, g, g_tilde):
+    def patched(self, g, g_hat):
         calls[self.branch] = n = calls.get(self.branch, 0) + 1
         start = first[self.branch] if isinstance(first, dict) else first
-        energies = original(self, g, g_tilde)
+        energies = original(self, g, g_hat)
         return broken(*energies) if start <= n <= last else energies
 
-    monkeypatch.setattr(fixedpoint._System, "self_energies", patched)
+    monkeypatch.setattr(fixedpoint._System, "eigen_energies", patched)
     return calls
 
 
-@pytest.mark.parametrize("branch", ["sensing", "comm"])
-def test_non_finite_evaluation_ends_the_solve_by_name(branch, scenario4, beamformer4, monkeypatch):
-    # NaN compares false in every residual test, so it must stop the iteration itself
+def _assert_ends_non_finite(branch, broken, scenario4, beamformer4, monkeypatch):
     k = 3
-    _break_evaluations(monkeypatch, _nan_pi, first=k)
+    _break_evaluations(monkeypatch, broken, first=k)
     with pytest.raises(ConvergenceError) as info:
         _BRANCHES[branch][0](scenario4, beamformer4, SpectralPoint(-0.1))
     err = info.value
@@ -374,13 +377,27 @@ def test_non_finite_evaluation_ends_the_solve_by_name(branch, scenario4, beamfor
 
 
 @pytest.mark.parametrize("branch", ["sensing", "comm"])
+def test_non_finite_evaluation_ends_the_solve_by_name(branch, scenario4, beamformer4, monkeypatch):
+    # NaN compares false in every residual test, so it must stop the iteration itself
+    _assert_ends_non_finite(branch, _nan_pi, scenario4, beamformer4, monkeypatch)
+
+
+@pytest.mark.parametrize("branch", ["sensing", "comm"])
+def test_zero_psi_tilde_eigenvalue_ends_the_solve_by_name(
+    branch, scenario4, beamformer4, monkeypatch
+):
+    # psi_tilde is inverted as 1/eigenvalue, so a zero one is a non-finite evaluation
+    _assert_ends_non_finite(branch, _zero_psi_tilde, scenario4, beamformer4, monkeypatch)
+
+
+@pytest.mark.parametrize("branch", ["sensing", "comm"])
 def test_singular_iterate_raises_by_name(branch, scenario4, beamformer4, monkeypatch):
     from isac_mi import SingularMatrixError
 
-    _break_evaluations(monkeypatch, _zero_psi_tilde, first=3)
+    _break_evaluations(monkeypatch, _singular_g_equation, first=3)
     with pytest.raises(SingularMatrixError) as info:
         _BRANCHES[branch][0](scenario4, beamformer4, SpectralPoint(-0.1))
-    assert info.value.context == _CONTEXTS[branch][2]  # the psi_tilde stack is the first inverse
+    assert info.value.context == _CONTEXTS[branch][3]  # the g equation: pi - LoS, the only inverse
     assert info.value.cond == math.inf
 
 
@@ -417,7 +434,7 @@ def test_shannon_transform_and_gradient_guard_the_psi_tilde_inverses(
         assert info.value.cond == math.inf
 
 
-@pytest.mark.parametrize("broken", [_nan_pi, _zero_psi_tilde], ids=["non-finite", "singular"])
+@pytest.mark.parametrize("broken", [_nan_pi, _singular_g_equation], ids=["non-finite", "singular"])
 def test_failed_warm_solve_falls_back_to_cold(broken, scenario4, beamformer4, monkeypatch):
     from isac_mi import weighted_mi
 
@@ -431,8 +448,12 @@ def test_failed_warm_solve_falls_back_to_cold(broken, scenario4, beamformer4, mo
 
 @pytest.mark.parametrize(
     "broken, cause",
-    [(_nan_pi, ConvergenceError), (_zero_psi_tilde, np.linalg.LinAlgError)],
-    ids=["non-finite", "singular"],
+    [
+        (_nan_pi, ConvergenceError),
+        (_zero_psi_tilde, ConvergenceError),
+        (_singular_g_equation, np.linalg.LinAlgError),
+    ],
+    ids=["non-finite", "zero-psi-tilde", "singular"],
 )
 def test_failed_solves_inside_pga_abort(broken, cause, scenario4, dims4, monkeypatch):
     from isac_mi import PgaAbort, PgaOptions, pga, weighted_mi
@@ -553,6 +574,32 @@ def test_packing_round_trip_and_frobenius_distance():
         assert math.isnan(packing.residual(packing.pack(*broken), gx)), block
 
 
+def test_packing_residual_is_bitwise_the_norm_expression():
+    # sqrt(v @ v) is numpy's 2-norm of a real vector, bit for bit; NaN in either
+    # part propagates
+    from isac_mi.fixedpoint import _Packing
+
+    rng = np.random.default_rng(4)
+    packing = _Packing(3, 2, 5, -0.3)
+    k, size = packing.split, 2 * (3 * 3 + 2 * 5 * 5)
+
+    def norm_expression(x, gx):
+        return float(np.max([
+            np.linalg.norm(x[:k] - gx[:k]) / (1.0 + np.linalg.norm(gx[:k])),
+            np.linalg.norm(x[k:] - gx[k:]) / (packing.scale + np.linalg.norm(gx[k:])),
+        ]))
+
+    for scale in (1e-12, 1.0, 1e12):
+        for _ in range(50):
+            x, gx = scale * rng.standard_normal((2, size))
+            assert packing.residual(x, gx) == norm_expression(x, gx)
+    for index in (0, k - 1, k, size - 1):
+        for vector in range(2):
+            x, gx = rng.standard_normal((2, size))
+            (x, gx)[vector][index] = np.nan
+            assert math.isnan(packing.residual(x, gx)) and math.isnan(norm_expression(x, gx))
+
+
 def test_stall_fallback_reaches_the_same_fixed_point(scenario4, beamformer4, monkeypatch):
     from isac_mi import fixedpoint, weighted_mi
 
@@ -630,7 +677,7 @@ def test_system_maps_match_the_dense_correlation_oracle(num_scatter):
 
 
 @pytest.mark.parametrize("branch", ["sensing", "comm"])
-def test_rhs_inverts_only_the_psi_tilde_stack_and_one_m_by_m_matrix(branch, monkeypatch):
+def test_rhs_inverts_only_one_m_by_m_matrix(branch, monkeypatch):
     from isac_mi import fixedpoint
 
     dims = SystemDims(**_NON_SQUARE)  # L n_r = 32, n_r = 16, n_u = 8, m = 8
@@ -648,7 +695,8 @@ def test_rhs_inverts_only_the_psi_tilde_stack_and_one_m_by_m_matrix(branch, monk
     original = fixedpoint._lu_inverse
     monkeypatch.setattr(fixedpoint, "_lu_inverse", recording)
     system.rhs(np.eye(m), np.broadcast_to(np.eye(n) / -0.1, (num, n, n)))
-    assert inverted == [(num, n, n), (m, m)]  # neither pi nor the (L n_r)^2 receive side
+    # psi_tilde is diagonal in the eigenbasis: neither it, pi nor the (L n_r)^2 receive side
+    assert inverted == [(m, m)]
 
 
 @pytest.mark.parametrize("num_scatter", [1, 2, 4])

@@ -7,8 +7,8 @@ point must converge to a fixed point with the resolvent sign structure and
 self-consistent stored equations.  A few of these points also check that the
 MIs are stationary in the solver residual, the derivative identity and the
 closed form against Monte Carlo, and that the solved state meets its equations
-evaluated in extended precision.  On every shape and L the iterates' Woodbury
-right-hand side must equal the direct form of the equations.
+evaluated in extended precision.  On every shape and L the iterates' eigenbasis
+right-hand side, rotated back, must equal the direct form of the equations.
 """
 
 import itertools
@@ -90,12 +90,18 @@ def test_grid_point_converges_to_a_consistent_fixed_point(
     assert residual_comm(fp_c, stats, bf, point_c) <= 1e-10
 
 
+def _rotated(u: np.ndarray, g_tilde: np.ndarray) -> np.ndarray:
+    """The eigenbasis stack U_l' g_tilde_l U_l."""
+    return u.conj().swapaxes(-1, -2) @ g_tilde @ u
+
+
 @pytest.mark.parametrize("num_scatter", [1, 2, 4])
 @pytest.mark.parametrize("shape", _SHAPES, ids=lambda s: f"{'/'.join(map(str, s[:3]))},m={s[3]}")
 def test_woodbury_rhs_equals_the_direct_resolvents(shape, num_scatter):
-    # the iterates' right-hand side against the direct form that the guarded
-    # final pass and the residual check evaluate, at the fixed point and at
-    # random states inside the sign cone (g > 0, every g_tilde block < 0)
+    # the iterates' eigenbasis right-hand side, rotated back, against the direct
+    # form that the guarded final pass and the residual check evaluate, at the
+    # fixed point and at random states inside the sign cone (g > 0, every g_tilde
+    # block < 0); the packed distances and residuals do not see the rotation
     from helpers import random_psd
 
     stats, bf, noise = _setup(shape, num_scatter, 4 * shape[3], 1.0, 30.0)
@@ -107,16 +113,60 @@ def test_woodbury_rhs_equals_the_direct_resolvents(shape, num_scatter):
     ):
         system = make(stats, bf, -sigma2)
         m, num, n = system.m, system.num_channels, system.n_rx
+        u, packing = system.maps.receive, system.packing
         states = [(fp.g, fp.g_tilde)] + [
             (random_psd(m, rng), -np.stack([random_psd(n, rng) for _ in range(num)]) / sigma2)
             for _ in range(3)
         ]
         for g, g_tilde in states:
             assert system.in_cone(g, g_tilde)
+            g_hat = _rotated(u, g_tilde)
+            assert system.in_cone(g, g_hat)
             psi_t, pi, _ = system.self_energies(g, g_tilde)
-            for got, want in zip(system.rhs(g, g_tilde), system.resolvents(psi_t, pi)):
+            rhs_g, rhs_g_hat = system.rhs(g, g_hat)
+            rotated_back = (rhs_g, u @ rhs_g_hat @ u.conj().swapaxes(-1, -2))
+            for got, want in zip(rotated_back, system.resolvents(psi_t, pi)):
                 assert got.shape == want.shape
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), system.branch
+        for (g_a, t_a), (g_b, t_b) in zip(states, states[1:]):
+            plain = packing.pack(g_a, t_a), packing.pack(g_b, t_b)
+            rotated = packing.pack(g_a, _rotated(u, t_a)), packing.pack(g_b, _rotated(u, t_b))
+            distance = np.linalg.norm(plain[0] - plain[1])
+            assert abs(np.linalg.norm(rotated[0] - rotated[1]) - distance) <= 1e-13 * distance
+            residual = packing.residual(*plain)
+            assert abs(packing.residual(*rotated) - residual) <= 1e-13 * residual
+
+
+@pytest.mark.parametrize(_PARAMS, _HARD)
+def test_nearly_unitary_receive_bases_keep_the_equations(shape, num_scatter, n_s, kappa, snr_db):
+    # the iterate assumes U_l' U_l = I; receive bases that the scenario validator
+    # accepts at ||U'U - I|| = 5e-11 (its bound is 1e-10) still give a solved
+    # state whose direct-form residuals meet the tolerance
+    import dataclasses
+
+    from isac_mi import ScenarioStats
+
+    stats, bf, noise = _setup(shape, num_scatter, n_s, kappa, snr_db)
+    rng = np.random.default_rng(1)
+
+    def skewed(channel):
+        n = channel.left_unitary.shape[0]
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        k = a + a.conj().T
+        k *= 2.5e-11 / np.linalg.norm(k)  # U'U - I = 2 eps K + O(eps^2)
+        u = channel.left_unitary @ (np.eye(n) + k)
+        assert 4e-11 <= np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 6e-11
+        return dataclasses.replace(channel, left_unitary=u)
+
+    stats = ScenarioStats(
+        stats.dims, skewed(stats.comm), tuple(map(skewed, stats.sensing)),
+        stats.rician_kappa, stats.seed,
+    )
+    _, fp_s, fp_c = weighted_mi(stats, bf, noise, 0.8, return_fixed_points=True)
+    point_s = SpectralPoint.from_noise_power(noise.sigma_s2)
+    point_c = SpectralPoint.from_noise_power(noise.sigma_c2)
+    assert residual_sensing(fp_s, stats, bf, point_s) <= 1e-10
+    assert residual_comm(fp_c, stats, bf, point_c) <= 1e-10
 
 
 @pytest.mark.parametrize(
