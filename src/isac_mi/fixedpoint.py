@@ -68,6 +68,28 @@ the manner of Zhang, O'Donoghue & Boyd (SIAM J. Optim. 2020):
 * on convergence the undamped polish step x <- f(x) is kept only when it does
   not raise the residual.
 
+An evaluation reads its input only through the reduced state x = (d, s, Tr g)
+(`_System.reduce`), 2 L n_rx + 1 reals: the psi_tilde eigenvalue shifts
+d_l = P_l diag(B_l' g B_l), the diagonals s_l = diag(g_hat_l) and Tr g.  So the
+fixed point is also one of the reduced map R(x) = reduce(expand(x)), whose real
+Jacobian J has a closed form (`_System.jacobian`).  Once an accepted Anderson
+residual is at most `_NEWTON`, the driver takes undamped Newton steps
+x <- x + (I - J)^-1 (R(x) - x) from that evaluation (Kelley, *Solving Nonlinear
+Equations with Newton's Method*, SIAM 2003), guarded like the extrapolation:
+
+* a step is evaluated only inside the reduced cone d > w, s < 0, Tr g > 0,
+  where the evaluation lands in the sign cone, and kept only if its reduced
+  residual is finite and at most `_NEWTON_DECREASE` times the last;
+* the phase ends at a reduced residual of `_NEWTON_TOL` or at the first failed
+  step, and hands the evaluation F(x) of its last kept step to the loop above,
+  which tests, polishes and returns it like any iterate (with no kept step it
+  goes on with Anderson from its last accepted iterate);
+* a failed phase is retried once Anderson has cut the residual by
+  `_NEWTON_RETRY`, and none runs once the Picard mode has engaged.
+
+Newton evaluations count as iterations, with their reduced residual in the
+history, and max_iter bounds them together with Anderson's.
+
 The iterates invert pi - LoS through a plain LU inverse, which raises
 `SingularMatrixError` only on an exactly singular matrix; a non-finite residual
 (a zero psi_tilde eigenvalue among its causes) ends the iteration at once with a
@@ -97,7 +119,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._linalg import SingularMatrixError, herm, inv_herm, min_eigval, rel_residual
-from .correlation import ChannelMaps, assemble
+from .correlation import ChannelMaps, assemble, rotated_diag
 from .model import Beamformer, ScenarioStats, _check_count, effective_los
 
 SIGN_EIG_FLOOR = -1e-8
@@ -106,12 +128,17 @@ _MEMORY = 10  # Anderson history length
 _SAFEGUARD = 3.0  # largest accepted residual growth of an extrapolated iterate
 _STALL = 100  # iterations without a new best residual before plain damped Picard
 _DAMPING = 0.5  # Picard step of a rejected extrapolation and of the stall fallback
+_NEWTON = 1e-2  # accepted residual at which the Newton finish takes over from Anderson
+_NEWTON_RETRY = 0.1  # residual decrease after a Newton phase before the next one starts
+_NEWTON_DECREASE = 0.5  # largest residual ratio of a kept Newton step
+_NEWTON_TOL = 1e-12  # reduced residual at which the Newton finish stops
 
 
 class ConvergenceError(RuntimeError):
     """The fixed-point iteration did not reach a valid converged state.
 
-    `history` holds the residual of every iteration, in order.
+    `history` holds the residual of every iteration, in order (of a Newton
+    evaluation, its reduced residual).
     """
 
     def __init__(
@@ -180,7 +207,7 @@ class FixedPoint:
     phi: float
     residual: float
     iterations: int
-    history: tuple[float, ...]  # residual of every iteration, in order
+    history: tuple[float, ...]  # residual of every iteration, in order (Newton's: reduced)
 
 
 class _Contexts(NamedTuple):
@@ -254,15 +281,44 @@ def _lu_inverse(a: np.ndarray, context: str) -> np.ndarray:
         raise SingularMatrixError(context, math.inf) from None
 
 
+def _newton(system, x, g, g_hat, history: list, max_iter: int):
+    """Undamped Newton steps x <- x + (I - J)^-1 (R(x) - x) on the reduced state x
+    of an evaluated iterate, (g, g_hat) its evaluation, R = `system.reduce` after
+    `system.expand` and J = `system.jacobian`.
+
+    A step is taken only into the reduced cone and kept only if its evaluation cuts
+    the reduced residual by `_NEWTON_DECREASE` (NaN does not); the phase stops at
+    the first step that fails, at `_NEWTON_TOL`, or before the evaluation budget of
+    `max_iter` (each evaluation appends its reduced residual to `history`).  Returns
+    the evaluation (g, g_hat) = F(x) at the last kept step, None if no step was kept.
+    """
+    r = system.reduce(g, g_hat)
+    residual = system.reduced_residual(x, r)
+    kept = None
+    while residual > _NEWTON_TOL and len(history) < max_iter:
+        trial = x + np.linalg.solve(np.eye(x.size) - system.jacobian(x, g), r - x)
+        if not system.in_reduced_cone(trial):
+            break
+        g, g_hat = system.expand(trial)
+        r_trial = system.reduce(g, g_hat)
+        trial_residual = system.reduced_residual(trial, r_trial)
+        history.append(trial_residual)
+        if not trial_residual <= _NEWTON_DECREASE * residual:
+            break
+        x, r, residual, kept = trial, r_trial, trial_residual, (g, g_hat)
+    return kept
+
+
 def _iterate(system, start, opts: SolverOptions):
     """Safeguarded Anderson iteration of `system.rhs` from the eigenbasis state
-    `start` (g, g_hat).
+    `start` (g, g_hat), with a Newton finish (`_newton`) on the reduced state.
 
     Returns (state, residual, iterations, history) at the first iterate whose
-    residual meets opts.tol, after the conditional polish step.  The right-hand
-    side is evaluated through an unguarded LU inverse (`_solve` guards the
-    returned state); a non-finite residual ends the iteration at once, naming the
-    spectral point w = -sigma^2.
+    residual meets opts.tol, after the conditional polish step; iterations and
+    history count every evaluation, Anderson's and Newton's, and opts.max_iter
+    bounds them together.  The right-hand side is evaluated through an unguarded
+    LU inverse (`_solve` guards the returned state); a non-finite residual ends the
+    iteration at once, naming the spectral point w = -sigma^2.
     """
     packing = system.packing
     x = packing.pack(*start)
@@ -276,14 +332,16 @@ def _iterate(system, start, opts: SolverOptions):
     last = best = None  # (x, f(x) - x, residual) of the last accepted / best iterate
     since_best = 0
     extrapolated = picard = False
+    newton_below = _NEWTON  # accepted residual at which the next Newton phase starts
 
     def evaluate(x):
         state = packing.unpack(x)
         gx = packing.pack(*system.rhs(*state))
         return state, gx, packing.residual(x, gx)
 
-    for it in range(opts.max_iter + 1):
+    while True:
         state, gx, residual = evaluate(x)
+        it = len(history)
         history.append(residual)
         if not math.isfinite(residual):
             reason = f"produced a non-finite evaluation at w = {system.w:.3e}"
@@ -315,6 +373,12 @@ def _iterate(system, start, opts: SolverOptions):
         if picard:
             x = last[0] + _DAMPING * last[1]
             continue
+        if residual <= newton_below:
+            newton_below = _NEWTON_RETRY * residual
+            finish = _newton(system, system.reduce(*state), *packing.unpack(gx), history, opts.max_iter)
+            if finish is not None:  # checked by the next evaluation like an extrapolation
+                x, extrapolated = packing.pack(*finish), True
+                continue
         candidate = gx
         if stored:
             df = d_f[:stored]
@@ -356,6 +420,15 @@ class _System:
         self.u_adj = self.maps.receive.conj().swapaxes(-1, -2)  # U_l'
         self.h_hat = self.u_adj @ h_eff.reshape(self.num_channels, self.n_rx, self.m)
         self.packing = _Packing(self.m, self.num_channels, self.n_rx, w)
+        # the reduced state: P = blockdiag(P_l), (L n_rx, L n_t), and [B, h_hat'], whose
+        # Gram matrix through g holds K1 = B'gB, K2 = B'g h_hat' and K3 = h_hat g h_hat'
+        num, n_t = self.num_channels, self.maps.profile.shape[-1]
+        self.profile = np.zeros((num * self.n_rx, num * n_t))
+        self.profile.reshape(num, self.n_rx, num, n_t)[range(num), :, range(num)] = self.maps.profile
+        self.frame = np.hstack([self.beamformed, self.h_hat.reshape(-1, self.m).conj().T])
+        self.frame_adj = self.frame.conj().T
+        n = num * self.n_rx
+        self.parts = (slice(0, n), slice(n, 2 * n), slice(2 * n, None))  # d, s and Tr g
 
     def to_eigenbasis(self, g_tilde: np.ndarray) -> np.ndarray:
         """The g_hat stack herm(U_l' g_tilde_l U_l) of a g_tilde stack."""
@@ -378,8 +451,12 @@ class _System:
         (Woodbury on g_dd = (phi_tilde - (psi - LoS)^-1)^-1, phi_tilde = -(1/phi) I).
         NaN when the root is not real (an iterate far outside the sign cone), so that
         the solve ends on its non-finite residual."""
+        return self.phi_of_trace(float(np.trace(g).real))
+
+    def phi_of_trace(self, tr_g: float) -> float:
+        """`phi` at Tr g = tr_g."""
         b = 1.0 - self.m / self.n_s
-        discriminant = b * b + 4.0 * float(np.trace(g).real) / self.n_s
+        discriminant = b * b + 4.0 * tr_g / self.n_s
         if discriminant < 0.0:
             return math.nan
         return 2.0 / (b + math.sqrt(discriminant))
@@ -406,27 +483,92 @@ class _System:
         phi = self.phi(g)
         return self.psi_tilde_blocks(g), self.psi(g_tilde) + phi * np.eye(self.m), phi
 
-    def eigen_energies(self, g, g_hat):
-        """(psi_tilde eigenvalues, pi) at the eigenbasis state (g, g_hat):
-        psi_tilde_l = U_l diag(w - P_l diag(B_l' g B_l)) U_l', the eigenvalues an
-        (L, n_rx) real array, and pi from the diagonals of the g_hat blocks."""
-        t = self.maps.transmit_of_diag(np.diagonal(g_hat, axis1=1, axis2=2).real)
-        pi = -assemble(self.beamformed, t, self.beamformed) + self.phi(g) * np.eye(self.m)
-        return self.w - self.maps.receive_diag(self.beamformed, g), pi
+    def reduce(self, g, g_hat) -> np.ndarray:
+        """The reduced state x = (d, s, Tr g) of an eigenbasis state, all that an
+        evaluation reads of it: the psi_tilde eigenvalue shifts d_l = P_l diag(B_l' g B_l)
+        and the diagonals s_l = diag(g_hat_l), each stacked over l, then Tr g;
+        2 L n_rx + 1 reals."""
+        d, s, tr_g = self.parts
+        x = np.empty(tr_g.start + 1)
+        x[d] = self.profile @ rotated_diag(self.beamformed, g)
+        x[s].reshape(self.num_channels, -1)[:] = np.diagonal(g_hat, axis1=1, axis2=2).real
+        x[tr_g] = np.trace(g).real
+        return x
 
-    def rhs(self, g, g_hat):
-        """One Picard evaluation of an eigenbasis iterate, (rhs_g, rhs_g_hat): with
-        e_l = 1/eig(psi_tilde_l), LoS = sum_l h_hat_l' diag(e_l) h_hat_l and
-        g_hat_l = diag(e_l) + (e_l o h_hat_l) g (e_l o h_hat_l)', so that
-        pi - LoS is the only inverse (`_lu_inverse`)."""
-        eigenvalues, pi = self.eigen_energies(g, g_hat)
+    def reduced_residual(self, x: np.ndarray, r: np.ndarray) -> float:
+        """Max over the parts d, s and Tr g of ||x - r|| / (1 + ||r||); NaN when any is."""
+        v = x - r
+        parts = [math.sqrt(v[k] @ v[k]) / (1.0 + math.sqrt(r[k] @ r[k])) for k in self.parts]
+        return math.nan if math.isnan(sum(parts)) else max(parts)
+
+    def in_reduced_cone(self, x: np.ndarray) -> bool:
+        """d > w, s < 0 and Tr g > 0: then e < 0 and pi > 0, so an evaluation lands in
+        the sign cone."""
+        d, s, tr_g = self.parts
+        return bool((x[d] > self.w).all() and (x[s] < 0.0).all() and x[tr_g] > 0.0)
+
+    def eigen_energies(self, x: np.ndarray):
+        """(psi_tilde eigenvalues, pi) at the reduced state x = (d, s, Tr g):
+        psi_tilde_l = U_l diag(w - d_l) U_l', the eigenvalues an (L, n_rx) real array,
+        and pi from s."""
+        d, s, _ = self.parts
+        pi = -assemble(self.beamformed, x[s] @ self.profile, self.beamformed)
+        pi += self.phi_of_trace(x[-1]) * np.eye(self.m)
+        return self.w - x[d].reshape(self.num_channels, -1), pi
+
+    def expand(self, x: np.ndarray):
+        """The evaluation (g, g_hat) at the reduced state x: with e_l =
+        1/eig(psi_tilde_l), LoS = sum_l h_hat_l' diag(e_l) h_hat_l and
+        g_hat_l = diag(e_l) + (e_l o h_hat_l) g (e_l o h_hat_l)', so that pi - LoS is
+        the only inverse (`_lu_inverse`)."""
+        eigenvalues, pi = self.eigen_energies(x)
         e = 1.0 / eigenvalues
         e_h = e[..., None] * self.h_hat
-        los = self.h_hat.reshape(-1, self.m).conj().T @ e_h.reshape(-1, self.m)
+        los = self.frame[:, self.profile.shape[1]:] @ e_h.reshape(-1, self.m)  # h_hat' diag(e) h_hat
         g = herm(_lu_inverse(pi - los, self.contexts.g))
         g_hat = e_h @ g @ e_h.conj().swapaxes(-1, -2)
         g_hat.reshape(len(e), -1)[:, :: self.n_rx + 1] += e  # the block diagonals
         return g, herm(g_hat)
+
+    def rhs(self, g, g_hat):
+        """One Picard evaluation of an eigenbasis iterate, (rhs_g, rhs_g_hat)."""
+        return self.expand(self.reduce(g, g_hat))
+
+    def jacobian(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Jacobian J of the reduced map R: x -> reduce(*expand(x)) at x, real
+        (2 L n_rx + 1)^2, from g = expand(x)[0].  With e = 1/(w - d), t = P's and
+        K1, K2, K3 = B'gB, B'g h_hat', h_hat g h_hat' (|K|^2 entrywise),
+        u = diag(B'g^2 B), v = diag(h_hat g^2 h_hat') and phi' = dphi/dTr g:
+
+            dq   = |K1|^2 dt - phi' u dTr g + |K2|^2 (e^2 o dd),   dd' = P dq
+            ds'  = e^2 (1 + 2 e o diag K3) o dd
+                   + e^2 o (|K2|^2' dt - phi' v dTr g + |K3|^2 (e^2 o dd))
+            dTr g' = u.dt - phi' Tr(g^2) dTr g + v.(e^2 o dd)
+        """
+        n, cols = self.profile.shape
+        e = 1.0 / (self.w - x[:n])
+        e2 = e * e
+        phi = self.phi_of_trace(x[-1])
+        slope = -phi * phi / (self.n_s - self.m + 2.0 * phi * x[-1])  # of n_s phi = n_s + m phi - phi^2 Tr g
+        g_frame = g @ self.frame
+        gram = self.frame_adj @ g_frame  # [[K1, K2], [K2', K3]]
+        k = gram.real**2 + gram.imag**2
+        uv = (g_frame.real**2 + g_frame.imag**2).sum(axis=0)  # (u, v)
+        p_k = self.profile @ k[:cols]  # P [|K1|^2, |K2|^2]; k is symmetric
+        jac = np.empty((2 * n + 1, 2 * n + 1))
+        jac[:n, :n] = p_k[:, cols:] * e2
+        jac[:n, n:-1] = p_k[:, :cols] @ self.profile.T
+        jac[n:-1, :n] = e2[:, None] * k[cols:, cols:] * e2
+        jac[n:-1, n:-1] = e2[:, None] * p_k[:, cols:].T
+        i = np.arange(n)
+        jac[n + i, i] += e2 * (1.0 + 2.0 * e * np.diagonal(gram)[cols:].real)
+        p_u = self.profile @ uv[:cols]
+        jac[:n, -1] = -slope * p_u
+        jac[n:-1, -1] = -slope * e2 * uv[cols:]
+        jac[-1, :n] = uv[cols:] * e2
+        jac[-1, n:-1] = p_u
+        jac[-1, -1] = -slope * np.vdot(g, g).real
+        return jac
 
     def residual(self, fp: FixedPoint) -> float:
         """Max relative residual of a stored state: the psi_tilde blocks, pi, g_tilde,
@@ -441,7 +583,7 @@ class _System:
             (fp.pi, pi_rhs), (fp.g_tilde, g_tilde_rhs), (fp.g, g_rhs),
             (phi, 1.0 - tr_g_dd / self.n_s),
         ]
-        return max(rel_residual(a, b) for a, b in pairs)
+        return float(np.max([rel_residual(a, b) for a, b in pairs]))  # NaN in any part propagates
 
     def gradient_term(self, fp: FixedPoint) -> np.ndarray:
         """(psi_raw(g_tilde) - LoS(h_raw, psi_tilde)) W g at a converged state, where

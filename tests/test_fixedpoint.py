@@ -354,10 +354,10 @@ def _break_evaluations(monkeypatch, broken, first, last=math.inf):
     original = fixedpoint._System.eigen_energies
     calls = {}
 
-    def patched(self, g, g_hat):
+    def patched(self, x):
         calls[self.branch] = n = calls.get(self.branch, 0) + 1
         start = first[self.branch] if isinstance(first, dict) else first
-        energies = original(self, g, g_hat)
+        energies = original(self, x)
         return broken(*energies) if start <= n <= last else energies
 
     monkeypatch.setattr(fixedpoint._System, "eigen_energies", patched)
@@ -620,6 +620,53 @@ def test_stall_fallback_reaches_the_same_fixed_point(scenario4, beamformer4, mon
     assert residual_comm(forced_c, scenario4, beamformer4, point_c) <= 1e-10
     assert forced.i_s == pytest.approx(plain.i_s, rel=1e-9)
     assert forced.i_c == pytest.approx(plain.i_c, rel=1e-9)
+
+
+@pytest.mark.parametrize("broken", ["leaves-cone", "nan", "raises-residual"])
+def test_a_failed_newton_step_falls_back_to_anderson(broken, monkeypatch):
+    # a Jacobian whose step leaves the reduced cone (a step 1e6 (R(x) - x) long) or
+    # is NaN is rejected before it is evaluated; one whose step points away from the
+    # fixed point (x - R(x)) is evaluated and rejected on its residual.  Either way
+    # the solve returns to Anderson and converges to the same fixed point.
+    from isac_mi import fixedpoint, weighted_mi
+
+    dims = SystemDims(**_HEADLINE)
+    stats = generate_scenario(dims, 1.0, seed=7)
+    bf = default_beamformer(dims, float(dims.n_t))
+    noise = NoiseConfig(30.0)
+    plain = weighted_mi(stats, bf, noise, 0.8)
+    jacobians = {
+        "leaves-cone": lambda size: (1.0 - 1e-6) * np.eye(size),
+        "nan": lambda size: np.full((size, size), np.nan),
+        "raises-residual": lambda size: 2.0 * np.eye(size),
+    }
+    monkeypatch.setattr(fixedpoint._System, "jacobian", lambda self, x, g: jacobians[broken](x.size))
+    verdicts = []
+    in_reduced_cone = fixedpoint._System.in_reduced_cone
+
+    def recording(self, x):
+        verdicts.append(in_reduced_cone(self, x))
+        return verdicts[-1]
+
+    monkeypatch.setattr(fixedpoint._System, "in_reduced_cone", recording)
+    report, fp_s, fp_c = weighted_mi(stats, bf, noise, 0.8, return_fixed_points=True)
+    assert verdicts and all(verdicts) == (broken == "raises-residual")
+    assert residual_sensing(fp_s, stats, bf, SpectralPoint.from_noise_power(noise.sigma_s2)) <= 1e-10
+    assert residual_comm(fp_c, stats, bf, SpectralPoint.from_noise_power(noise.sigma_c2)) <= 1e-10
+    assert report.i_s == pytest.approx(plain.i_s, rel=1e-9)
+    assert report.i_c == pytest.approx(plain.i_c, rel=1e-9)
+
+
+@pytest.mark.parametrize("branch", ["sensing", "comm"])
+def test_a_nan_in_a_later_stored_field_reads_nan(scenario4, beamformer4, branch):
+    # pi is compared after the psi_tilde blocks, and only there, so a NaN in it must
+    # not be dropped by the max over the equations
+    solve, residual = _BRANCHES[branch]
+    point = SpectralPoint(-0.1)
+    fp = solve(scenario4, beamformer4, point)
+    pi = fp.pi.copy()
+    pi[0, 0] = np.nan
+    assert math.isnan(residual(dataclasses.replace(fp, pi=pi), scenario4, beamformer4, point))
 
 
 def test_sensing_without_symbol_block_is_the_comm_system():
