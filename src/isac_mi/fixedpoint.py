@@ -63,8 +63,6 @@ the manner of Zhang, O'Donoghue & Boyd (SIAM J. Optim. 2020):
   its residual is at most `_SAFEGUARD` times that of the last accepted
   iterate; otherwise the driver takes the damped Picard step
   x + `_DAMPING` * (f(x) - x) from the last accepted iterate;
-* after `_STALL` iterations without a new best residual the driver switches
-  to plain damped Picard iteration from the best iterate;
 * on convergence the undamped polish step x <- f(x) is kept only when it does
   not raise the residual.
 
@@ -85,10 +83,11 @@ Equations with Newton's Method*, SIAM 2003), guarded like the extrapolation:
   which tests, polishes and returns it like any iterate (with no kept step it
   goes on with Anderson from its last accepted iterate);
 * a failed phase is retried once Anderson has cut the residual by
-  `_NEWTON_RETRY`, and none runs once the Picard mode has engaged.
+  `_NEWTON_RETRY`.
 
 Newton evaluations count as iterations, with their reduced residual in the
-history, and max_iter bounds them together with Anderson's.
+history, and max_iter bounds them together with Anderson's.  The driver has no
+other mode: a solve that stalls goes on with Anderson until max_iter.
 
 The iterates invert pi - LoS through a plain LU inverse, which raises
 `SingularMatrixError` only on an exactly singular matrix; a non-finite residual
@@ -126,8 +125,7 @@ SIGN_EIG_FLOOR = -1e-8
 
 _MEMORY = 10  # Anderson history length
 _SAFEGUARD = 3.0  # largest accepted residual growth of an extrapolated iterate
-_STALL = 100  # iterations without a new best residual before plain damped Picard
-_DAMPING = 0.5  # Picard step of a rejected extrapolation and of the stall fallback
+_DAMPING = 0.5  # Picard step that replaces a rejected or out-of-cone extrapolation
 _NEWTON = 1e-2  # accepted residual at which the Newton finish takes over from Anderson
 _NEWTON_RETRY = 0.1  # residual decrease after a Newton phase before the next one starts
 _NEWTON_DECREASE = 0.5  # largest residual ratio of a kept Newton step
@@ -329,9 +327,8 @@ def _iterate(system, start, opts: SolverOptions):
     gram = np.empty((_MEMORY, _MEMORY))
     stored = slot = 0
     history: list[float] = []
-    last = best = None  # (x, f(x) - x, residual) of the last accepted / best iterate
-    since_best = 0
-    extrapolated = picard = False
+    last = None  # (x, f(x) - x, residual) of the last accepted iterate
+    extrapolated = False
     newton_below = _NEWTON  # accepted residual at which the next Newton phase starts
 
     def evaluate(x):
@@ -364,15 +361,6 @@ def _iterate(system, start, opts: SolverOptions):
             gram[slot, :stored] = gram[:stored, slot] = d_f[:stored] @ d_f[slot]
             slot = (slot + 1) % _MEMORY
         last = (x, f, residual)
-        if best is None or residual < best[2]:
-            best, since_best = last, 0
-        else:
-            since_best += 1
-        if not picard and since_best >= _STALL:
-            picard, last = True, best
-        if picard:
-            x = last[0] + _DAMPING * last[1]
-            continue
         if residual <= newton_below:
             newton_below = _NEWTON_RETRY * residual
             finish = _newton(system, system.reduce(*state), *packing.unpack(gx), history, opts.max_iter)
@@ -617,12 +605,11 @@ def _solve(system: _System, initial: FixedPoint | None, opts: SolverOptions) -> 
         if initial is None:  # the zero-channel solution, diagonal in every basis
             start = (np.eye(system.m), np.broadcast_to(np.eye(system.n_rx) / system.w, blocks))
         else:
-            start = (initial.g, initial.g_tilde)
-        shapes, expected = tuple(np.shape(b) for b in start), ((system.m, system.m), blocks)
-        if shapes != expected:
-            branch = system.branch
-            raise ValueError(f"{branch} warm start has (g, g_tilde) shapes {shapes}, expected {expected}")
-        if initial is not None:
+            shapes = (np.shape(initial.g), np.shape(initial.g_tilde))
+            expected = ((system.m, system.m), blocks)
+            if shapes != expected:
+                branch = system.branch
+                raise ValueError(f"{branch} warm start has (g, g_tilde) shapes {shapes}, expected {expected}")
             start = (initial.g, system.to_eigenbasis(initial.g_tilde))
         (g, g_hat), residual, it, history = _iterate(system, start, opts)
         g_tilde = system.from_eigenbasis(g_hat)

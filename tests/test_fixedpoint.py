@@ -600,28 +600,6 @@ def test_packing_residual_is_bitwise_the_norm_expression():
             assert math.isnan(packing.residual(x, gx)) and math.isnan(norm_expression(x, gx))
 
 
-def test_stall_fallback_reaches_the_same_fixed_point(scenario4, beamformer4, monkeypatch):
-    from isac_mi import fixedpoint, weighted_mi
-
-    noise = NoiseConfig(30.0)
-    plain, plain_s, plain_c = weighted_mi(
-        scenario4, beamformer4, noise, 0.8, return_fixed_points=True
-    )
-    monkeypatch.setattr(fixedpoint, "_STALL", 2)
-    forced, forced_s, forced_c = weighted_mi(
-        scenario4, beamformer4, noise, 0.8, return_fixed_points=True
-    )
-    # damped Picard from the best iterate is far slower than Anderson here
-    assert forced_s.iterations > plain_s.iterations
-    assert forced_c.iterations > plain_c.iterations
-    point_s = SpectralPoint.from_noise_power(noise.sigma_s2)
-    point_c = SpectralPoint.from_noise_power(noise.sigma_c2)
-    assert residual_sensing(forced_s, scenario4, beamformer4, point_s) <= 1e-10
-    assert residual_comm(forced_c, scenario4, beamformer4, point_c) <= 1e-10
-    assert forced.i_s == pytest.approx(plain.i_s, rel=1e-9)
-    assert forced.i_c == pytest.approx(plain.i_c, rel=1e-9)
-
-
 @pytest.mark.parametrize("broken", ["leaves-cone", "nan", "raises-residual"])
 def test_a_failed_newton_step_falls_back_to_anderson(broken, monkeypatch):
     # a Jacobian whose step leaves the reduced cone (a step 1e6 (R(x) - x) long) or
