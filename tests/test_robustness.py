@@ -299,6 +299,22 @@ def test_solves_above_40_db_converge_or_fail_by_name():
     assert converged >= _ABOVE_40_DB_CONVERGED
 
 
+@pytest.mark.parametrize(
+    _PARAMS,
+    [_point((16, 16, 16, 16), 1, 16, 0.05, 60.0), _point((16, 16, 16, 16), 1, 16, 0.05, 70.0)],
+)
+def test_stalling_sensing_solves_converge_within_the_default_budget(
+    shape, num_scatter, n_s, kappa, snr_db
+):
+    # Anderson stalls on these two solves for over 100 iterations (at 70 dB it
+    # takes 3,028 evaluations); a driver that switched to damped Picard there
+    # spent all 5,000 and failed
+    stats, bf, noise = _setup(shape, num_scatter, n_s, kappa, snr_db)
+    assert _converges_consistently(
+        solve_sensing, residual_sensing, stats, bf, noise.sigma_s2, kappa, SolverOptions()
+    )
+
+
 # the solve-highsnr bench points, and the pure-LoS 40 dB point of each grid shape
 _EXACT = [
     _point((16, 16, 16, 16), 2, 16, 1.0, 20.0),
