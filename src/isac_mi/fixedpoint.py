@@ -50,14 +50,21 @@ nothing derived from them (psi = pi - phi I).  In the paper's names its fields
 are G_c, G~_c, Psi~_l, Pi and phi for sensing and G_e, G~_e, Omega~, Omega and
 phi = 1 for communication.
 
-The system is solved by one driver, `_iterate`, from the exact zero-channel
-solution (or a warm start).  The driver runs type-II Anderson acceleration
-(Walker & Ni, SIAM J. Numer. Anal. 2011) on the state (g, g_hat) packed into
-one real vector (`_Packing`: the real view of g and of the g_hat stack), in which
-g_hat is stored times sigma^2 so that both blocks start from (minus) the
-identity.  It keeps the Gram matrix of its residual differences beside them and
-updates one row and column of it per accepted iterate.  It is safeguarded in
-the manner of Zhang, O'Donoghue & Boyd (SIAM J. Optim. 2020):
+The system is solved by one driver, `_iterate`.  A cold solve starts at
+(a I, b I), the fixed point of the system's equal-variance surrogate
+(`_System.surrogate`: every variance profile replaced by its mean, two scalar
+equations solved by Newton), which is the same in every basis and sets the
+scale of the state; when the surrogate gives no valid (a, b), and once more
+when a solve from it runs out of iterations, the start is the exact
+zero-channel solution (I, I/w).  A warm start whose first residual exceeds
+`_WARM_RESTART` is replaced by the cold start.  The driver runs type-II
+Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011) on the state
+(g, g_hat) packed into one real vector (`_Packing`: the real view of g and of
+the g_hat stack), in which g_hat is stored times sigma^2 so that the
+zero-channel solution packs as (I, -I).  It keeps the Gram matrix of its
+residual differences beside them and updates one row and column of it per
+accepted iterate.  It is safeguarded in the manner of Zhang, O'Donoghue &
+Boyd (SIAM J. Optim. 2020):
 
 * an extrapolated iterate is used only if it lies in the sign cone below and
   its residual is at most `_SAFEGUARD` times that of the last accepted
@@ -130,6 +137,9 @@ _NEWTON = 1e-2  # accepted residual at which the Newton finish takes over from A
 _NEWTON_RETRY = 0.1  # residual decrease after a Newton phase before the next one starts
 _NEWTON_DECREASE = 0.5  # largest residual ratio of a kept Newton step
 _NEWTON_TOL = 1e-12  # reduced residual at which the Newton finish stops
+_SURROGATE_TOL = 1e-14  # residual norm at which the surrogate's Newton solve stops
+_SURROGATE_STEPS = 30  # most Newton steps of the surrogate, and halvings of one step
+_WARM_RESTART = 1.0  # first residual of a warm start above which the cold start replaces it
 
 
 class ConvergenceError(RuntimeError):
@@ -307,9 +317,12 @@ def _newton(system, x, g, g_hat, history: list, max_iter: int):
     return kept
 
 
-def _iterate(system, start, opts: SolverOptions):
+def _iterate(system, start, opts: SolverOptions, warm: bool = False):
     """Safeguarded Anderson iteration of `system.rhs` from the eigenbasis state
     `start` (g, g_hat), with a Newton finish (`_newton`) on the reduced state.
+    A `warm` start whose first evaluation is finite but has a residual above
+    `_WARM_RESTART` carries no usable scale: the iteration goes on from the cold
+    start (`_cold_start`), and that evaluation still counts.
 
     Returns (state, residual, iterations, history) at the first iterate whose
     residual meets opts.tol, after the conditional polish step; iterations and
@@ -350,6 +363,9 @@ def _iterate(system, start, opts: SolverOptions):
             return state, residual, it, tuple(history)
         if it == opts.max_iter:
             break
+        if warm and it == 0 and residual > _WARM_RESTART:
+            x = packing.pack(*_cold_start(system)[0])
+            continue
         if extrapolated and residual > _SAFEGUARD * last[2]:
             x, extrapolated = last[0] + _DAMPING * last[1], False
             continue
@@ -449,6 +465,78 @@ class _System:
             return math.nan
         return 2.0 / (b + math.sqrt(discriminant))
 
+    def phi_slope(self, tr_g: float) -> float:
+        """dphi/dTr g at Tr g = tr_g, from n_s phi = n_s + m phi - phi^2 Tr g."""
+        phi = self.phi_of_trace(tr_g)
+        return -phi * phi / (self.n_s - self.m + 2.0 * phi * tr_g)
+
+    def surrogate(self) -> tuple[float, float] | None:
+        """(a, b) at the fixed point of the equal-variance surrogate, or None when
+        it leaves a > 0, b < 0 or double range.
+
+        The surrogate is the system with every variance profile replaced by its
+        mean, the i.i.d. Rician case: with c = sum_l Tr E[X_l W W' X_l'] (summing d
+        at g = I), r = c / n, t = c / m (n = L n_rx) and the eigenvalues lam_k of
+        h_eff' h_eff, its state (a I, b I) solves
+
+            e = 1 / (w - a r),  q = phi(Tr g = m a) - b t,  gamma_k = 1 / (q - e lam_k),
+            a = mean gamma_k,   b = e + (e^2 / n) sum_k lam_k gamma_k.
+
+        Newton runs on (log a, log -b) with the closed-form 2 x 2 Jacobian, each
+        step halved until it cuts the residual norm, from the root of the
+        surrogate with h_eff = 0 and phi = 1 (a quadratic in a).  It stops at a
+        residual norm of `_SURROGATE_TOL`, after `_SURROGATE_STEPS` steps or when
+        that many halvings do not cut it."""
+        n, m, w = self.profile.shape[0], self.m, self.w
+
+        def f_and_jac(x):
+            """(F(x), J(x)) of F = x - (log a', log -b') at x = (log a, log -b)."""
+            a, b = math.exp(x[0]), -math.exp(x[1])
+            e = 1.0 / (w - a * r)
+            q = self.phi_of_trace(m * a) - b * t
+            gamma = 1.0 / (q - e * lam)
+            s0, s1, _ = powers @ gamma
+            u0, u1, u2 = powers @ (gamma * gamma)
+            a_new, b_new = s0 / m, e + e * e * s1 / n
+            dq_da, de_da = m * self.phi_slope(m * a), r * e * e
+            da_da, da_db = (u1 * de_da - u0 * dq_da) / m, u0 * t / m
+            db_da = de_da * (1.0 + 2.0 * e * s1 / n) + e * e * (u2 * de_da - u1 * dq_da) / n
+            db_db = e * e * u1 * t / n
+            f = (x[0] - math.log(a_new), x[1] - math.log(-b_new))
+            jac = ((1.0 - a * da_da / a_new, -b * da_db / a_new),
+                   (-a * db_da / b_new, 1.0 - b * db_db / b_new))
+            return f, jac
+
+        try:
+            c = float((self.profile @ rotated_diag(self.beamformed, np.eye(m))).sum())
+            r, t = c / n, c / m
+            lam = np.linalg.eigvalsh(self.h_eff.conj().T @ self.h_eff)
+            powers = lam ** np.arange(3)[:, None]  # rows 1, lam, lam^2
+            linear = w - t + r  # of r a^2 - (w - t + r) a + w = 0, whose positive root is a0
+            a0 = 2.0 * w / (linear - math.sqrt(linear * linear - 4.0 * r * w))
+            x = (math.log(a0), math.log(-1.0 / (w - a0 * r)))
+            f, jac = f_and_jac(x)
+            for _ in range(_SURROGATE_STEPS):
+                size = math.hypot(*f)
+                if not size > _SURROGATE_TOL:
+                    break
+                (j11, j12), (j21, j22) = jac
+                det = j11 * j22 - j12 * j21
+                step = ((j22 * f[0] - j12 * f[1]) / det, (j11 * f[1] - j21 * f[0]) / det)
+                for _ in range(_SURROGATE_STEPS):
+                    trial = (x[0] - step[0], x[1] - step[1])
+                    f_trial, jac_trial = f_and_jac(trial)
+                    if math.hypot(*f_trial) < size:
+                        break
+                    step = (0.5 * step[0], 0.5 * step[1])
+                else:
+                    break
+                x, f, jac = trial, f_trial, jac_trial
+            a, b = math.exp(x[0]), -math.exp(x[1])
+        except (ArithmeticError, ValueError):  # out of double range, a log of a non-positive
+            return None  # value, or eigvalsh of a non-finite h_eff (LinAlgError)
+        return (a, b) if math.isfinite(a) and math.isfinite(b) and a > 0.0 and b < 0.0 else None
+
     def in_cone(self, g, g_tilde) -> bool:
         return _is_pd(g) and _is_pd(-g_tilde)
 
@@ -536,8 +624,7 @@ class _System:
         n, cols = self.profile.shape
         e = 1.0 / (self.w - x[:n])
         e2 = e * e
-        phi = self.phi_of_trace(x[-1])
-        slope = -phi * phi / (self.n_s - self.m + 2.0 * phi * x[-1])  # of n_s phi = n_s + m phi - phi^2 Tr g
+        slope = self.phi_slope(x[-1])
         g_frame = g @ self.frame
         gram = self.frame_adj @ g_frame  # [[K1, K2], [K2', K3]]
         k = gram.real**2 + gram.imag**2
@@ -595,23 +682,47 @@ def _comm_system(stats: ScenarioStats, w_bf: Beamformer, w: float) -> _System:
     return _System("comm", (stats.comm,), stats.comm.mean, h_eff, math.inf, w_bf, w)
 
 
+def _zero_channel(system: _System):
+    """The exact zero-channel solution (I, I/w), diagonal in every basis."""
+    return np.eye(system.m), np.broadcast_to(np.eye(system.n_rx) / system.w, system.packing.blocks)
+
+
+def _cold_start(system: _System):
+    """(start, scaled): the state (a I, b I) of the equal-variance surrogate
+    (`_System.surrogate`), the same in every basis, with scaled True; the
+    zero-channel solution, with scaled False, when the surrogate gives none."""
+    scale = system.surrogate()
+    if scale is None:
+        return _zero_channel(system), False
+    a, b = scale
+    return (a * np.eye(system.m), np.broadcast_to(b * np.eye(system.n_rx), system.packing.blocks)), True
+
+
 def _solve(system: _System, initial: FixedPoint | None, opts: SolverOptions) -> FixedPoint:
     """Iterate `system` in the receive eigenbasis from the state of `initial`
-    (None: the zero-channel solution), rotate the result back, guard every
-    inverse of one direct-form evaluation at it and check the sign structure."""
+    (None: the cold start of `_cold_start`), rotate the result back, guard every
+    inverse of one direct-form evaluation at it and check the sign structure.
+    A cold solve from the surrogate that runs out of iterations is solved once
+    more from the zero-channel solution."""
     blocks = system.packing.blocks
     # a non-finite residual ends the iteration by name, so numpy's warnings up to it are noise
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if initial is None:  # the zero-channel solution, diagonal in every basis
-            start = (np.eye(system.m), np.broadcast_to(np.eye(system.n_rx) / system.w, blocks))
+        if initial is None:
+            start, scaled = _cold_start(system)
+            try:
+                result = _iterate(system, start, opts)
+            except ConvergenceError as err:
+                if not (scaled and math.isfinite(err.residual)):  # only the budget ends at a finite one
+                    raise
+                result = _iterate(system, _zero_channel(system), opts)
         else:
             shapes = (np.shape(initial.g), np.shape(initial.g_tilde))
             expected = ((system.m, system.m), blocks)
             if shapes != expected:
                 branch = system.branch
                 raise ValueError(f"{branch} warm start has (g, g_tilde) shapes {shapes}, expected {expected}")
-            start = (initial.g, system.to_eigenbasis(initial.g_tilde))
-        (g, g_hat), residual, it, history = _iterate(system, start, opts)
+            result = _iterate(system, (initial.g, system.to_eigenbasis(initial.g_tilde)), opts, True)
+        (g, g_hat), residual, it, history = result
         g_tilde = system.from_eigenbasis(g_hat)
     psi_t, pi, phi = system.self_energies(g, g_tilde)
     system.resolvents(psi_t, pi)  # guarded: an ill-conditioned inverse raises
@@ -630,8 +741,9 @@ def solve_sensing(
 ) -> FixedPoint:
     """Solve the sensing deterministic-equivalent system at w = point.w < 0.
 
-    Starts from the exact zero-channel solution, or warm-starts from the
-    state of a previous solve when `initial` is given.
+    Starts from the fixed point of the equal-variance surrogate (the exact
+    zero-channel solution when that fails), or warm-starts from the state of a
+    previous solve when `initial` is given.
     """
     return _solve(_sensing_system(stats, w_bf, point.w), initial, opts)
 

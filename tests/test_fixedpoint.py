@@ -97,6 +97,35 @@ def test_zero_channel_comm_solution():
     assert residual_comm(fp, stats, bf, point) < 1e-12
 
 
+@pytest.mark.parametrize("sigma2", [0.03, 1.0])
+def test_equal_variance_surrogate_is_exact_without_los_and_profile(sigma2):
+    # zero LoS means, one constant variance profile for all scatter channels and
+    # W'W proportional to I: every equation maps multiples of I to multiples of I,
+    # so the surrogate's (a I, b I) is the fixed point and the cold solve starts on it
+    from isac_mi import ScenarioStats, WeichselbergerStats
+    from isac_mi.fixedpoint import _comm_system, _sensing_system
+
+    dims = SystemDims(n_t=8, n_r=6, n_u=5, num_scatter=2, m=4, n_s=10)
+    drawn = generate_scenario(dims, 1.0, seed=5)
+
+    def flat(channel, level):
+        zero = np.zeros_like(channel.mean)
+        return WeichselbergerStats(zero, channel.left_unitary, channel.right_unitary, zero.real + level)
+
+    stats = ScenarioStats(
+        dims, flat(drawn.comm, 1.3), tuple(flat(s, 0.7) for s in drawn.sensing),
+        drawn.rician_kappa, drawn.seed,
+    )
+    bf = default_beamformer(dims, 8.0)
+    point = SpectralPoint.from_noise_power(sigma2)
+    for system, solve in ((_sensing_system, solve_sensing), (_comm_system, solve_comm)):
+        a, b = system(stats, bf, point.w).surrogate()
+        fp = solve(stats, bf, point)
+        assert a == pytest.approx(np.trace(fp.g).real / dims.m, rel=1e-10)
+        assert b == pytest.approx(np.diagonal(fp.g_tilde, axis1=1, axis2=2).real.mean(), rel=1e-10)
+        assert len(fp.history) <= 2
+
+
 @pytest.mark.parametrize("sigma2", [0.3, 1.0, 4.0])
 def test_scalar_pure_los_matches_bisection_oracle(sigma2):
     g = 1.3 - 0.4j
